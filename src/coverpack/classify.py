@@ -28,10 +28,8 @@ from typing import Iterable, Iterator, Optional
 from .duality import SimisReport, simis_check
 from .graphs import Graph, classify_shape, encode_graph6, is_bipartite, is_connected
 from .ideals import DEFAULT_GEN_CAP, SizeLimitError, monomial_str
-from .packing import is_packed
+from .packing import PACKED_CYCLES, is_packed
 from .tconn import cover_ideal
-
-_PACKED_CYCLE_PAIRS = {(3, 3), (3, 6), (3, 9), (4, 4), (4, 8)}
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ def theorem_classification(g: Graph, t: int) -> Classification:
     if shape == "path":
         return Classification(True, "path", "paths are packed for every t")
     if shape == "cycle":
-        if (t, n) in _PACKED_CYCLE_PAIRS:
+        if (n, t) in PACKED_CYCLES:
             return Classification(True, "cycle_special", f"cycle pair (t={t}, n={n})")
         return Classification(False, "no",
                               f"cycle with n={n} outside the packed list for t={t}")

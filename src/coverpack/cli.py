@@ -270,16 +270,26 @@ def _verify_payload(args, gen_cap: int) -> tuple[dict, int]:
     return payload, (1 if report.disagreements else 0)
 
 
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {raw!r}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    gen_cap = int(os.environ.get("COVERPACK_GEN_CAP", DEFAULT_GEN_CAP))
-    scan_cap = int(os.environ.get("COVERPACK_SCAN_CAP", DEFAULT_SCAN_CAP))
     code = 0
     try:
+        gen_cap = _env_int("COVERPACK_GEN_CAP", DEFAULT_GEN_CAP)
+        scan_cap = _env_int("COVERPACK_SCAN_CAP", DEFAULT_SCAN_CAP)
         if args.command == "gens":
             payload = _gens_payload(args, gen_cap)
         elif args.command == "simis":

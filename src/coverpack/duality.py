@@ -2,9 +2,29 @@
 
 The dual of a square-free ideal is generated by the minimal transversals of
 its generator supports; those same transversals are the supports of the
-minimal primes, so both operations share one enumeration.  Symbolic powers
-are computed exactly as the intersection of minimal-prime powers, folded one
-prime at a time.
+minimal primes, so both operations share one enumeration, cached on the
+ideal.  Symbolic powers are computed exactly as the intersection of the
+minimal-prime powers P^s, folded one prime at a time (primes by ascending
+size, then variables).
+
+The fold state is a sorted list of (degree, packed) pairs in the layout of
+`coverpack.ideals`: 16 bits per variable with x1 in the most significant
+field, so sorting the pairs gives the canonical (degree, exponent tuple)
+order.  A prime's weight on a generator is one mask of its fields and one
+multiply by the all-ones pattern, which sums the fields into the top one.
+Folding in P^s keeps every generator g with weight w(g) >= s and replaces
+the others by g times each composition of s - w(g) over P's variables (each
+composition offset packed once per (prime, s - w)).  Kept generators need
+no divisibility test: if a new candidate g*m divided a kept h, then g | h
+inside the previous antichain, so g = h, which w(g) < s <= w(h) rules out.
+Only the new candidates are tested, each against the accepted generators of
+strictly lower degree (equal degree and dividing means equal).
+
+Exponent limit.  Every exponent in the fold stays at most s and a prime's
+weight at most s times its size, so s * (largest prime size) must not pass
+the 15-bit field capacity FIELD_MAX = 32767.  `symbolic_power` raises
+ValueError past it, checked per call after the complete-intersection fast
+path; nothing is allowed to wrap silently.
 
 The bounded Simis check compares I^(s) with I^s for s = 2..s_max.  Since
 I^s is always contained in I^(s), equality at s holds iff every minimal
@@ -19,15 +39,18 @@ from typing import Optional, Sequence
 
 from .ideals import (
     DEFAULT_GEN_CAP,
+    FIELD_MAX,
     MonomialIdeal,
     Monomial,
     SizeLimitError,
+    _high_mask,
+    _ones,
+    field_shift,
     from_masks,
     member_power,
-    minimal_transversals,
-    minimalize,
     monomial_str,
     power,
+    unpack,
 )
 
 
@@ -43,44 +66,23 @@ def _require_square_free_proper(a: MonomialIdeal, what: str):
 def alexander_dual(a: MonomialIdeal) -> MonomialIdeal:
     """Square-free dual: generators <-> minimal vertex covers of the supports."""
     _require_square_free_proper(a, "alexander_dual")
-    return from_masks(a.n, minimal_transversals(a.support_masks(), a.n))
+    return from_masks(a.n, a.transversal_masks())
 
 
 def minimal_primes(a: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """Supports of the minimal primes, as sorted 1-based variable tuples."""
     _require_square_free_proper(a, "minimal_primes")
-    masks = minimal_transversals(a.support_masks(), a.n)
-    return tuple(tuple(i + 1 for i in range(a.n) if m >> i & 1) for m in masks)
+    return tuple(tuple(i + 1 for i in range(a.n) if m >> i & 1)
+                 for m in a.transversal_masks())
 
 
-def prime_power_weight(m: Monomial, prime_vars: Sequence[int]) -> int:
-    """Total exponent of m on the variables of one minimal prime."""
-    return sum(m[v - 1] for v in prime_vars)
-
-
-def in_symbolic_shortcut(m: Monomial, primes: Sequence[Sequence[int]], s: int) -> bool:
-    """Membership in I^(s) via per-prime exponent sums (no intersection built)."""
-    return all(prime_power_weight(m, p) >= s for p in primes)
-
-
-def _compositions(total: int, k: int):
-    # all k-tuples of nonnegative ints summing to `total`
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
-
-
-def _prime_power_gens(n: int, prime_vars: Sequence[int], s: int) -> list[Monomial]:
-    gens = []
-    for comp in _compositions(s, len(prime_vars)):
-        m = [0] * n
-        for v, e in zip(prime_vars, comp):
-            m[v - 1] = e
-        gens.append(tuple(m))
-    return gens
+def _offsets(shifts: Sequence[int], total: int) -> list[int]:
+    """Packed exponent vectors on the fields at `shifts` summing to `total`."""
+    if len(shifts) == 1:
+        return [total << shifts[0]]
+    head, rest = shifts[0], shifts[1:]
+    return [(e << head) + o
+            for e in range(total + 1) for o in _offsets(rest, total - e)]
 
 
 def symbolic_power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
@@ -94,29 +96,57 @@ def symbolic_power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> Mono
     if all(sum(g) == 1 for g in a.gens) or len(a.gens) == 1:
         return power(a, s, cap=cap)
     primes = sorted(minimal_primes(a), key=lambda p: (len(p), p))
-    current = _prime_power_gens(a.n, primes[0], s)
-    for p in primes[1:]:
-        cands: list[Monomial] = []
-        plen = len(p)
-        idx = [v - 1 for v in p]
-        for g in current:
-            w = 0
-            for i in idx:
-                w += g[i]
-            if w >= s:
-                cands.append(g)
-            else:
-                need = s - w
-                for comp in _compositions(need, plen):
-                    gg = list(g)
-                    for i, e in zip(idx, comp):
-                        gg[i] += e
-                    cands.append(tuple(gg))
-        if len(cands) > cap:
+    if s * len(primes[-1]) > FIELD_MAX:
+        raise ValueError(
+            f"symbolic power s={s} over a prime on {len(primes[-1])} variables "
+            f"exceeds the packed-field capacity {FIELD_MAX}")
+    n = a.n
+    high = _high_mask(n)
+    ones = _ones(n)
+    top = field_shift(0, n)
+    shifts = [[field_shift(v - 1, n) for v in p] for p in primes]
+    current = sorted((s, g) for g in _offsets(shifts[0], s))
+    for sh in shifts[1:]:
+        pmask = sum(FIELD_MAX << x for x in sh)
+        by_need: dict[int, list[int]] = {}
+        kept: list[tuple[int, int]] = []
+        fresh: list[tuple[int, int]] = []
+        for d, g in current:
+            need = s - (((g & pmask) * ones >> top) & FIELD_MAX)
+            if need <= 0:
+                kept.append((d, g))
+                continue
+            offs = by_need.get(need)
+            if offs is None:
+                offs = by_need[need] = _offsets(sh, need)
+            d += need
+            fresh.extend([(d, g + o) for o in offs])
+        if len(kept) + len(fresh) > cap:
             raise SizeLimitError(
-                f"symbolic power intermediate size {len(cands)} exceeds cap {cap}")
-        current = list(minimalize(a.n, cands).gens)
-    return minimalize(a.n, current)
+                f"symbolic power intermediate size {len(kept) + len(fresh)} exceeds cap {cap}")
+        # accept each new candidate unless an accepted generator of lower
+        # degree divides it; kept generators are minimal without a test
+        pool: list[int] = []
+        level: list[int] = []
+        accepted: list[tuple[int, int]] = []
+        ki, nk, cur = 0, len(kept), -1
+        for d, g in sorted(set(fresh)):
+            if d != cur:
+                pool += level
+                level = []
+                while ki < nk and kept[ki][0] < d:
+                    pool.append(kept[ki][1])
+                    ki += 1
+                cur = d
+            for h in pool:
+                if not (g - h) & high:
+                    break
+            else:
+                level.append(g)
+                accepted.append((d, g))
+        current = kept + accepted
+        current.sort()
+    return MonomialIdeal(n, [unpack(g, n) for _, g in current], _trusted=True)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,23 @@ an ideal is its canonical minimal generating set, kept sorted by
 (total degree, exponent tuple).  Square-free monomials double as support
 bitmasks, which the combinatorial layers use directly.
 
-Divisibility tests in the minimalisation loop use a packed-integer
-comparison (16 bits per exponent), so exponents must stay below 2^15;
-every workload here is far below that.
+Packed form.  The inner loops (minimalisation, `member_power`, the
+symbolic-power fold in `coverpack.duality`) work on one integer per
+monomial: 16 bits per variable, x1 in the most significant field and x_n in
+the least, so for equal n integer order is lexicographic order on exponent
+tuples and sorting (degree, packed) pairs reproduces the canonical order.
+With every field below 2^15, b - a has a field's top bit set exactly when
+that field of a exceeds the one of b (the lowest such field sees no borrow
+from below), so a | b is `(b - a) & high == 0` for the mask of top bits.
+
+Exponent limit.  Packing checks every exponent against the 15-bit capacity
+(`FIELD_MAX` = 32767) and raises ValueError beyond it, so packed arithmetic
+never wraps silently.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
@@ -21,7 +31,7 @@ Monomial = tuple  # exponent tuple of length n
 DEFAULT_GEN_CAP = 200_000
 
 _FIELD = 16
-_FMAX = (1 << (_FIELD - 1)) - 1
+FIELD_MAX = (1 << (_FIELD - 1)) - 1
 
 
 class SizeLimitError(RuntimeError):
@@ -30,25 +40,40 @@ class SizeLimitError(RuntimeError):
 
 @lru_cache(maxsize=64)
 def _high_mask(n: int) -> int:
-    h = 0
-    for i in range(n):
-        h |= 1 << (_FIELD * i + _FIELD - 1)
-    return h
+    """Top bit of each of the n packed fields."""
+    return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
+
+
+@lru_cache(maxsize=64)
+def _ones(n: int) -> int:
+    """A 1 in each of the n packed fields."""
+    return sum(1 << (_FIELD * i) for i in range(n))
+
+
+def field_shift(i: int, n: int) -> int:
+    """Bit offset of variable index i (x_{i+1}) in an n-variable packed int."""
+    return _FIELD * (n - 1 - i)
 
 
 def pack(m: Monomial) -> int:
-    """Pack an exponent tuple into one integer, 16 bits per variable."""
+    """Pack an exponent tuple into one integer, 16 bits per variable, x1 first."""
     acc = 0
-    for i, e in enumerate(m):
-        if e > _FMAX:
-            raise OverflowError(f"exponent {e} exceeds packed-field capacity")
-        acc |= e << (_FIELD * i)
+    for e in m:
+        if e > FIELD_MAX:
+            raise ValueError(
+                f"exponent {e} exceeds the packed-field capacity {FIELD_MAX}")
+        acc = acc << _FIELD | e
     return acc
 
 
+def unpack(p: int, n: int) -> Monomial:
+    """Inverse of pack for n variables."""
+    return struct.unpack(f">{n}H", p.to_bytes(2 * n, "big"))
+
+
 def divides_packed(a: int, b: int, high: int) -> bool:
-    """Componentwise a <= b for packed exponent vectors (no per-field borrow)."""
-    return ((b | high) - a) & high == high
+    """Componentwise a <= b for packed exponent vectors."""
+    return not (b - a) & high
 
 
 def degree(m: Monomial) -> int:
@@ -119,7 +144,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
 class MonomialIdeal:
     """Canonically minimally generated monomial ideal; () means the zero ideal."""
 
-    __slots__ = ("n", "gens", "_masks")
+    __slots__ = ("n", "gens", "_masks", "_transversals")
 
     def __init__(self, n: int, gens: Sequence[Monomial], _trusted: bool = False):
         self.n = n
@@ -128,6 +153,7 @@ class MonomialIdeal:
         else:
             self.gens = _minimalize_list(n, gens)
         self._masks: Optional[tuple[int, ...]] = None
+        self._transversals: Optional[tuple[int, ...]] = None
 
     # -- basic predicates ---------------------------------------------------
     @property
@@ -146,6 +172,13 @@ class MonomialIdeal:
         if self._masks is None:
             self._masks = tuple(support_mask(g) for g in self.gens)
         return self._masks
+
+    def transversal_masks(self) -> tuple[int, ...]:
+        """Minimal transversals of the generator supports, enumerated once."""
+        if self._transversals is None:
+            self._transversals = tuple(
+                minimal_transversals(self.support_masks(), self.n))
+        return self._transversals
 
     def __eq__(self, other):
         return (isinstance(other, MonomialIdeal)
@@ -263,11 +296,13 @@ def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:
 
     Searches for s generators (with repetition) whose product divides m,
     choosing factors in descending degree with memoisation on the quotient.
+    Quotients stay packed; exponents past FIELD_MAX raise ValueError.
     """
     if len(m) != a.n:
         raise ValueError(f"monomial length {len(m)} does not match universe {a.n}")
     if s < 0:
         raise ValueError("member_power needs s >= 0")
+    top = pack(m)
     if s == 0:
         return True
     if a.is_zero:
@@ -275,11 +310,12 @@ def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:
     if a.is_unit:
         return True
     gens = sorted(a.gens, key=lambda g: (-sum(g), g))
-    degs = [sum(g) for g in gens]
-    min_deg = degs[-1]
-    memo: dict[tuple, bool] = {}
+    factors = [(pack(g), sum(g)) for g in gens]
+    min_deg = factors[-1][1]
+    high = _high_mask(a.n)
+    memo: dict[tuple[int, int], bool] = {}
 
-    def rec(q: Monomial, k: int, qdeg: int) -> bool:
+    def rec(q: int, k: int, qdeg: int) -> bool:
         if k == 0:
             return True
         if qdeg < k * min_deg:
@@ -289,17 +325,17 @@ def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:
         if cached is not None:
             return cached
         ok = False
-        for g, d in zip(gens, degs):
+        for g, d in factors:
             if d > qdeg:
                 continue
-            if divides(g, q):
-                if rec(tuple(x - y for x, y in zip(q, g)), k - 1, qdeg - d):
-                    ok = True
-                    break
+            r = q - g
+            if not r & high and rec(r, k - 1, qdeg - d):
+                ok = True
+                break
         memo[key] = ok
         return ok
 
-    return rec(m, s, sum(m))
+    return rec(top, s, sum(m))
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,8 @@ class CycleMinorResult:
         }
 
 
-_PACKED_CYCLES = {(3, 3), (6, 3), (9, 3), (4, 4), (8, 4)}
+# (n, t) with J_t(C_n) packed, t >= 3
+PACKED_CYCLES = frozenset({(3, 3), (6, 3), (9, 3), (4, 4), (8, 4)})
 
 
 def _cycle_zero_set(n: int, t: int) -> tuple[tuple[int, ...], tuple[int, int]]:
@@ -389,7 +390,7 @@ def cycle_nonpacking_minor(n: int, t: int, verify: bool = True) -> CycleMinorRes
     """
     if not (3 <= t < n):
         raise ValueError(f"need 3 <= t < n, got t={t}, n={n}")
-    if (n, t) in _PACKED_CYCLES:
+    if (n, t) in PACKED_CYCLES:
         raise ValueError(f"J_{t}(C_{n}) is packed; no witness exists")
     if n % t:
         verified = False

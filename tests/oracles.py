@@ -1,0 +1,71 @@
+"""Independent reference implementations used only by the tests.
+
+`symbolic_power_tuples` is the exponent-tuple fold that the packed fold in
+`coverpack.duality` replaced: it folds the minimal-prime powers one prime at
+a time and reduces every intermediate candidate list with `minimalize`.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from coverpack.duality import minimal_primes
+from coverpack.ideals import DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, minimalize, power
+
+
+def prime_power_weight(m: Monomial, prime_vars: Sequence[int]) -> int:
+    """Total exponent of m on the variables of one minimal prime."""
+    return sum(m[v - 1] for v in prime_vars)
+
+
+def in_symbolic_shortcut(m: Monomial, primes: Sequence[Sequence[int]], s: int) -> bool:
+    """Membership in I^(s) via per-prime exponent sums (no intersection built)."""
+    return all(prime_power_weight(m, p) >= s for p in primes)
+
+
+def _compositions(total: int, k: int):
+    # all k-tuples of nonnegative ints summing to `total`
+    if k == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, k - 1):
+            yield (first,) + rest
+
+
+def prime_power_gens(n: int, prime_vars: Sequence[int], s: int) -> list[Monomial]:
+    gens = []
+    for comp in _compositions(s, len(prime_vars)):
+        m = [0] * n
+        for v, e in zip(prime_vars, comp):
+            m[v - 1] = e
+        gens.append(tuple(m))
+    return gens
+
+
+def symbolic_power_tuples(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
+    """I^(s) by the exponent-tuple fold over the minimal primes."""
+    if s == 1:
+        return a
+    if all(sum(g) == 1 for g in a.gens) or len(a.gens) == 1:
+        return power(a, s, cap=cap)
+    primes = sorted(minimal_primes(a), key=lambda p: (len(p), p))
+    current = prime_power_gens(a.n, primes[0], s)
+    for p in primes[1:]:
+        cands: list[Monomial] = []
+        idx = [v - 1 for v in p]
+        for g in current:
+            w = sum(g[i] for i in idx)
+            if w >= s:
+                cands.append(g)
+            else:
+                for comp in _compositions(s - w, len(p)):
+                    gg = list(g)
+                    for i, e in zip(idx, comp):
+                        gg[i] += e
+                    cands.append(tuple(gg))
+        if len(cands) > cap:
+            raise SizeLimitError(
+                f"symbolic power intermediate size {len(cands)} exceeds cap {cap}")
+        current = list(minimalize(a.n, cands).gens)
+    return minimalize(a.n, current)

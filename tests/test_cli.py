@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import coverpack
 from coverpack.cli import REPORT_SCHEMA, build_parser, emit_report, main, parse_graph_spec
 from coverpack.graphs import complete, cycle, path, star
 
@@ -172,6 +176,31 @@ def test_gen_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("COVERPACK_GEN_CAP", "5")
     code, _, err = run_cli(capsys, "simis", "--graph", "cycle:9", "--t", "3")
     assert code == 3
+
+
+@pytest.mark.parametrize("var", ["COVERPACK_GEN_CAP", "COVERPACK_SCAN_CAP"])
+def test_bad_cap_env_is_usage_error(var):
+    # run as a process so an uncaught exception would show as a traceback
+    env = dict(os.environ, **{var: "abc"})
+    src = os.path.dirname(os.path.dirname(coverpack.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverpack.cli", "lp", "--graph", "path:4", "--t", "2"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and var in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_field_capacity_exit(capsys, monkeypatch):
+    # with a capacity of 5, s = 2 over the 3-variable primes of J_3(P_4)
+    # (weight up to 6) no longer fits and symbolic_power refuses it
+    import coverpack.duality
+    monkeypatch.setattr(coverpack.duality, "FIELD_MAX", 5)
+    code, out, err = run_cli(capsys, "simis", "--graph", "path:4", "--t", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "capacity" in err
 
 
 def test_emit_report_validates():

@@ -5,26 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monomials, random_square_free_ideal, square_free_ideals
+from coverpack.classify import connected_graphs
 from coverpack.duality import (
     SimisReport,
     alexander_dual,
-    in_symbolic_shortcut,
     minimal_primes,
-    prime_power_weight,
     simis_check,
     symbolic_power,
 )
 from coverpack.graphs import cycle, path, star
 from coverpack.ideals import (
+    FIELD_MAX,
     SizeLimitError,
     intersect,
     member,
+    member_power,
     minimalize,
     power,
     unit_ideal,
     zero_ideal,
 )
 from coverpack.tconn import cover_ideal, t_connected_ideal
+from oracles import in_symbolic_shortcut, prime_power_gens, prime_power_weight, symbolic_power_tuples
 
 
 def test_dual_hand_cases():
@@ -79,8 +81,7 @@ def test_prime_power_weight_and_shortcut():
 
 def _symbolic_via_intersections(a, s):
     """Independent route: build each prime power fully, fold with intersect."""
-    from coverpack.duality import _prime_power_gens
-    parts = [minimalize(a.n, _prime_power_gens(a.n, p, s)) for p in minimal_primes(a)]
+    parts = [minimalize(a.n, prime_power_gens(a.n, p, s)) for p in minimal_primes(a)]
     return functools.reduce(intersect, parts)
 
 
@@ -116,6 +117,56 @@ def test_symbolic_membership_shortcut_agrees(a, s, data):
     primes = minimal_primes(a)
     m = data.draw(monomials(a.n, max_exp=s))
     assert member(m, sym) == in_symbolic_shortcut(m, primes, s)
+
+
+def _check_fold_against_oracle(g, t):
+    # same generators in the same order as the tuple fold; packed
+    # member_power agrees with membership in the expanded power (s <= 3,
+    # beyond which expanding J^s dominates the suite's run time)
+    J = cover_ideal(g, t)
+    for s in range(2, t + 1):
+        sym = symbolic_power(J, s)
+        assert sym.gens == symbolic_power_tuples(J, s).gens, (g, t, s)
+        if s <= 3:
+            ordinary = power(J, s)
+            for m in sym.gens:
+                assert member_power(m, J, s) == member(m, ordinary), (g, t, s, m)
+
+
+def test_packed_fold_matches_tuple_oracle_small_graphs():
+    for n in range(3, 6):
+        for _code, g in connected_graphs(n):
+            for t in range(3, n + 1):
+                _check_fold_against_oracle(g, t)
+
+
+def test_packed_fold_matches_tuple_oracle_paths_cycles():
+    for n in range(3, 10):
+        for g in (path(n), cycle(n)):
+            for t in range(2, min(n, 4) + 1):
+                _check_fold_against_oracle(g, t)
+
+
+def test_symbolic_power_field_capacity():
+    # J_2(P_3) = <x2, x1*x3>: minimal primes <x1, x2> and <x2, x3>, so the
+    # weight of a prime reaches 2s and s = FIELD_MAX // 2 is the last safe s
+    J = cover_ideal(path(3), 2)
+    with pytest.raises(ValueError, match="capacity"):
+        symbolic_power(J, FIELD_MAX // 2 + 1)
+    # the guard runs after the complete-intersection fast path, which has
+    # no weight sums: a principal ideal keeps its powers past that limit
+    principal = minimalize(3, [(1, 1, 1)])
+    assert symbolic_power(principal, 12000).gens == ((12000, 12000, 12000),)
+    # the check is lazy in s: a witness below the limit is still reported
+    rep = simis_check(cover_ideal(cycle(5), 2), FIELD_MAX)
+    assert rep.verdict == "witness_at" and rep.s == 2
+
+
+def test_member_power_field_capacity():
+    J = cover_ideal(path(3), 2)
+    assert member_power((FIELD_MAX, 0, 0), minimalize(3, [(1, 0, 0)]), 3)
+    with pytest.raises(ValueError, match="capacity"):
+        member_power((FIELD_MAX + 1, 1, 1), J, 2)
 
 
 def test_symbolic_power_cap():

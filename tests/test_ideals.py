@@ -29,6 +29,7 @@ from coverpack.ideals import (
     product,
     support_mask,
     unit_ideal,
+    unpack,
     zero_ideal,
     _high_mask,
 )
@@ -65,6 +66,17 @@ def test_packed_divisibility_matches_plain(n, data):
     b = tuple(data.draw(st.lists(st.integers(0, 900), min_size=n, max_size=n)))
     high = _high_mask(n)
     assert divides_packed(pack(a), pack(b), high) == divides(a, b)
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pack_order_is_tuple_order(n, data):
+    # x1 sits in the most significant field, so packed integers compare like
+    # exponent tuples and unpack inverts pack
+    a = tuple(data.draw(st.lists(st.integers(0, 900), min_size=n, max_size=n)))
+    b = tuple(data.draw(st.lists(st.integers(0, 900), min_size=n, max_size=n)))
+    assert unpack(pack(a), n) == a
+    assert (pack(a) < pack(b)) == (a < b)
 
 
 def test_support_mask():
