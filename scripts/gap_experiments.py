@@ -33,7 +33,7 @@ def run_instance(name, g, t, cfg: GapConfig):
     sampled_gap = None
     for _ in range(cfg.samples):
         alpha = tuple(rng.randint(0, cfg.max_entry) for _ in range(g.n))
-        tv = tau(b, alpha, verify=False)
+        tv = tau(b, alpha)
         nv = nu(b, alpha)
         if tv != nv:
             sampled_gap = (alpha, tv, nv)

@@ -5,9 +5,11 @@ Graphs are given as path:N, cycle:N, star:N, complete:N, file:PATH (graph6
 file) or a literal graph6 string.  Every command emits one schema-validated
 JSON report; identical configurations produce byte-identical reports.
 
-Exit codes: 0 success, 1 harness disagreement, 2 usage or schema error,
-3 resource-guard abort.  The COVERPACK_GEN_CAP and COVERPACK_SCAN_CAP
-environment variables override the generator-count and alpha-scan caps.
+Exit codes: 0 success, 1 harness disagreement or failed self-check (a
+closed-form generator list or weak duality in the gap search), 2 usage or
+schema error, 3 resource-guard abort.  The COVERPACK_GEN_CAP and
+COVERPACK_SCAN_CAP environment variables override the generator-count and
+alpha-scan caps.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .graphs import Graph, Graph6ParseError, classify_shape, complete, cycle, pa
 from .ideals import DEFAULT_GEN_CAP, SizeLimitError
 from .lpdual import DEFAULT_SCAN_CAP, cover_matrix, duality_gap_search, nu, tau
 from .packing import is_konig, is_packed, VerificationError
-from .tconn import brute_cover_ideal, cover_ideal, cycle_cover_gens, path_cover_gens
+from .tconn import GenerationError, brute_cover_ideal, cover_ideal, cycle_cover_gens, path_cover_gens
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -40,17 +42,24 @@ REPORT_SCHEMA = {
         "result": {"type": "object"},
     },
     "additionalProperties": False,
+    # each command's result must carry its own keys
+    "allOf": [
+        {"if": {"properties": {"command": {"const": command}}},
+         "then": {"properties": {"result": {"required": keys}}}}
+        for command, keys in [
+            ("gens", ["n", "t", "generators"]),
+            ("simis", ["s_max", "verdict"]),
+            ("konig", ["konig", "height"]),
+            ("packing", ["packed", "witness"]),
+            ("lp", ["tau", "nu", "alpha", "equal"]),
+            ("gap-search", ["witness", "scanned"]),
+            ("verify-theorem", ["rows", "summary", "disagreements"]),
+        ]
+    ],
 }
 
-_RESULT_REQUIRED = {
-    "gens": ["n", "t", "generators"],
-    "simis": ["s_max", "verdict"],
-    "konig": ["konig", "height"],
-    "packing": ["packed", "witness"],
-    "lp": ["tau", "nu", "alpha", "equal"],
-    "gap-search": ["witness", "scanned"],
-    "verify-theorem": ["rows", "summary", "disagreements"],
-}
+# built once: jsonschema.validate would re-check the schema itself on every call
+_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
 
 
 class UsageError(ValueError):
@@ -86,12 +95,7 @@ def parse_graph_spec(spec: str) -> Graph:
 
 def emit_report(payload: dict, pretty: bool = False, out: Optional[str] = None) -> str:
     """Validate against the report schema and serialise deterministically."""
-    jsonschema.validate(payload, REPORT_SCHEMA)
-    required = _RESULT_REQUIRED.get(payload["command"], [])
-    for key in required:
-        if key not in payload["result"]:
-            raise jsonschema.ValidationError(
-                f"result for {payload['command']} is missing {key!r}")
+    _REPORT_VALIDATOR.validate(payload)
     if pretty:
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -312,7 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except VerificationError as e:
+    except (VerificationError, GenerationError) as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1
     except jsonschema.ValidationError as e:

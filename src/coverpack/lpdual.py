@@ -9,13 +9,13 @@ cover ideal generators.  For a weight vector alpha:
 
 An optimal y for tau can be taken 0/1 (capping a feasible y at 1 keeps
 every covering constraint satisfied, since B has 0/1 entries, and never
-raises the cost), so tau branches over 0/1 vectors; by default the result
-is re-verified against a full 0/1 enumeration whenever n <= 12.  nu is an
-exhaustive bounded DFS over the packing multiplicities.
+raises the cost), so tau branches over 0/1 vectors.  nu is an exhaustive
+bounded DFS over the packing multiplicities.
 
 `duality_gap_search` scans alpha in {0..entry_bound}^n ascending by
 (sum, lex), reduced by the rotation action when the instance is a cycle,
-and returns the first alpha with tau != nu.
+and returns the first alpha with tau != nu.  It reads tau off the minimal
+covers, which for B = cover_matrix(G, t) are the I_t(G) generators.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .graphs import Graph, classify_shape
 from .ideals import SizeLimitError
+from .packing import VerificationError
 from .tconn import cover_ideal, t_connected_ideal
 
 DEFAULT_SCAN_CAP = 2_000_000
@@ -90,74 +89,11 @@ def cycle_incidence_formula(n: int, t: int) -> ZeroOneMatrix:
     return ZeroOneMatrix(n, tuple(cols))
 
 
-def minimal_solutions(a: ZeroOneMatrix) -> ZeroOneMatrix:
-    """Componentwise-minimal 0/1 solutions of A^T x >= 1, by subset scan.
-
-    Feasible sets are upward closed, so x is minimal iff dropping any single
-    1 breaks feasibility.  Independent of the transversal recursion used by
-    the cover-ideal route, which is the point: the two must agree.
-    """
-    n = a.n
-    if n > 20:
-        raise SizeLimitError("minimal_solutions subset scan capped at n <= 20")
-    col_masks = a.column_masks()
-    if any(m == 0 for m in col_masks):
-        raise ValueError("a zero column makes the covering program infeasible")
-    feasible = [x for x in range(1 << n) if all(x & m for m in col_masks)]
-    fset = set(feasible)
-    sols = []
-    for x in feasible:
-        m = x
-        minimal = True
-        while m:
-            low = m & -m
-            if (x ^ low) in fset:
-                minimal = False
-                break
-            m ^= low
-        if minimal:
-            sols.append(x)
-    sols.sort(key=lambda x: (bin(x).count("1"), tuple(1 if x >> i & 1 else 0 for i in range(n))))
-    return ZeroOneMatrix(n, tuple(tuple(1 if x >> i & 1 else 0 for i in range(n)) for x in sols))
-
-
 # ---------------------------------------------------------------------------
 # exact integer programs
 
-def tau_enum(b: ZeroOneMatrix, alpha: Sequence[int]) -> int:
-    """Oracle: minimise alpha.y over all 0/1 y with B^T y >= 1 (n <= 22)."""
-    n = b.n
-    if n > 22:
-        raise SizeLimitError("tau enumeration capped at n <= 22")
-    ys = _feasible_01(b)
-    av = np.asarray(alpha, dtype=np.int64)
-    return int((ys @ av).min())
-
-
-_FEAS_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _feasible_01(b: ZeroOneMatrix) -> np.ndarray:
-    key = (b.n, b.columns)
-    cached = _FEAS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n = b.n
-    cols = np.asarray(b.columns, dtype=np.int64).T  # n x r
-    ys = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int64)
-    ok = (ys @ cols >= 1).all(axis=1)
-    out = ys[ok]
-    if len(_FEAS_CACHE) > 16:
-        _FEAS_CACHE.clear()
-    _FEAS_CACHE[key] = out
-    return out
-
-
-def tau(b: ZeroOneMatrix, alpha: Sequence[int], verify: Optional[bool] = None) -> int:
-    """Exact covering optimum; branch and bound over 0/1 y.
-
-    verify=None re-checks against tau_enum for n <= 12; pass False to skip.
-    """
+def tau(b: ZeroOneMatrix, alpha: Sequence[int]) -> int:
+    """Exact covering optimum; branch and bound over 0/1 y."""
     if len(alpha) != b.n:
         raise ValueError("alpha length must match the row count")
     if any(x < 0 for x in alpha):
@@ -197,13 +133,6 @@ def tau(b: ZeroOneMatrix, alpha: Sequence[int], verify: Optional[bool] = None) -
             bb([e for e in uncovered if not e & bit], cost + alpha[i])
 
     bb(remaining, 0)
-    if verify is None:
-        verify = n <= 12
-    if verify and n <= 22:
-        ref = tau_enum(b, alpha)
-        if ref != best:
-            raise AssertionError(
-                f"tau branch-and-bound {best} disagrees with enumeration {ref}")
     return best
 
 
@@ -291,6 +220,16 @@ def _vectors_by_sum(n: int, bound: int):
         yield from rec([], total, n)
 
 
+def _min_cover_supports(g: Graph, t: int) -> list[tuple[int, ...]]:
+    """Minimal 0/1 covers of cover_matrix(g, t), as 0-based row tuples.
+
+    J_t(G) is the Alexander dual of I_t(G), so the minimal transversals of
+    its generator supports are exactly the I_t(G) generator supports.
+    """
+    return [tuple(i for i in range(g.n) if m >> i & 1)
+            for m in t_connected_ideal(g, t).support_masks()]
+
+
 def duality_gap_search(g: Graph, t: int, entry_bound: int,
                        scan_cap: int = DEFAULT_SCAN_CAP) -> GapSearchResult:
     """First alpha in {0..entry_bound}^n (by sum, then lex) with tau != nu.
@@ -307,21 +246,19 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
         raise SizeLimitError(
             f"alpha space {space} exceeds scan cap {scan_cap}")
     b = cover_matrix(g, t)
+    # every feasible 0/1 y contains a minimal cover and alpha >= 0, so tau is
+    # exactly the lightest minimal cover
+    covers = _min_cover_supports(g, t)
     is_cycle = classify_shape(g) == "cycle" and g == _canonical_cycle(g.n)
-    ys = _feasible_01(b) if n <= 22 else None
     scanned = 0
     for alpha in _vectors_by_sum(n, entry_bound):
         if is_cycle and not _rotation_minimal(alpha, n):
             continue
         scanned += 1
-        if ys is not None:
-            av = np.asarray(alpha, dtype=np.int64)
-            tv = int((ys @ av).min())
-        else:
-            tv = tau(b, alpha, verify=False)
+        tv = min(sum(alpha[i] for i in c) for c in covers)
         nv = nu(b, alpha)
         if nv > tv:
-            raise AssertionError(f"weak duality violated at alpha={alpha}")
+            raise VerificationError(f"weak duality violated at alpha={alpha}")
         if tv != nv:
             return GapSearchResult(tuple(alpha), tv, nv, scanned)
     return GapSearchResult(None, None, None, scanned)

@@ -51,7 +51,12 @@ def cover_ideal(g: Graph, t: int) -> MonomialIdeal:
     ideal = t_connected_ideal(g, t)
     if ideal.is_zero:
         raise ValueError("graph has no connected t-subsets")
-    return alexander_dual(ideal)
+    dual = alexander_dual(ideal)
+    # dualizing twice returns I_t(G), so the minimal transversals of J_t(G)
+    # are the I_t(G) supports; seed the cache in minimal_transversals' order
+    dual._transversals = tuple(
+        sorted(ideal.support_masks(), key=lambda m: (m.bit_count(), m)))
+    return dual
 
 
 def _tuples_to_ideal(n: int, tuples: list[tuple[int, ...]]) -> MonomialIdeal:

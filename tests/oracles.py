@@ -3,6 +3,9 @@
 `symbolic_power_tuples` is the exponent-tuple fold that the packed fold in
 `coverpack.duality` replaced: it folds the minimal-prime powers one prime at
 a time and reduces every intermediate candidate list with `minimalize`.
+`tau_enum` and `minimal_solutions` scan all 2^n 0/1 vectors, independently
+of the branch and bound in `coverpack.lpdual.tau` and of the transversal
+recursion behind `cover_ideal`.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from typing import Sequence
 
 from coverpack.duality import minimal_primes
 from coverpack.ideals import DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, minimalize, power
+from coverpack.lpdual import ZeroOneMatrix
 
 
 def prime_power_weight(m: Monomial, prime_vars: Sequence[int]) -> int:
@@ -69,3 +73,42 @@ def symbolic_power_tuples(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) 
                 f"symbolic power intermediate size {len(cands)} exceeds cap {cap}")
         current = list(minimalize(a.n, cands).gens)
     return minimalize(a.n, current)
+
+
+def tau_enum(b: ZeroOneMatrix, alpha: Sequence[int]) -> int:
+    """Minimise alpha.y over every 0/1 y with B^T y >= 1, by scanning all 2^n."""
+    n = b.n
+    masks = b.column_masks()
+    return min(sum(alpha[i] for i in range(n) if y >> i & 1)
+               for y in range(1 << n) if all(y & m for m in masks))
+
+
+def minimal_solutions(a: ZeroOneMatrix) -> ZeroOneMatrix:
+    """Componentwise-minimal 0/1 solutions of A^T x >= 1, by subset scan.
+
+    Feasible sets are upward closed, so x is minimal iff dropping any single
+    1 breaks feasibility.  Independent of the transversal recursion used by
+    the cover-ideal route, which is the point: the two must agree.
+    """
+    n = a.n
+    if n > 20:
+        raise SizeLimitError("minimal_solutions subset scan capped at n <= 20")
+    col_masks = a.column_masks()
+    if any(m == 0 for m in col_masks):
+        raise ValueError("a zero column makes the covering program infeasible")
+    feasible = [x for x in range(1 << n) if all(x & m for m in col_masks)]
+    fset = set(feasible)
+    sols = []
+    for x in feasible:
+        m = x
+        minimal = True
+        while m:
+            low = m & -m
+            if (x ^ low) in fset:
+                minimal = False
+                break
+            m ^= low
+        if minimal:
+            sols.append(x)
+    sols.sort(key=lambda x: (bin(x).count("1"), tuple(1 if x >> i & 1 else 0 for i in range(n))))
+    return ZeroOneMatrix(n, tuple(tuple(1 if x >> i & 1 else 0 for i in range(n)) for x in sols))

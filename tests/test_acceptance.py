@@ -174,7 +174,8 @@ def test_criterion_09_lp_duality():
 def test_criterion_10_invariant_suite():
     from coverpack.duality import alexander_dual
     from coverpack.ideals import mask_to_monomial, minimalize
-    from coverpack.lpdual import ZeroOneMatrix, tau_enum
+    from coverpack.lpdual import ZeroOneMatrix
+    from oracles import tau_enum
 
     with criterion(10, "structural-invariants", 600.0):
         rng = random.Random(1010)
@@ -217,6 +218,6 @@ def test_criterion_10_invariant_suite():
                 cols.append(tuple(c))
             b = ZeroOneMatrix(n, tuple(cols))
             alpha = tuple(rng.randint(0, 3) for _ in range(n))
-            tv = tau(b, alpha, verify=False)
+            tv = tau(b, alpha)
             assert nu(b, alpha) <= tv
             assert tv == tau_enum(b, alpha)

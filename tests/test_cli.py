@@ -203,6 +203,50 @@ def test_field_capacity_exit(capsys, monkeypatch):
     assert err.startswith("error:") and "capacity" in err
 
 
+def test_weak_duality_violation_exit(capsys, monkeypatch):
+    import coverpack.lpdual
+    monkeypatch.setattr(coverpack.lpdual, "nu", lambda b, alpha: sum(alpha) + 1)
+    code, out, err = run_cli(capsys, "gap-search", "--graph", "cycle:6", "--t", "3",
+                             "--entry-bound", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed:") and "weak duality" in err
+    assert "Traceback" not in err
+
+
+def test_generation_error_exit(capsys, monkeypatch):
+    # a closed form that loses a generator in canonicalisation is not an antichain
+    import coverpack.tconn
+    real = coverpack.tconn.minimalize
+    monkeypatch.setattr(coverpack.tconn, "minimalize",
+                        lambda n, gens: real(n, list(gens)[1:]))
+    code, out, err = run_cli(capsys, "gens", "--graph", "cycle:9", "--t", "3",
+                             "--closed-form")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed:") and "antichain" in err
+    assert "Traceback" not in err
+
+
+def test_numpy_not_imported():
+    # numpy is no dependency: neither the package nor the covering commands load it
+    src = os.path.dirname(os.path.dirname(coverpack.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys, coverpack\n"
+        "from coverpack.cli import main\n"
+        "seen = ['numpy' in sys.modules]\n"
+        "main(['lp', '--graph', 'cycle:7', '--t', '3'])\n"
+        "seen.append('numpy' in sys.modules)\n"
+        "main(['gap-search', '--graph', 'cycle:7', '--t', '3', '--entry-bound', '1'])\n"
+        "seen.append('numpy' in sys.modules)\n"
+        "print(seen, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[False, False, False]"
+
+
 def test_emit_report_validates():
     import jsonschema
     with pytest.raises(jsonschema.ValidationError):
@@ -222,6 +266,15 @@ def test_report_round_trip(capsys):
 
 def test_parser_subcommand_required(capsys):
     assert main([]) == 2
+
+
+def test_schema_requires_result_keys():
+    import jsonschema
+    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+    for command in REPORT_SCHEMA["properties"]["command"]["enum"]:
+        with pytest.raises(jsonschema.ValidationError):
+            emit_report({"command": command, "config": {}, "result": {}},
+                        out="/dev/null")
 
 
 def test_schema_shape():

@@ -3,20 +3,19 @@ import random
 import pytest
 
 from conftest import random_square_free_ideal
+from oracles import minimal_solutions, tau_enum
 from coverpack.duality import alexander_dual
 from coverpack.graphs import cycle, path, star
-from coverpack.ideals import SizeLimitError
+from coverpack.ideals import SizeLimitError, minimal_transversals
 from coverpack.lpdual import (
     ZeroOneMatrix,
     cover_matrix,
     cycle_incidence_formula,
     duality_gap_search,
     incidence_matrix,
-    minimal_solutions,
     nu,
     path_incidence_formula,
     tau,
-    tau_enum,
 )
 
 
@@ -109,7 +108,34 @@ def test_tau_branch_and_bound_matches_enumeration():
     for _ in range(300):
         b = _random_matrix(rng)
         alpha = tuple(rng.randint(0, 3) for _ in range(b.n))
-        assert tau(b, alpha, verify=False) == tau_enum(b, alpha)
+        assert tau(b, alpha) == tau_enum(b, alpha)
+
+
+def test_tau_matches_enumeration_on_cover_matrices():
+    rng = random.Random(101)
+    for n in range(3, 13):
+        for g in (path(n), cycle(n)):
+            for t in (3, 4):
+                if t > n:
+                    continue
+                b = cover_matrix(g, t)
+                for _ in range(10):
+                    alpha = tuple(rng.randint(0, 3) for _ in range(n))
+                    assert tau(b, alpha) == tau_enum(b, alpha), (g, t, alpha)
+
+
+def test_gap_search_covers_are_minimal_transversals():
+    # the gap search reads tau off these covers, so they must be exactly the
+    # minimal 0/1 covers of the cover matrix's columns
+    from coverpack.lpdual import _min_cover_supports
+    graphs = [path(n) for n in range(3, 13)] + [cycle(n) for n in range(3, 13)]
+    graphs += [star(n) for n in range(4, 8)]
+    for g in graphs:
+        for t in range(3, g.n + 1):
+            b = cover_matrix(g, t)
+            covers = [sum(1 << i for i in c) for c in _min_cover_supports(g, t)]
+            assert sorted(covers) == sorted(
+                minimal_transversals(b.column_masks(), g.n)), (g, t)
 
 
 def test_weak_duality_random():
@@ -117,7 +143,7 @@ def test_weak_duality_random():
     for _ in range(300):
         b = _random_matrix(rng)
         alpha = tuple(rng.randint(0, 3) for _ in range(b.n))
-        assert nu(b, alpha) <= tau(b, alpha, verify=False)
+        assert nu(b, alpha) <= tau(b, alpha)
 
 
 def test_tau_zero_cost_variables_are_free():
@@ -184,7 +210,7 @@ def test_gap_search_witness_is_global_first():
     from coverpack.lpdual import _vectors_by_sum
     for alpha in _vectors_by_sum(7, 1):
         count += 1
-        tv = tau(b, alpha, verify=False)
+        tv = tau(b, alpha)
         nv = nu(b, alpha)
         if tv != nv:
             found = tuple(alpha)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from coverpack.graphs import Graph, complete, cycle, path, star
-from coverpack.ideals import minimalize, support_mask
+from coverpack.classify import connected_graphs
+from coverpack.ideals import minimal_transversals, minimalize, support_mask
 from coverpack.tconn import (
     brute_cover_ideal,
     cover_ideal,
@@ -60,6 +61,18 @@ def test_cover_ideal_matches_brute_force():
     for g in graphs:
         for t in range(2, g.n + 1):
             assert cover_ideal(g, t) == brute_cover_ideal(g, t), (g, t)
+
+
+def test_cover_ideal_transversal_cache_matches_enumeration():
+    # cover_ideal seeds J's transversal masks from I_t(G); they must equal a
+    # fresh enumeration, in the same (popcount, mask) order
+    graphs = [g for n in range(2, 6) for _, g in connected_graphs(n)]
+    graphs += [path(n) for n in range(6, 11)] + [cycle(n) for n in range(3, 11)]
+    for g in graphs:
+        for t in range(2, g.n + 1):
+            J = cover_ideal(g, t)
+            assert J.transversal_masks() == tuple(
+                minimal_transversals(J.support_masks(), g.n)), (g, t)
 
 
 # -- closed forms -----------------------------------------------------------
