@@ -179,7 +179,7 @@ def _gens_payload(args, gen_cap: int) -> dict:
         ideal = brute_cover_ideal(g, t)
     else:
         route = "transversal"
-        ideal = cover_ideal(g, t)
+        ideal = cover_ideal(g, t, cap=gen_cap)
     return {
         "command": "gens",
         "config": {"graph": args.graph, "t": t, "route": route},
@@ -191,7 +191,7 @@ def _gens_payload(args, gen_cap: int) -> dict:
 def _simis_payload(args, gen_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
     s_max = args.smax if args.smax is not None else args.t
-    ideal = cover_ideal(g, args.t)
+    ideal = cover_ideal(g, args.t, cap=gen_cap)
     rep = simis_check(ideal, s_max, cap=gen_cap)
     return {
         "command": "simis",
@@ -202,7 +202,7 @@ def _simis_payload(args, gen_cap: int) -> dict:
 
 def _konig_payload(args, gen_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
-    res = is_konig(cover_ideal(g, args.t))
+    res = is_konig(cover_ideal(g, args.t, cap=gen_cap))
     return {
         "command": "konig",
         "config": {"graph": args.graph, "t": args.t},
@@ -212,7 +212,7 @@ def _konig_payload(args, gen_cap: int) -> dict:
 
 def _packing_payload(args, gen_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
-    rep = is_packed(cover_ideal(g, args.t))
+    rep = is_packed(cover_ideal(g, args.t, cap=gen_cap))
     return {
         "command": "packing",
         "config": {"graph": args.graph, "t": args.t},
@@ -222,7 +222,7 @@ def _packing_payload(args, gen_cap: int) -> dict:
 
 def _lp_payload(args, gen_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
-    b = cover_matrix(g, args.t)
+    b = cover_matrix(g, args.t, cap=gen_cap)
     if args.alpha:
         try:
             alpha = tuple(int(x) for x in args.alpha.split(","))
@@ -243,7 +243,8 @@ def _lp_payload(args, gen_cap: int) -> dict:
 
 def _gap_payload(args, gen_cap: int, scan_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
-    res = duality_gap_search(g, args.t, args.entry_bound, scan_cap=scan_cap)
+    res = duality_gap_search(g, args.t, args.entry_bound, scan_cap=scan_cap,
+                             gen_cap=gen_cap)
     return {
         "command": "gap-search",
         "config": {"graph": args.graph, "t": args.t, "entry_bound": args.entry_bound},

@@ -3,7 +3,13 @@
 The dual of a square-free ideal is generated by the minimal transversals of
 its generator supports; those same transversals are the supports of the
 minimal primes, so both operations share one enumeration, cached on the
-ideal.  Symbolic powers are computed exactly as the intersection of the
+ideal.  The enumeration is the MMCS search of
+`coverpack.ideals.minimal_transversals`: every leaf of its search is a
+minimal transversal, reached once, so no candidate superset is built and
+filtered, and the generator cap bounds the leaves.  Its output is an
+antichain, which the dual only sorts into canonical order.
+
+Symbolic powers are computed exactly as the intersection of the
 minimal-prime powers P^s, folded one prime at a time (primes by ascending
 size, then variables).
 
@@ -46,7 +52,7 @@ from .ideals import (
     _high_mask,
     _ones,
     field_shift,
-    from_masks,
+    from_antichain_masks,
     member_power,
     monomial_str,
     power,
@@ -63,10 +69,14 @@ def _require_square_free_proper(a: MonomialIdeal, what: str):
         raise ValueError(f"{what} needs a square-free ideal")
 
 
-def alexander_dual(a: MonomialIdeal) -> MonomialIdeal:
-    """Square-free dual: generators <-> minimal vertex covers of the supports."""
+def alexander_dual(a: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
+    """Square-free dual: generators <-> minimal vertex covers of the supports.
+
+    The minimal transversals form an antichain, so they are only sorted into
+    canonical order, not minimalised; more than `cap` raise SizeLimitError.
+    """
     _require_square_free_proper(a, "alexander_dual")
-    return from_masks(a.n, a.transversal_masks())
+    return from_antichain_masks(a.n, a.transversal_masks(cap))
 
 
 def minimal_primes(a: MonomialIdeal) -> tuple[tuple[int, ...], ...]:

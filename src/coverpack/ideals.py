@@ -173,11 +173,14 @@ class MonomialIdeal:
             self._masks = tuple(support_mask(g) for g in self.gens)
         return self._masks
 
-    def transversal_masks(self) -> tuple[int, ...]:
-        """Minimal transversals of the generator supports, enumerated once."""
+    def transversal_masks(self, cap: int = DEFAULT_GEN_CAP) -> tuple[int, ...]:
+        """Minimal transversals of the generator supports, enumerated once.
+
+        `cap` bounds the enumeration; a cached result is returned as it is.
+        """
         if self._transversals is None:
             self._transversals = tuple(
-                minimal_transversals(self.support_masks(), self.n))
+                minimal_transversals(self.support_masks(), self.n, cap))
         return self._transversals
 
     def __eq__(self, other):
@@ -241,6 +244,16 @@ def unit_ideal(n: int) -> MonomialIdeal:
 def from_masks(n: int, masks: Iterable[int]) -> MonomialIdeal:
     """Square-free ideal from support bitmasks (minimalised)."""
     return minimalize(n, [mask_to_monomial(m, n) for m in masks])
+
+
+def from_antichain_masks(n: int, masks: Iterable[int]) -> MonomialIdeal:
+    """Square-free ideal from support bitmasks that already form an antichain.
+
+    No minimalisation, only the canonical (degree, exponent tuple) sort; mask
+    order is not tuple order, since bit 0 is x1.
+    """
+    gens = sorted({mask_to_monomial(m, n) for m in masks}, key=_sort_key)
+    return MonomialIdeal(n, gens, _trusted=True)
 
 
 def _check_same_universe(a: MonomialIdeal, b: MonomialIdeal):
@@ -429,44 +442,67 @@ def equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
 # ---------------------------------------------------------------------------
 # minimal transversals of a set system (used by duality and brute-force covers)
 
-def minimal_transversals(edge_masks: Sequence[int], n: int) -> list[int]:
+def minimal_transversals(edge_masks: Sequence[int], n: int,
+                         cap: int = DEFAULT_GEN_CAP) -> list[int]:
     """Inclusion-minimal hitting sets of the given nonempty supports, as masks.
 
-    Recursive branching on the first uncovered support; earlier branch
-    vertices are excluded downstream, and a final antichain filter removes
-    the non-minimal leftovers.
+    MMCS (Murakami and Uno, Discrete Appl. Math. 170, 2014).  Edges are bit
+    positions and `inc[v]` is the mask of the edges that contain vertex v.
+    The search carries the chosen set, `uncov` (the edges it misses), `cand`
+    (the vertices it may still add) and one `crit` mask per chosen vertex
+    (the edges that only that vertex hits).  It branches on the uncovered
+    edge with the fewest candidate vertices, and adds a vertex only if every
+    chosen vertex keeps a critical edge; since `crit` masks only shrink, no
+    branch cut this way holds a minimal transversal.  So every leaf is a
+    minimal transversal, each one is reached once, and there is no
+    candidate superset to filter.  The result is sorted by
+    (popcount, mask).  Each leaf counts against `cap`; past it the search
+    raises SizeLimitError.
     """
-    edges = sorted(set(edge_masks), key=lambda e: (bin(e).count("1"), e))
-    if any(e == 0 for e in edges):
+    edges = sorted(set(edge_masks))
+    if edges and edges[0] == 0:
         raise ValueError("empty support has no transversal")
-    found: set[int] = set()
+    inc: dict[int, int] = {}
+    for j, e in enumerate(edges):
+        while e:
+            v = e & -e
+            inc[v] = inc.get(v, 0) | 1 << j
+            e ^= v
+    out: list[int] = []
 
-    def rec(chosen: int, remaining: tuple[int, ...], excluded: int):
-        if not remaining:
-            found.add(chosen)
+    def rec(chosen: int, crits: list[int], cand: int, uncov: int):
+        if not uncov:
+            out.append(chosen)
+            if len(out) > cap:
+                raise SizeLimitError(
+                    f"minimal transversal count exceeds cap {cap}")
             return
-        e = remaining[0]
-        branchable = e & ~excluded
-        seen = 0
-        m = branchable
-        while m:
-            low = m & -m
-            m ^= low
-            rec(chosen | low,
-                tuple(f for f in remaining if not f & low),
-                excluded | seen)
-            seen |= low
-        # branches where e is hit only by an excluded vertex die here: those
-        # transversals are produced by the branch that excluded the vertex
+        branch, fewest, u = 0, len(inc) + 1, uncov
+        while u:
+            low = u & -u
+            u ^= low
+            c = edges[low.bit_length() - 1] & cand
+            k = c.bit_count()
+            if k < fewest:
+                branch, fewest = c, k
+                if not k:
+                    return          # this edge can no longer be hit
+        # the branches split on the last vertex of `branch` that is chosen
+        cand &= ~branch
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            hit = inc[v]
+            miss = ~hit
+            kept = [c & miss for c in crits]
+            if all(kept):
+                kept.append(uncov & hit)
+                rec(chosen | v, kept, cand, uncov & miss)
+            cand |= v
 
-    rec(0, tuple(edges), 0)
-    # antichain filter
-    out = sorted(found, key=lambda t: (bin(t).count("1"), t))
-    minimal: list[int] = []
-    for t in out:
-        if not any(t & s == s for s in minimal):
-            minimal.append(t)
-    return minimal
+    rec(0, [], sum(inc), (1 << len(edges)) - 1)
+    out.sort(key=lambda t: (t.bit_count(), t))
+    return out
 
 
 def brute_minimal_transversals(edge_masks: Sequence[int], n: int) -> list[int]:

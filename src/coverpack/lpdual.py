@@ -21,10 +21,11 @@ covers, which for B = cover_matrix(G, t) are the I_t(G) generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .graphs import Graph, classify_shape
-from .ideals import SizeLimitError
+from .ideals import DEFAULT_GEN_CAP, SizeLimitError
 from .packing import VerificationError
 from .tconn import cover_ideal, t_connected_ideal
 
@@ -46,6 +47,11 @@ class ZeroOneMatrix:
     def r(self) -> int:
         return len(self.columns)
 
+    @cached_property
+    def column_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per column, the 0-based rows holding a 1; built once per matrix."""
+        return tuple(tuple(i for i, e in enumerate(c) if e) for c in self.columns)
+
     def column_masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << i for i, e in enumerate(c) if e) for c in self.columns)
 
@@ -62,9 +68,9 @@ def incidence_matrix(g: Graph, t: int) -> ZeroOneMatrix:
     return ZeroOneMatrix(g.n, tuple(tuple(gen) for gen in ideal.gens))
 
 
-def cover_matrix(g: Graph, t: int) -> ZeroOneMatrix:
-    """Columns = exponent vectors of the J_t(G) generators."""
-    ideal = cover_ideal(g, t)
+def cover_matrix(g: Graph, t: int, cap: int = DEFAULT_GEN_CAP) -> ZeroOneMatrix:
+    """Columns = exponent vectors of the J_t(G) generators (at most `cap`)."""
+    ideal = cover_ideal(g, t, cap=cap)
     return ZeroOneMatrix(g.n, tuple(tuple(gen) for gen in ideal.gens))
 
 
@@ -142,10 +148,8 @@ def nu(b: ZeroOneMatrix, alpha: Sequence[int]) -> int:
         raise ValueError("alpha length must match the row count")
     if any(x < 0 for x in alpha):
         raise ValueError("alpha must be nonnegative")
-    n = b.n
     cols = []
-    for c in b.columns:
-        rows = tuple(i for i in range(n) if c[i])
+    for rows in b.column_rows:
         if not rows:
             raise ValueError("a zero column makes the packing program unbounded")
         # a column through a zero-capacity row can never be used
@@ -231,7 +235,8 @@ def _min_cover_supports(g: Graph, t: int) -> list[tuple[int, ...]]:
 
 
 def duality_gap_search(g: Graph, t: int, entry_bound: int,
-                       scan_cap: int = DEFAULT_SCAN_CAP) -> GapSearchResult:
+                       scan_cap: int = DEFAULT_SCAN_CAP,
+                       gen_cap: int = DEFAULT_GEN_CAP) -> GapSearchResult:
     """First alpha in {0..entry_bound}^n (by sum, then lex) with tau != nu.
 
     Cycle instances are reduced by the rotation action: only the lexicographic
@@ -245,7 +250,7 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
     if space > scan_cap:
         raise SizeLimitError(
             f"alpha space {space} exceeds scan cap {scan_cap}")
-    b = cover_matrix(g, t)
+    b = cover_matrix(g, t, cap=gen_cap)
     # every feasible 0/1 y contains a minimal cover and alpha >= 0, so tau is
     # exactly the lightest minimal cover
     covers = _min_cover_supports(g, t)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from .duality import alexander_dual
 from .graphs import Graph, connected_induced_subsets, is_connected
-from .ideals import Monomial, MonomialIdeal, from_masks, minimalize
+from .ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, from_antichain_masks,
+                     from_masks, minimalize)
 
 
 class GenerationError(RuntimeError):
@@ -43,15 +44,19 @@ def t_connected_ideal(g: Graph, t: int) -> MonomialIdeal:
         for v in combo:
             m |= 1 << (v - 1)
         masks.append(m)
-    return from_masks(g.n, masks)
+    # distinct t-subsets all have size t, so they form an antichain
+    return from_antichain_masks(g.n, masks)
 
 
-def cover_ideal(g: Graph, t: int) -> MonomialIdeal:
-    """J_t(G) = I_t(G)^v, generated by the minimal covers of the t-subsets."""
+def cover_ideal(g: Graph, t: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
+    """J_t(G) = I_t(G)^v, generated by the minimal covers of the t-subsets.
+
+    More than `cap` minimal covers raise SizeLimitError.
+    """
     ideal = t_connected_ideal(g, t)
     if ideal.is_zero:
         raise ValueError("graph has no connected t-subsets")
-    dual = alexander_dual(ideal)
+    dual = alexander_dual(ideal, cap=cap)
     # dualizing twice returns I_t(G), so the minimal transversals of J_t(G)
     # are the I_t(G) supports; seed the cache in minimal_transversals' order
     dual._transversals = tuple(

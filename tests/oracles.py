@@ -5,7 +5,11 @@
 a time and reduces every intermediate candidate list with `minimalize`.
 `tau_enum` and `minimal_solutions` scan all 2^n 0/1 vectors, independently
 of the branch and bound in `coverpack.lpdual.tau` and of the transversal
-recursion behind `cover_ideal`.
+search behind `cover_ideal`.  `filtered_minimal_transversals` is the
+enumerate-then-filter recursion that the MMCS search in
+`coverpack.ideals.minimal_transversals` replaced; together with
+`coverpack.ideals.brute_minimal_transversals` (a scan of all 2^n subsets)
+it is the second oracle for that search.
 """
 
 from __future__ import annotations
@@ -112,3 +116,43 @@ def minimal_solutions(a: ZeroOneMatrix) -> ZeroOneMatrix:
             sols.append(x)
     sols.sort(key=lambda x: (bin(x).count("1"), tuple(1 if x >> i & 1 else 0 for i in range(n))))
     return ZeroOneMatrix(n, tuple(tuple(1 if x >> i & 1 else 0 for i in range(n)) for x in sols))
+
+
+def filtered_minimal_transversals(edge_masks: Sequence[int], n: int) -> list[int]:
+    """Inclusion-minimal hitting sets of the given nonempty supports, as masks.
+
+    Recursive branching on the first uncovered support; earlier branch
+    vertices are excluded downstream, and a final antichain filter removes
+    the non-minimal leftovers.
+    """
+    edges = sorted(set(edge_masks), key=lambda e: (bin(e).count("1"), e))
+    if any(e == 0 for e in edges):
+        raise ValueError("empty support has no transversal")
+    found: set[int] = set()
+
+    def rec(chosen: int, remaining: tuple[int, ...], excluded: int):
+        if not remaining:
+            found.add(chosen)
+            return
+        e = remaining[0]
+        branchable = e & ~excluded
+        seen = 0
+        m = branchable
+        while m:
+            low = m & -m
+            m ^= low
+            rec(chosen | low,
+                tuple(f for f in remaining if not f & low),
+                excluded | seen)
+            seen |= low
+        # branches where e is hit only by an excluded vertex die here: those
+        # transversals are produced by the branch that excluded the vertex
+
+    rec(0, tuple(edges), 0)
+    # antichain filter
+    out = sorted(found, key=lambda t: (bin(t).count("1"), t))
+    minimal: list[int] = []
+    for t in out:
+        if not any(t & s == s for s in minimal):
+            minimal.append(t)
+    return minimal

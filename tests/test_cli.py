@@ -193,6 +193,31 @@ def test_bad_cap_env_is_usage_error(var):
     assert "Traceback" not in proc.stderr
 
 
+def test_gen_cap_env_bounds_dualization():
+    # J_3(C_20) has 851 generators; the transversal route must stop at the cap
+    env = dict(os.environ, COVERPACK_GEN_CAP="100")
+    src = os.path.dirname(os.path.dirname(coverpack.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverpack.cli", "gens", "--graph", "cycle:20", "--t", "3"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("resource guard:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["gens"], ["konig"], ["packing"], ["lp"], ["simis"],
+                                     ["gap-search", "--entry-bound", "1"]])
+def test_gen_cap_env_reaches_cover_ideal(capsys, monkeypatch, command):
+    # J_3(C_9) has more than 5 generators, so every route stops at dualization
+    monkeypatch.setenv("COVERPACK_GEN_CAP", "5")
+    code, out, err = run_cli(capsys, command[0], "--graph", "cycle:9", "--t", "3",
+                             *command[1:])
+    assert code == 3 and out == ""
+    assert "minimal transversal count exceeds cap 5" in err
+
+
 def test_field_capacity_exit(capsys, monkeypatch):
     # with a capacity of 5, s = 2 over the 3-variable primes of J_3(P_4)
     # (weight up to 6) no longer fits and symbolic_power refuses it

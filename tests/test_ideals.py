@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monomials, random_square_free_ideal, square_free_ideals
+from oracles import filtered_minimal_transversals
 from coverpack.ideals import (
     MonomialIdeal,
     SizeLimitError,
@@ -12,6 +13,7 @@ from coverpack.ideals import (
     divides,
     divides_packed,
     equal,
+    from_antichain_masks,
     from_masks,
     height,
     intersect,
@@ -245,6 +247,38 @@ def test_transversals_hand_case():
     # supports {1,2} and {2,3}: minimal transversals {2} and {1,3}
     got = sorted(minimal_transversals((0b011, 0b110), 3))
     assert got == [0b010, 0b101]
+
+
+def test_transversals_match_oracles_on_random_set_systems():
+    # duplicates, nested supports and isolated vertices included; the order
+    # of the returned list must match both oracles too
+    rng = random.Random(29)
+    for _ in range(2000):
+        n = rng.randint(1, 10)
+        masks = [rng.getrandbits(n) | 1 << rng.randrange(n)
+                 for _ in range(rng.randint(0, 12))]
+        got = minimal_transversals(masks, n)
+        assert got == filtered_minimal_transversals(masks, n), (masks, n)
+        assert got == brute_minimal_transversals(masks, n), (masks, n)
+
+
+def test_transversals_cap():
+    # supports {1,2}, {3,4}, {5,6}: 8 minimal transversals
+    masks = (0b000011, 0b001100, 0b110000)
+    assert len(minimal_transversals(masks, 6, cap=8)) == 8
+    with pytest.raises(SizeLimitError):
+        minimal_transversals(masks, 6, cap=7)
+    with pytest.raises(ValueError):
+        minimal_transversals((0b01, 0), 2)
+
+
+def test_from_antichain_masks_matches_from_masks():
+    rng = random.Random(31)
+    for _ in range(300):
+        a = random_square_free_ideal(rng)
+        masks = list(a.support_masks())
+        rng.shuffle(masks)
+        assert from_antichain_masks(a.n, masks).gens == from_masks(a.n, masks).gens
 
 
 def test_equal_and_from_masks():

@@ -234,3 +234,16 @@ def test_gap_search_guards():
         duality_gap_search(cycle(6), 3, 0)
     with pytest.raises(SizeLimitError):
         duality_gap_search(cycle(12), 3, 2, scan_cap=100)
+
+
+def test_nu_row_cache_matches_fresh_matrix():
+    # nu reads the per-column rows cached on the matrix; a matrix reused for
+    # many alpha must give what a freshly built one gives
+    rng = random.Random(47)
+    for g in (cycle(9), path(10), cycle(11), star(6)):
+        b = cover_matrix(g, 3)
+        assert b.column_rows == tuple(
+            tuple(i for i in range(b.n) if c[i]) for c in b.columns)
+        for _ in range(15):
+            alpha = tuple(rng.randint(0, 3) for _ in range(b.n))
+            assert nu(b, alpha) == nu(ZeroOneMatrix(b.n, b.columns), alpha), (g, alpha)

@@ -4,9 +4,17 @@ import random
 
 import pytest
 
+from oracles import filtered_minimal_transversals
 from coverpack.graphs import Graph, complete, cycle, path, star
 from coverpack.classify import connected_graphs
-from coverpack.ideals import minimal_transversals, minimalize, support_mask
+from coverpack.ideals import (
+    SizeLimitError,
+    brute_minimal_transversals,
+    from_masks,
+    minimal_transversals,
+    minimalize,
+    support_mask,
+)
 from coverpack.tconn import (
     brute_cover_ideal,
     cover_ideal,
@@ -73,6 +81,62 @@ def test_cover_ideal_transversal_cache_matches_enumeration():
             J = cover_ideal(g, t)
             assert J.transversal_masks() == tuple(
                 minimal_transversals(J.support_masks(), g.n)), (g, t)
+
+
+def _assert_transversals_match_oracles(masks, n):
+    got = minimal_transversals(masks, n)
+    assert got == filtered_minimal_transversals(masks, n), (masks, n)
+    assert got == brute_minimal_transversals(masks, n), (masks, n)
+
+
+def test_transversals_match_oracles_on_small_graphs():
+    # every connected graph with n <= 6 at every t, in list order; labellings
+    # that give the same I_t(G) supports are checked once
+    seen = set()
+    for n in range(2, 7):
+        for _, g in connected_graphs(n):
+            for t in range(2, n + 1):
+                masks = t_connected_ideal(g, t).support_masks()
+                key = (n, frozenset(masks))
+                if key not in seen:
+                    seen.add(key)
+                    _assert_transversals_match_oracles(masks, n)
+
+
+def test_transversals_match_oracles_on_paths_and_cycles():
+    for n in range(2, 13):
+        graphs = [path(n)] + ([cycle(n)] if n >= 3 else [])
+        for g in graphs:
+            for t in range(2, n + 1):
+                _assert_transversals_match_oracles(
+                    t_connected_ideal(g, t).support_masks(), n)
+
+
+def test_trusted_ideals_match_minimalised():
+    # t_connected_ideal and cover_ideal skip minimalisation; the generators
+    # must equal those of the minimalising from_masks, order included
+    for n in range(2, 6):
+        for _, g in connected_graphs(n):
+            for t in range(2, n + 1):
+                I = t_connected_ideal(g, t)
+                assert I.gens == from_masks(n, I.support_masks()).gens
+                J = cover_ideal(g, t)
+                assert J.gens == from_masks(
+                    n, filtered_minimal_transversals(I.support_masks(), n)).gens
+
+
+def test_transversal_route_matches_closed_forms_on_large_cycles_and_paths():
+    cases = [(cycle_cover_gens, cycle, 20, 3), (path_cover_gens, path, 20, 3),
+             (cycle_cover_gens, cycle, 18, 4), (cycle_cover_gens, cycle, 20, 5)]
+    for closed, make, n, t in cases:
+        assert cover_ideal(make(n), t).gens == closed(n, t).gens, (n, t)
+
+
+def test_cover_ideal_gen_cap():
+    # J_3(C_20) has 851 generators
+    assert len(cover_ideal(cycle(20), 3, cap=851).gens) == 851
+    with pytest.raises(SizeLimitError):
+        cover_ideal(cycle(20), 3, cap=850)
 
 
 # -- closed forms -----------------------------------------------------------
