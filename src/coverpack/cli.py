@@ -8,8 +8,9 @@ JSON report; identical configurations produce byte-identical reports.
 Exit codes: 0 success, 1 harness disagreement or failed self-check (a
 closed-form generator list or weak duality in the gap search), 2 usage or
 schema error, 3 resource-guard abort.  The COVERPACK_GEN_CAP and
-COVERPACK_SCAN_CAP environment variables override the generator-count and
-alpha-scan caps.
+COVERPACK_SCAN_CAP environment variables override the generator-count cap
+and the scan cap (the alpha space of gap-search, the memoised minors of
+packing).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import jsonschema
 from .classify import verify_theorem
 from .duality import simis_check
 from .graphs import Graph, Graph6ParseError, classify_shape, complete, cycle, parse_graph6, path, star
-from .ideals import DEFAULT_GEN_CAP, SizeLimitError
-from .lpdual import DEFAULT_SCAN_CAP, cover_matrix, duality_gap_search, nu, tau
+from .ideals import DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, SizeLimitError
+from .lpdual import cover_matrix, duality_gap_search, nu, tau
 from .packing import is_konig, is_packed, VerificationError
 from .tconn import GenerationError, brute_cover_ideal, cover_ideal, cycle_cover_gens, path_cover_gens
 
@@ -210,9 +211,9 @@ def _konig_payload(args, gen_cap: int) -> dict:
     }
 
 
-def _packing_payload(args, gen_cap: int) -> dict:
+def _packing_payload(args, gen_cap: int, scan_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
-    rep = is_packed(cover_ideal(g, args.t, cap=gen_cap))
+    rep = is_packed(cover_ideal(g, args.t, cap=gen_cap), cap=scan_cap)
     return {
         "command": "packing",
         "config": {"graph": args.graph, "t": args.t},
@@ -302,7 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "konig":
             payload = _konig_payload(args, gen_cap)
         elif args.command == "packing":
-            payload = _packing_payload(args, gen_cap)
+            payload = _packing_payload(args, gen_cap, scan_cap)
         elif args.command == "lp":
             payload = _lp_payload(args, gen_cap)
         elif args.command == "gap-search":

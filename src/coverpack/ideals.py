@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 Monomial = tuple  # exponent tuple of length n
 
 DEFAULT_GEN_CAP = 200_000
+DEFAULT_SCAN_CAP = 2_000_000
 
 _FIELD = 16
 FIELD_MAX = (1 << (_FIELD - 1)) - 1
@@ -144,7 +145,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
 class MonomialIdeal:
     """Canonically minimally generated monomial ideal; () means the zero ideal."""
 
-    __slots__ = ("n", "gens", "_masks", "_transversals")
+    __slots__ = ("n", "gens", "_masks", "_packed", "_transversals")
 
     def __init__(self, n: int, gens: Sequence[Monomial], _trusted: bool = False):
         self.n = n
@@ -153,6 +154,7 @@ class MonomialIdeal:
         else:
             self.gens = _minimalize_list(n, gens)
         self._masks: Optional[tuple[int, ...]] = None
+        self._packed: Optional[tuple[int, ...]] = None
         self._transversals: Optional[tuple[int, ...]] = None
 
     # -- basic predicates ---------------------------------------------------
@@ -172,6 +174,12 @@ class MonomialIdeal:
         if self._masks is None:
             self._masks = tuple(support_mask(g) for g in self.gens)
         return self._masks
+
+    def packed_gens(self) -> tuple[int, ...]:
+        """The generators in packed form, packed once."""
+        if self._packed is None:
+            self._packed = tuple(pack(g) for g in self.gens)
+        return self._packed
 
     def transversal_masks(self, cap: int = DEFAULT_GEN_CAP) -> tuple[int, ...]:
         """Minimal transversals of the generator supports, enumerated once.
@@ -301,7 +309,7 @@ def member(m: Monomial, a: MonomialIdeal) -> bool:
         raise ValueError(f"monomial length {len(m)} does not match universe {a.n}")
     high = _high_mask(a.n)
     pm = pack(m)
-    return any(divides_packed(pack(g), pm, high) for g in a.gens)
+    return any(divides_packed(pg, pm, high) for pg in a.packed_gens())
 
 
 def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:

@@ -25,11 +25,9 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .graphs import Graph, classify_shape
-from .ideals import DEFAULT_GEN_CAP, SizeLimitError
+from .ideals import DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, SizeLimitError
 from .packing import VerificationError
 from .tconn import cover_ideal, t_connected_ideal
-
-DEFAULT_SCAN_CAP = 2_000_000
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,28 @@
 A minor sets some variables to 0 (dropping every generator they divide) and
 others to 1 (deleting them from the generators).  An ideal is Konig when it
 has height-many generators with pairwise disjoint supports, and packed when
-every minor is Konig.  The packing scan walks all 3^n minors as a ternary
-counter (variable 1 is the least significant digit; digit 0 = keep,
-1 = set to zero, 2 = set to one) and stops at the first failure, so the
-reported witness minor is deterministic.
+every minor is Konig.  Minors are numbered by ternary codes: variable 1 is
+the least significant digit, and digit 0 = keep, 1 = set to zero, 2 = set
+to one.  The packing scan reports the first failing code, so its witness
+minor is deterministic.
+
+The scan is a depth-first search over the variables from n down to 1 that
+tries the digits 0, 1, 2 in turn at each level, so it meets the minors in
+ascending code order.  A node holds the set of support masks left by the
+digits above it, kept an antichain: setting a variable to zero drops the
+supports that contain it, and setting it to one deletes it and drops the
+supports that now contain a shortened one.  Dropping duplicate and
+non-minimal supports changes neither the height nor the largest number of
+pairwise disjoint supports, and it commutes with both operations, so the
+Konig verdict of every minor below a node depends only on that antichain.
+A memo keyed (level, antichain) therefore evaluates each subtree once and
+runs the Konig search once per distinct restricted clutter; it lives for
+one call, and past `cap` entries the scan raises SizeLimitError.  A failing
+leaf hands its height and exact max-disjoint count up with its code offset,
+so the witness needs no second search.  An empty antichain (the zero
+ideal) or one holding the empty support (the unit ideal) makes its whole
+subtree vacuous, and a variable no support contains is skipped, since its
+three children are equal.
 
 For cycles with t | n, `cycle_nonpacking_minor` builds the explicit
 zero-sets that collapse J_t(C_n) onto the cover ideal of a smaller odd
@@ -19,12 +37,13 @@ reflection of the surviving cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .graphs import Graph, connected_induced_subsets, is_connected_subset
 from .ideals import (
+    DEFAULT_SCAN_CAP,
     Monomial,
     MonomialIdeal,
+    SizeLimitError,
     mask_to_monomial,
     min_cover_masks,
     minimalize,
@@ -100,32 +119,6 @@ def minor_code(minor: Minor, n: int) -> int:
     for v in minor.ones:
         code += 2 * 3 ** (v - 1)
     return code
-
-
-def _ternary_minor_masks(n: int) -> Iterator[tuple[int, int, int]]:
-    # yields (code, zeros_mask, ones_mask) in ascending code order via odometer
-    digits = [0] * n
-    zeros = ones = 0
-    total = 3 ** n
-    yield 0, 0, 0
-    for code in range(1, total):
-        i = 0
-        while True:
-            bit = 1 << i
-            d = digits[i]
-            if d == 0:
-                digits[i] = 1
-                zeros |= bit
-                break
-            if d == 1:
-                digits[i] = 2
-                zeros &= ~bit
-                ones |= bit
-                break
-            digits[i] = 0
-            ones &= ~bit
-            i += 1
-        yield code, zeros, ones
 
 
 def _max_disjoint_masks(masks: Sequence[int], need: Optional[int] = None) -> tuple[int, tuple[int, ...]]:
@@ -247,8 +240,24 @@ class PackingReport:
         }
 
 
-def is_packed(a: MonomialIdeal) -> PackingReport:
-    """Scan all 3^n minors in ternary-counter order; stop at the first failure."""
+def _delete_bit(clutter: frozenset, bit: int) -> frozenset:
+    """Set the variable `bit` to one: delete it from every support, then drop
+    the supports that contain a shortened one.
+
+    In an antichain only a shortened support can lie inside another support,
+    and only inside one that did not contain the bit, so the result is an
+    antichain again.
+    """
+    short = [m & ~bit for m in clutter if m & bit]
+    kept = [m for m in clutter if not m & bit and not any(s & m == s for s in short)]
+    return frozenset(short + kept)
+
+
+def is_packed(a: MonomialIdeal, cap: int = DEFAULT_SCAN_CAP) -> PackingReport:
+    """Scan all 3^n minors in ternary-code order; stop at the first failure.
+
+    More than `cap` memoised (level, clutter) pairs raise SizeLimitError.
+    """
     if a.is_zero or a.is_unit:
         raise ValueError("packing needs a proper nonzero ideal")
     if not a.is_square_free:
@@ -257,49 +266,52 @@ def is_packed(a: MonomialIdeal) -> PackingReport:
     masks = a.support_masks()
     # a variable-generated ideal only ever restricts to variable-generated,
     # unit or zero ideals, all vacuously Konig
-    if all(bin(m).count("1") == 1 for m in masks):
+    if all(m.bit_count() == 1 for m in masks):
         return PackingReport(True, 0, None)
-    scanned = 0
-    for code, zmask, omask in _ternary_minor_masks(n):
-        scanned += 1
-        rest: list[int] = []
-        unit = False
-        for g in masks:
-            if g & zmask:
-                continue
-            gg = g & ~omask
-            if gg == 0:
-                unit = True
-                break
-            rest.append(gg)
-        if unit or not rest:
-            continue
-        ok, h, count, _sel = _konig_masks(rest, n)
-        if not ok:
-            minor = minor_from_code(code, n)
-            restriction = restrict(a, minor)
-            return PackingReport(False, scanned,
-                                 PackingWitness(minor, restriction.survivors,
-                                                restriction.ideal, h, count))
-    return PackingReport(True, scanned, None)
+    memo: dict[tuple[int, frozenset], Optional[tuple[int, int, int]]] = {}
 
+    def scan(k: int, clutter: frozenset) -> Optional[tuple[int, int, int]]:
+        # first failure among the 3^k settings of variables 1..k, as
+        # (offset, height, max_disjoint); None when every one is Konig
+        if not clutter or 0 in clutter:
+            return None                     # zero or unit: vacuous throughout
+        union = 0
+        for m in clutter:
+            union |= m
+        # variables no support contains leave three equal children, and their
+        # digit is 0 at the first failure, so skip straight past them
+        k = (union & ((1 << k) - 1)).bit_length()
+        key = (k, clutter)
+        if key in memo:
+            return memo[key]
+        if len(memo) >= cap:
+            raise SizeLimitError(f"packing scan memo exceeds cap {cap}")
+        if k == 0:
+            ok, h, count, _sel = _konig_masks(tuple(clutter), n)
+            found = None if ok else (0, h, count)
+        else:
+            bit = 1 << (k - 1)
+            sub = scan(k - 1, clutter)
+            digit = 0
+            if sub is None:
+                sub = scan(k - 1, frozenset(m for m in clutter if not m & bit))
+                digit = 1
+            if sub is None:
+                sub = scan(k - 1, _delete_bit(clutter, bit))
+                digit = 2
+            found = None if sub is None else (digit * 3 ** (k - 1) + sub[0], sub[1], sub[2])
+        memo[key] = found
+        return found
 
-def branching_subset_witness(g: Graph, t: int) -> Optional[tuple[tuple[int, ...], int]]:
-    """First connected (t+1)-subset (lexicographic) inducing >= 3 non-cut
-    vertices, together with its non-cut count; None when no such subset exists."""
-    if t + 1 > g.n:
-        return None
-    for combo in connected_induced_subsets(g, t + 1):
-        mask = 0
-        for v in combo:
-            mask |= 1 << (v - 1)
-        r = 0
-        for v in combo:
-            if is_connected_subset(g, mask & ~(1 << (v - 1))):
-                r += 1
-        if r >= 3:
-            return combo, r
-    return None
+    found = scan(n, frozenset(masks))
+    if found is None:
+        return PackingReport(True, 3 ** n, None)
+    code, h, count = found
+    minor = minor_from_code(code, n)
+    restriction = restrict(a, minor)
+    return PackingReport(False, code + 1,
+                         PackingWitness(minor, restriction.survivors,
+                                        restriction.ideal, h, count))
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,24 @@ search behind `cover_ideal`.  `filtered_minimal_transversals` is the
 enumerate-then-filter recursion that the MMCS search in
 `coverpack.ideals.minimal_transversals` replaced; together with
 `coverpack.ideals.brute_minimal_transversals` (a scan of all 2^n subsets)
-it is the second oracle for that search.
+it is the second oracle for that search.  `flat_is_packed` is the odometer
+scan that the memoised depth-first scan in `coverpack.packing.is_packed`
+replaced: it restricts the supports to every one of the 3^n minors in
+ternary-code order and runs the Konig search on each.
+`branching_subset_witness` finds connected (t+1)-subsets with three or more
+non-cut vertices; only the tests use it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 from coverpack.duality import minimal_primes
+from coverpack.graphs import Graph, connected_induced_subsets, is_connected_subset
 from coverpack.ideals import DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, minimalize, power
 from coverpack.lpdual import ZeroOneMatrix
+from coverpack.packing import (PackingReport, PackingWitness, _konig_masks, minor_from_code,
+                               restrict)
 
 
 def prime_power_weight(m: Monomial, prime_vars: Sequence[int]) -> int:
@@ -156,3 +164,84 @@ def filtered_minimal_transversals(edge_masks: Sequence[int], n: int) -> list[int
         if not any(t & s == s for s in minimal):
             minimal.append(t)
     return minimal
+
+
+def _ternary_minor_masks(n: int) -> Iterator[tuple[int, int, int]]:
+    # yields (code, zeros_mask, ones_mask) in ascending code order via odometer
+    digits = [0] * n
+    zeros = ones = 0
+    total = 3 ** n
+    yield 0, 0, 0
+    for code in range(1, total):
+        i = 0
+        while True:
+            bit = 1 << i
+            d = digits[i]
+            if d == 0:
+                digits[i] = 1
+                zeros |= bit
+                break
+            if d == 1:
+                digits[i] = 2
+                zeros &= ~bit
+                ones |= bit
+                break
+            digits[i] = 0
+            ones &= ~bit
+            i += 1
+        yield code, zeros, ones
+
+
+def flat_is_packed(a: MonomialIdeal) -> PackingReport:
+    """Scan all 3^n minors in ternary-counter order; stop at the first failure."""
+    if a.is_zero or a.is_unit:
+        raise ValueError("packing needs a proper nonzero ideal")
+    if not a.is_square_free:
+        raise ValueError("packing is set up for square-free ideals")
+    n = a.n
+    masks = a.support_masks()
+    # a variable-generated ideal only ever restricts to variable-generated,
+    # unit or zero ideals, all vacuously Konig
+    if all(bin(m).count("1") == 1 for m in masks):
+        return PackingReport(True, 0, None)
+    scanned = 0
+    for code, zmask, omask in _ternary_minor_masks(n):
+        scanned += 1
+        rest: list[int] = []
+        unit = False
+        for g in masks:
+            if g & zmask:
+                continue
+            gg = g & ~omask
+            if gg == 0:
+                unit = True
+                break
+            rest.append(gg)
+        if unit or not rest:
+            continue
+        ok, h, count, _sel = _konig_masks(rest, n)
+        if not ok:
+            minor = minor_from_code(code, n)
+            restriction = restrict(a, minor)
+            return PackingReport(False, scanned,
+                                 PackingWitness(minor, restriction.survivors,
+                                                restriction.ideal, h, count))
+    return PackingReport(True, scanned, None)
+
+
+def branching_subset_witness(g: Graph, t: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """First connected (t+1)-subset (lexicographic) inducing >= 3 non-cut
+    vertices, together with its non-cut count; None when no such subset exists."""
+    if t + 1 > g.n:
+        return None
+    for combo in connected_induced_subsets(g, t + 1):
+        mask = 0
+        for v in combo:
+            mask |= 1 << (v - 1)
+        r = 0
+        for v in combo:
+            if is_connected_subset(g, mask & ~(1 << (v - 1))):
+                r += 1
+        if r >= 3:
+            return combo, r
+    return None

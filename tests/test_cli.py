@@ -207,6 +207,20 @@ def test_gen_cap_env_bounds_dualization():
     assert "Traceback" not in proc.stderr
 
 
+def test_scan_cap_env_bounds_packing_scan():
+    # J_3(P_14) is packed, so only the memo cap can stop its 3^14 scan early
+    env = dict(os.environ, COVERPACK_SCAN_CAP="100")
+    src = os.path.dirname(os.path.dirname(coverpack.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverpack.cli", "packing", "--graph", "path:14", "--t", "3"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("resource guard:")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", [["gens"], ["konig"], ["packing"], ["lp"], ["simis"],
                                      ["gap-search", "--entry-bound", "1"]])
 def test_gen_cap_env_reaches_cover_ideal(capsys, monkeypatch, command):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_square_free_ideal
+from oracles import _ternary_minor_masks, branching_subset_witness, flat_is_packed
+from coverpack.classify import connected_graphs
 from coverpack.graphs import complete, cycle, path, star
-from coverpack.ideals import minimalize, unit_ideal, zero_ideal
+from coverpack.ideals import SizeLimitError, from_masks, minimalize, unit_ideal, zero_ideal
+import coverpack.packing
 from coverpack.packing import (
     CycleMinorResult,
     Minor,
@@ -14,7 +17,6 @@ from coverpack.packing import (
     cycle_nonpacking_minor,
     is_konig,
     is_packed,
-    branching_subset_witness,
     minor_code,
     minor_from_code,
     restrict,
@@ -173,6 +175,75 @@ def test_packed_rejects_bad_input():
         is_packed(zero_ideal(3))
     with pytest.raises(ValueError):
         is_packed(unit_ideal(3))
+
+
+def test_scan_matches_flat_scan_on_small_graphs():
+    # same verdict, count and witness, field for field, as the odometer scan
+    for n in range(2, 6):
+        for _, g in connected_graphs(n):
+            for t in range(2, n + 1):
+                J = cover_ideal(g, t)
+                assert is_packed(J) == flat_is_packed(J), (g.edges, t)
+
+
+def test_scan_matches_flat_scan_on_six_vertex_sample():
+    rng = random.Random(2026)
+    for _, g in rng.sample(list(connected_graphs(6)), 300):
+        for t in range(2, 7):
+            J = cover_ideal(g, t)
+            assert is_packed(J) == flat_is_packed(J), (g.edges, t)
+
+
+@pytest.mark.parametrize("make", [path, cycle, star])
+def test_scan_matches_flat_scan_on_families(make):
+    for n in range(3, 11):
+        for t in range(2, min(n, 4) + 1):
+            J = cover_ideal(make(n), t)
+            assert is_packed(J) == flat_is_packed(J), (n, t)
+
+
+def test_scan_matches_flat_scan_on_random_clutters():
+    # supports with duplicates and nested pairs, minimalised by from_masks
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(500):
+        n = rng.randint(2, 8)
+        masks = [rng.getrandbits(n) or 1 for _ in range(rng.randint(1, 12))]
+        for _ in range(rng.randint(0, 3)):
+            m = rng.choice(masks)
+            masks += [m, m | rng.getrandbits(n)]
+        a = from_masks(n, masks)
+        rep = is_packed(a)
+        assert rep == flat_is_packed(a), (n, masks)
+        verdicts.add(rep.packed)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("g", [path(8), cycle(9)], ids=["P8", "C9"])
+def test_konig_runs_once_per_distinct_clutter(monkeypatch, g):
+    # a full scan of a packed ideal evaluates each distinct minimalised
+    # restricted clutter exactly once
+    J = cover_ideal(g, 3)
+    masks = J.support_masks()
+    distinct = set()
+    for _code, zmask, omask in _ternary_minor_masks(J.n):
+        rest = {m & ~omask for m in masks if not m & zmask}
+        if rest and 0 not in rest:
+            distinct.add(frozenset(m for m in rest
+                                   if not any(s != m and s & m == s for s in rest)))
+    calls = []
+    real = coverpack.packing.min_cover_masks
+    monkeypatch.setattr(coverpack.packing, "min_cover_masks",
+                        lambda *args: calls.append(1) or real(*args))
+    assert is_packed(J).packed
+    assert len(calls) == len(distinct)
+
+
+def test_scan_cap():
+    J = cover_ideal(path(10), 3)
+    with pytest.raises(SizeLimitError):
+        is_packed(J, cap=50)
+    assert is_packed(J).packed
 
 
 # -- explicit cycle minors --------------------------------------------------
