@@ -63,6 +63,8 @@ def main(argv=None) -> int:
               f"{s['predicted_true']} predicted packed, "
               f"{s['witnesses_found']} non-Simis witnesses, "
               f"{len(part.disagreements)} disagreements")
+        print(f"{name}: computed {part.computed} of {s['instances']} rows",
+              file=sys.stderr)
     with open(cfg.out, "w") as fh:
         json.dump(payload, fh, indent=2)
     print(f"report written to {cfg.out} ({elapsed:.1f}s)")

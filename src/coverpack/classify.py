@@ -17,17 +17,49 @@ vertices (edge subsets filtered by connectivity), computes the packing
 verdict and a bounded Simis check for each admissible t, and compares
 against the prediction.  Packing is the decisive check; a Simis witness is
 recorded when one appears within the bound.
+
+Class cache.  A relabelling sigma of G permutes the variables of J_t(G), so
+the prediction, the packing verdict, the Simis verdict and the first failing
+s are the same for every labelling of an isomorphism class; only the graph6
+string and the witness change.  `verify_theorem` therefore keys a dict on
+(n, canonical edges, t), with the canonical form of `coverpack.canon`, for
+the length of one call.  The first labelling of a class is computed by
+`check_instance` as usual.  Let F be the generators of J^(s) outside J^s at
+the first failing s.  Those of sigma(J)^(s) are sigma(F), so the witness of
+labelling sigma, the first of them in (degree, exponent tuple) order, is
+min sigma(F).  Relabelling keeps degrees, so only the least-degree members
+of F are needed; they are collected once, in canonical labels, when the
+class's second labelling arrives (a class met once never pays for them).
+Later rows need no fold and no membership test.
+
+Aborts are the one thing that depends on the labelling: the fold's
+intermediate sizes follow the order of the minimal primes, and the packing
+scan memo the order of the variables.  So every labelling of a class is
+computed directly when the first one aborted; when a labelling-independent
+bound on the fold's kept + fresh count passes the cap at some folded s (up
+to the first failing one, or the bound); or when the scan's ternary tree,
+with (3^(n+1) - 1)/2 nodes, could outgrow DEFAULT_SCAN_CAP memo entries.
+The fold bound is C(s+t-1, t-1) candidates per generator (the primes have t
+variables) times C(s+t-1, t-1) generators when J has two primes, or else
+the largest antichain in [0, s]^n, since the generators have exponents at
+most s.  The dualization needs no rule: every labelling has the same number
+of minimal transversals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .duality import SimisReport, simis_check
-from .graphs import Graph, classify_shape, encode_graph6, is_bipartite, is_connected
-from .ideals import DEFAULT_GEN_CAP, SizeLimitError, monomial_str
+from .canon import canonical_form
+from .duality import lowest_failures, simis_check
+from .graphs import (Graph, classify_shape, connected_induced_subsets, encode_graph6,
+                     is_bipartite, is_connected)
+from .ideals import (DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, Monomial, SizeLimitError,
+                     monomial_str, parse_monomial)
 from .packing import PACKED_CYCLES, is_packed
 from .tconn import cover_ideal
 
@@ -73,7 +105,7 @@ class HarnessRow:
     t: int
     predicted: bool
     case: str
-    packed: bool
+    packed: Optional[bool]        # None when dualization aborted
     simis_verdict: str            # "equal_up_to" | "witness_at" | "aborted"
     simis_s: Optional[int]
     simis_witness: Optional[str]
@@ -96,6 +128,9 @@ class HarnessRow:
 class HarnessReport:
     rows: list[HarnessRow] = field(default_factory=list)
     disagreements: list[HarnessRow] = field(default_factory=list)
+    # rows computed by check_instance rather than served from the class
+    # cache; not part of the report
+    computed: int = field(default=0, compare=False)
 
     def summary(self) -> dict:
         return {
@@ -129,16 +164,26 @@ def connected_graphs(n: int) -> Iterator[tuple[int, Graph]]:
 
 def check_instance(g: Graph, t: int, s_max: Optional[int] = None,
                    cap: int = DEFAULT_GEN_CAP) -> HarnessRow:
-    """One harness row: prediction, packing verdict, bounded Simis check."""
+    """One harness row: prediction, packing verdict, bounded Simis check.
+
+    `cap` bounds the dualization and the symbolic-power fold; past it the
+    row's Simis verdict is "aborted", with `packed` None when the
+    dualization itself stopped.
+    """
     bound = t if s_max is None else s_max
     cls = theorem_classification(g, t)
-    ideal = cover_ideal(g, t)
-    packed = is_packed(ideal).packed
+    packed, verdict, s, wit = None, "aborted", None, None
     try:
-        rep = simis_check(ideal, bound, cap=cap)
-        verdict, s, wit = rep.verdict, rep.s, rep.witness
+        ideal = cover_ideal(g, t, cap=cap)
     except SizeLimitError:
-        verdict, s, wit = "aborted", None, None
+        ideal = None            # too many minimal covers: packed stays None
+    if ideal is not None:
+        packed = is_packed(ideal).packed
+        try:
+            rep = simis_check(ideal, bound, cap=cap)
+            verdict, s, wit = rep.verdict, rep.s, rep.witness
+        except SizeLimitError:
+            pass
     return HarnessRow(
         graph6=encode_graph6(g), n=g.n, t=t,
         predicted=cls.verdict, case=cls.case, packed=packed,
@@ -148,6 +193,8 @@ def check_instance(g: Graph, t: int, s_max: Optional[int] = None,
 
 
 def _row_violations(row: HarnessRow) -> bool:
+    if row.packed is None:
+        return False            # dualization aborted: nothing to compare
     if row.packed != row.predicted:
         return True
     # Simis implies packed: a witness below the bound must mean not packed
@@ -160,6 +207,70 @@ def _row_violations(row: HarnessRow) -> bool:
     return False
 
 
+@dataclass
+class _ClassEntry:
+    """Cached outcome for one (isomorphism class, t): the first labelling's
+    row, that labelling and its canonical relabelling."""
+    row: HarnessRow
+    graph: Graph
+    perm: tuple[int, ...]
+    # whether every labelling is computed; decided at the second labelling
+    direct: Optional[bool] = None
+    # the failing J^(s) generators of least degree at the first failing s,
+    # in canonical labels; built at the class's second labelling
+    failing: Optional[list[Monomial]] = None
+
+
+def _antichain_width(n: int, s: int) -> int:
+    """Largest antichain of exponent vectors in [0, s]^n: its middle level
+    (de Bruijn, Tengbergen and Kruyswijk, 1951), the coefficient of
+    x^(ns/2) in (1 + x + ... + x^s)^n."""
+    level = [1]
+    for _ in range(n):
+        level = [sum(level[max(0, i - s):i + 1]) for i in range(len(level) + s)]
+    return level[n * s // 2]
+
+
+def _needs_direct(row: HarnessRow, g: Graph, s_max: Optional[int], cap: int) -> bool:
+    """Whether some labelling of the class of (g, row.t) could abort where
+    g did not, so that every labelling has to be computed."""
+    n, t = row.n, row.t
+    if row.simis_verdict == "aborted":
+        return True
+    # the scan memo holds at most one entry per node of the ternary tree
+    if (3 ** (n + 1) - 1) // 2 > DEFAULT_SCAN_CAP:
+        return True
+    # simis_check folds every s up to the last one it checks, unless J_t(G)
+    # has one prime (the connected t-subsets) and is the maximal ideal; the
+    # bound on a fold step is the one in the module docstring
+    if row.simis_verdict == "witness_at":
+        last = row.simis_s
+    else:
+        last = t if s_max is None else s_max
+    primes = len(connected_induced_subsets(g, t))
+    if primes < 2 or last < 2:
+        return False
+    comps = comb(last + t - 1, t - 1)
+    return comps * (comps if primes == 2 else _antichain_width(n, last)) > cap
+
+
+def _cached_row(entry: _ClassEntry, g: Graph, perm: tuple[int, ...],
+                cap: int) -> HarnessRow:
+    """The row of labelling g, read off its class entry."""
+    row = entry.row
+    wit = None
+    if row.simis_verdict == "witness_at":
+        if entry.failing is None:
+            first = parse_monomial(row.simis_witness, g.n)
+            ideal = cover_ideal(entry.graph, row.t, cap=cap)
+            to_canon = itemgetter(*sorted(range(g.n), key=lambda v: entry.perm[v]))
+            entry.failing = [to_canon(f) for f in lowest_failures(ideal, row.simis_s, first, cap=cap)]
+        # equal degrees, so the least exponent tuple is the witness
+        wit = monomial_str(min(map(itemgetter(*[c - 1 for c in perm]), entry.failing)))
+    return HarnessRow(encode_graph6(g), row.n, row.t, row.predicted, row.case, row.packed,
+                      row.simis_verdict, row.simis_s, wit)
+
+
 def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
                    s_max: Optional[int] = None, graphs: Optional[Iterable[Graph]] = None,
                    cap: int = DEFAULT_GEN_CAP) -> HarnessReport:
@@ -167,14 +278,30 @@ def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
 
     With graphs=None, every connected labelled graph with 3 <= n <= n_max is
     enumerated; rows are ordered by (n, edge-subset code, t).  s_max=None
-    bounds each Simis check by the instance's own t.
+    bounds each Simis check by the instance's own t.  Rows equal the ones
+    check_instance computes for each graph; repeated isomorphism classes are
+    served from a cache that lives for this call (see the module docstring).
     """
     report = HarnessReport()
+    classes: dict[tuple, _ClassEntry] = {}
 
     def run(g: Graph):
         hi = min(g.n, t_max) if t_max is not None else g.n
-        for t in range(max(3, t_min), hi + 1):
-            row = check_instance(g, t, s_max=s_max, cap=cap)
+        ts = range(max(3, t_min), hi + 1)
+        if not ts:
+            return
+        edges, perm = canonical_form(g)
+        for t in ts:
+            entry = classes.get((g.n, edges, t))
+            if entry is not None and entry.direct is None:
+                entry.direct = _needs_direct(entry.row, entry.graph, s_max, cap)
+            if entry is None or entry.direct:
+                row = check_instance(g, t, s_max=s_max, cap=cap)
+                report.computed += 1
+                if entry is None:
+                    classes[g.n, edges, t] = _ClassEntry(row, g, perm)
+            else:
+                row = _cached_row(entry, g, perm, cap)
             report.rows.append(row)
             if _row_violations(row):
                 report.disagreements.append(row)

@@ -195,3 +195,23 @@ def simis_check(a: MonomialIdeal, s_max: int, cap: int = DEFAULT_GEN_CAP) -> Sim
             if not member_power(g, a, s):
                 return SimisReport(a.n, s_max, "witness_at", s, g)
     return SimisReport(a.n, s_max, "equal_up_to")
+
+
+def lowest_failures(a: MonomialIdeal, s: int, first: Monomial,
+                    cap: int = DEFAULT_GEN_CAP) -> list[Monomial]:
+    """The minimal generators of I^(s) outside I^s of least degree.
+
+    `first` is the witness simis_check reports at s: the first failing
+    generator in canonical order, so it has the least degree of them all
+    and the generators before it lie in I^s.  Only the generators after it
+    of the same degree are tested.
+    """
+    gens = symbolic_power(a, s, cap=cap).gens
+    d = sum(first)
+    out = [first]
+    for g in gens[gens.index(first) + 1:]:
+        if sum(g) > d:
+            break
+        if not member_power(g, a, s):
+            out.append(g)
+    return out

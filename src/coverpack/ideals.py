@@ -145,7 +145,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
 class MonomialIdeal:
     """Canonically minimally generated monomial ideal; () means the zero ideal."""
 
-    __slots__ = ("n", "gens", "_masks", "_packed", "_transversals")
+    __slots__ = ("n", "gens", "_masks", "_packed", "_factors", "_transversals")
 
     def __init__(self, n: int, gens: Sequence[Monomial], _trusted: bool = False):
         self.n = n
@@ -155,6 +155,7 @@ class MonomialIdeal:
             self.gens = _minimalize_list(n, gens)
         self._masks: Optional[tuple[int, ...]] = None
         self._packed: Optional[tuple[int, ...]] = None
+        self._factors: Optional[tuple[tuple[int, int], ...]] = None
         self._transversals: Optional[tuple[int, ...]] = None
 
     # -- basic predicates ---------------------------------------------------
@@ -180,6 +181,14 @@ class MonomialIdeal:
         if self._packed is None:
             self._packed = tuple(pack(g) for g in self.gens)
         return self._packed
+
+    def power_factors(self) -> tuple[tuple[int, int], ...]:
+        """(packed, degree) per generator by descending degree, then exponent
+        tuple: the factor order of `member_power`, built once."""
+        if self._factors is None:
+            self._factors = tuple(sorted(
+                zip(self.packed_gens(), map(sum, self.gens)), key=lambda f: (-f[1], f[0])))
+        return self._factors
 
     def transversal_masks(self, cap: int = DEFAULT_GEN_CAP) -> tuple[int, ...]:
         """Minimal transversals of the generator supports, enumerated once.
@@ -330,8 +339,7 @@ def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:
         return False
     if a.is_unit:
         return True
-    gens = sorted(a.gens, key=lambda g: (-sum(g), g))
-    factors = [(pack(g), sum(g)) for g in gens]
+    factors = a.power_factors()
     min_deg = factors[-1][1]
     high = _high_mask(a.n)
     memo: dict[tuple[int, int], bool] = {}

@@ -4,7 +4,13 @@ import random
 
 from hypothesis import strategies as st
 
+from coverpack.graphs import Graph
 from coverpack.ideals import MonomialIdeal, mask_to_monomial, minimalize
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """g with vertex v renamed perm[v - 1]."""
+    return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
 
 
 def random_square_free_ideal(rng: random.Random, n_min: int = 2, n_max: int = 7,

@@ -1,13 +1,19 @@
+import random
+from itertools import product
+
 import pytest
 
+from conftest import relabel
 from coverpack.classify import (
     Classification,
+    _antichain_width,
     check_instance,
     connected_graphs,
     theorem_classification,
     verify_theorem,
 )
 from coverpack.graphs import Graph, complete, cycle, path, star
+from coverpack.ideals import DEFAULT_GEN_CAP
 
 
 def test_classification_n_equals_t():
@@ -118,3 +124,96 @@ def test_verify_theorem_report_json():
     j = rep.to_json()
     assert j["disagreements"] == 0
     assert len(j["rows"]) == j["summary"]["instances"]
+
+
+def direct_rows(graphs, t_max=None, cap=DEFAULT_GEN_CAP):
+    """verify_theorem's rows computed one check_instance call per row."""
+    return [check_instance(g, t, cap=cap).to_json()
+            for g in graphs
+            for t in range(3, (g.n if t_max is None else min(g.n, t_max)) + 1)]
+
+
+def test_class_cache_matches_direct_rows_n_le_5():
+    graphs = [g for n in range(3, 6) for _code, g in connected_graphs(n)]
+    rep = verify_theorem(5)
+    assert [r.to_json() for r in rep.rows] == direct_rows(graphs)
+    # 77 (class, t) pairs; every other row comes from the cache
+    assert rep.computed == 77 and len(rep.rows) == 2264
+
+
+def test_class_cache_matches_direct_rows_six_vertex_sample():
+    rng = random.Random(20261018)
+    sample = rng.sample([g for _code, g in connected_graphs(6)], 300)
+    rep = verify_theorem(0, graphs=sample)
+    assert [r.to_json() for r in rep.rows] == direct_rows(sample)
+    assert rep.computed < len(rep.rows) // 2
+    assert sum(r.simis_verdict == "witness_at" for r in rep.rows) > 500
+
+
+def test_class_cache_matches_direct_rows_paths_cycles():
+    # every path and cycle with n <= 10 and a seeded relabelling of each,
+    # so the cache serves the relabelled copies
+    rng = random.Random(7)
+    graphs = []
+    for n in range(3, 11):
+        for g in (path(n), cycle(n)):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            graphs += [g, relabel(g, perm)]
+    rep = verify_theorem(0, t_max=4, graphs=graphs)
+    assert [r.to_json() for r in rep.rows] == direct_rows(graphs, t_max=4)
+    assert not rep.disagreements
+    assert rep.computed < len(rep.rows)
+
+
+def test_labellings_of_a_path_are_served_from_the_cache():
+    # J_t(P_6) has two primes at t = 5 and three at t = 4; the fold bounds
+    # for s = t stay under the default cap, so only the first copy is computed
+    rng = random.Random(3)
+    graphs = [path(6)]
+    for _ in range(5):
+        perm = list(range(1, 7))
+        rng.shuffle(perm)
+        graphs.append(relabel(path(6), perm))
+    rep = verify_theorem(0, graphs=graphs)
+    assert [r.to_json() for r in rep.rows] == direct_rows(graphs)
+    assert rep.computed == 4 and len(rep.rows) == 24
+
+
+def test_antichain_width_is_the_largest_level():
+    for n in range(1, 5):
+        for s in range(4):
+            levels = [0] * (n * s + 1)
+            for v in product(range(s + 1), repeat=n):
+                levels[sum(v)] += 1
+            assert _antichain_width(n, s) == max(levels), (n, s)
+
+
+@pytest.mark.parametrize("cap", [5, 8])
+def test_class_cache_matches_direct_rows_under_small_caps(cap):
+    graphs = [g for n in range(3, 6) for _code, g in connected_graphs(n)]
+    rep = verify_theorem(5, cap=cap)
+    rows = [r.to_json() for r in rep.rows]
+    assert rows == direct_rows(graphs, cap=cap)
+    # both fallbacks occur: dualization aborts (packed unknown) and fold
+    # aborts (packed known)
+    assert any(r["packed"] is None for r in rows)
+    assert any(r["packed"] is not None and r["simis_verdict"] == "aborted" for r in rows)
+    assert all(r["simis_verdict"] == "aborted" for r in rows if r["packed"] is None)
+    assert not rep.disagreements
+    assert rep.summary()["aborted"] == sum(r["simis_verdict"] == "aborted" for r in rows)
+
+
+def test_dualization_abort_row():
+    # J_3(C_7) has 14 generators
+    row = check_instance(cycle(7), 3, cap=5)
+    assert row.packed is None and row.simis_verdict == "aborted"
+    assert row.simis_s is None and row.simis_witness is None
+    rep = verify_theorem(0, t_max=3, graphs=[cycle(7)], cap=5)
+    assert rep.summary()["aborted"] == 1 and not rep.disagreements
+
+
+def test_computed_count_stays_out_of_the_report():
+    rep = verify_theorem(4)
+    assert rep.computed == 14 and len(rep.rows) == 80
+    assert "computed" not in rep.to_json() and "computed" not in rep.summary()

@@ -207,6 +207,26 @@ def test_gen_cap_env_bounds_dualization():
     assert "Traceback" not in proc.stderr
 
 
+def test_gen_cap_env_bounds_verify_theorem_dualization():
+    # J_3 of C_4, P_6, P_7 and C_7 has more than 5 generators: those rows
+    # abort in the dualization and the run goes on
+    env = dict(os.environ, COVERPACK_GEN_CAP="5")
+    src = os.path.dirname(os.path.dirname(coverpack.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverpack.cli", "verify-theorem", "--paths-cycles", "7",
+         "--tmax", "3", "--rows"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    dual_aborts = [r for r in result["rows"] if r["packed"] is None]
+    assert {r["graph6"] for r in dual_aborts} == {"Cl", "EhCG", "FhCGG", "FhCKG"}
+    assert all(r["simis_verdict"] == "aborted" for r in dual_aborts)
+    assert result["summary"]["aborted"] == 8
+    assert result["disagreements"] == 0
+
+
 def test_scan_cap_env_bounds_packing_scan():
     # J_3(P_14) is packed, so only the memo cap can stop its 3^14 scan early
     env = dict(os.environ, COVERPACK_SCAN_CAP="100")

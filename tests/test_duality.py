@@ -9,6 +9,7 @@ from coverpack.classify import connected_graphs
 from coverpack.duality import (
     SimisReport,
     alexander_dual,
+    lowest_failures,
     minimal_primes,
     simis_check,
     symbolic_power,
@@ -220,6 +221,25 @@ def test_simis_witness_is_canonical_first():
     ordinary = power(J, rep.s)
     failing = [g for g in sym.gens if not member(g, ordinary)]
     assert failing and failing[0] == rep.witness
+
+
+def test_lowest_failures_match_expanded_power():
+    # every failing generator of the witness's degree, in canonical order
+    cases = [(star(5), 4), (star(4), 3), (cycle(7), 3), (cycle(5), 3)]
+    cases += [(g, 3) for _code, g in connected_graphs(5)][::40]
+    seen = 0
+    for g, t in cases:
+        J = cover_ideal(g, t)
+        rep = simis_check(J, t)
+        if rep.verdict != "witness_at":
+            continue
+        ordinary = power(J, rep.s)
+        d = sum(rep.witness)
+        want = [m for m in symbolic_power(J, rep.s).gens
+                if sum(m) == d and not member(m, ordinary)]
+        assert lowest_failures(J, rep.s, rep.witness) == want, (g, t)
+        seen += len(want) > 1
+    assert seen
 
 
 def test_simis_report_json():

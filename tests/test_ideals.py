@@ -177,6 +177,15 @@ def test_member_power_matches_expansion(a, s, data):
     assert member_power(m, a, s) == member(m, ps)
 
 
+def test_power_factors_built_once_in_search_order():
+    a = minimalize(3, [(2, 0, 0), (0, 0, 1), (1, 1, 0), (0, 2, 1)])
+    factors = a.power_factors()
+    assert factors is a.power_factors()
+    # descending degree, then ascending exponent tuple
+    assert [unpack(p, 3) for p, _d in factors] == [(1, 1, 0), (2, 0, 0), (0, 0, 1)]
+    assert [d for _p, d in factors] == [2, 2, 1]
+
+
 def test_member_power_edge_cases():
     a = minimalize(2, [(1, 0)])
     assert member_power((0, 0), a, 0)
