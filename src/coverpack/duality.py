@@ -34,8 +34,15 @@ path; nothing is allowed to wrap silently.
 
 The bounded Simis check compares I^(s) with I^s for s = 2..s_max.  Since
 I^s is always contained in I^(s), equality at s holds iff every minimal
-generator of the symbolic power passes the ordinary-power membership test;
-that avoids ever expanding I^s.
+generator of the symbolic power lies in I^s; that avoids ever expanding I^s.
+Let B have the generator supports of the square-free I as columns.  A
+product of s generators (with repetition) divides g exactly when some z in
+N^r with sum(z) = s has B z <= g, so g lies in I^s iff nu(B, g) >= s: the
+test is `coverpack.ideals.max_packing`, stopped once it reaches s.  The
+minimal primes are the minimal covers of B, so g lies in I^(s) iff
+tau(B, g) >= s, and the Simis check compares tau with nu as the gap search
+does (Simis <=> max-flow min-cut; Gitler, Reyes and Villarreal, Rocky
+Mountain J. Math. 39, 2009).
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .ideals import (
     _ones,
     field_shift,
     from_antichain_masks,
-    member_power,
+    max_packing,
     monomial_str,
     power,
     unpack,
@@ -189,10 +196,11 @@ def simis_check(a: MonomialIdeal, s_max: int, cap: int = DEFAULT_GEN_CAP) -> Sim
     if all(sum(g) == 1 for g in a.gens) or len(a.gens) == 1:
         # complete intersections are Simis at every s
         return SimisReport(a.n, s_max, "equal_up_to")
+    rows = a.support_rows()
     for s in range(2, s_max + 1):
         sym = symbolic_power(a, s, cap=cap)
         for g in sym.gens:
-            if not member_power(g, a, s):
+            if max_packing(rows, g, s) < s:
                 return SimisReport(a.n, s_max, "witness_at", s, g)
     return SimisReport(a.n, s_max, "equal_up_to")
 
@@ -207,11 +215,12 @@ def lowest_failures(a: MonomialIdeal, s: int, first: Monomial,
     of the same degree are tested.
     """
     gens = symbolic_power(a, s, cap=cap).gens
+    rows = a.support_rows()
     d = sum(first)
     out = [first]
     for g in gens[gens.index(first) + 1:]:
         if sum(g) > d:
             break
-        if not member_power(g, a, s):
+        if max_packing(rows, g, s) < s:
             out.append(g)
     return out

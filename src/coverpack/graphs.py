@@ -11,7 +11,7 @@ callers want.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 class Graph6ParseError(ValueError):
@@ -221,21 +221,6 @@ def connected_induced_subsets(g: Graph, t: int) -> list[tuple[int, ...]]:
         if is_connected_subset(g, mask):
             out.append(combo)
     return out
-
-
-def non_cut_vertices(g: Graph) -> tuple[int, ...]:
-    """Vertices whose removal keeps the graph connected (needs g connected)."""
-    if not is_connected(g):
-        raise ValueError("non_cut_vertices needs a connected graph")
-    if g.n == 1:
-        return (1,)
-    full = (1 << g.n) - 1
-    out = []
-    for v in range(1, g.n + 1):
-        rest = full & ~(1 << (v - 1))
-        if is_connected_subset(g, rest):
-            out.append(v)
-    return tuple(out)
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -5,7 +5,7 @@ an ideal is its canonical minimal generating set, kept sorted by
 (total degree, exponent tuple).  Square-free monomials double as support
 bitmasks, which the combinatorial layers use directly.
 
-Packed form.  The inner loops (minimalisation, `member_power`, the
+Packed form.  The inner loops (minimalisation, membership, the
 symbolic-power fold in `coverpack.duality`) work on one integer per
 monomial: 16 bits per variable, x1 in the most significant field and x_n in
 the least, so for equal n integer order is lexicographic order on exponent
@@ -17,14 +17,18 @@ from below), so a | b is `(b - a) & high == 0` for the mask of top bits.
 Exponent limit.  Packing checks every exponent against the 15-bit capacity
 (`FIELD_MAX` = 32767) and raises ValueError beyond it, so packed arithmetic
 never wraps silently.
+
+Packing search.  `max_packing` is the library's one integer packing search:
+`coverpack.lpdual.nu` runs it over a matrix's columns, and
+`coverpack.duality` over a square-free ideal's `support_rows` to test
+membership in J^s.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Monomial = tuple  # exponent tuple of length n
 
@@ -101,10 +105,6 @@ def divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
 def mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -145,7 +145,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
 class MonomialIdeal:
     """Canonically minimally generated monomial ideal; () means the zero ideal."""
 
-    __slots__ = ("n", "gens", "_masks", "_packed", "_factors", "_transversals")
+    __slots__ = ("n", "gens", "_masks", "_packed", "_rows", "_transversals")
 
     def __init__(self, n: int, gens: Sequence[Monomial], _trusted: bool = False):
         self.n = n
@@ -155,7 +155,7 @@ class MonomialIdeal:
             self.gens = _minimalize_list(n, gens)
         self._masks: Optional[tuple[int, ...]] = None
         self._packed: Optional[tuple[int, ...]] = None
-        self._factors: Optional[tuple[tuple[int, int], ...]] = None
+        self._rows: Optional[tuple[tuple[int, ...], ...]] = None
         self._transversals: Optional[tuple[int, ...]] = None
 
     # -- basic predicates ---------------------------------------------------
@@ -182,13 +182,14 @@ class MonomialIdeal:
             self._packed = tuple(pack(g) for g in self.gens)
         return self._packed
 
-    def power_factors(self) -> tuple[tuple[int, int], ...]:
-        """(packed, degree) per generator by descending degree, then exponent
-        tuple: the factor order of `member_power`, built once."""
-        if self._factors is None:
-            self._factors = tuple(sorted(
-                zip(self.packed_gens(), map(sum, self.gens)), key=lambda f: (-f[1], f[0])))
-        return self._factors
+    def support_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per generator, the 0-based variables of its support, smallest
+        supports first (a stable sort): the columns `max_packing` takes,
+        built once."""
+        if self._rows is None:
+            self._rows = tuple(sorted(
+                (tuple(i for i, e in enumerate(g) if e) for g in self.gens), key=len))
+        return self._rows
 
     def transversal_masks(self, cap: int = DEFAULT_GEN_CAP) -> tuple[int, ...]:
         """Minimal transversals of the generator supports, enumerated once.
@@ -301,17 +302,6 @@ def power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal
     return acc
 
 
-def intersect(a: MonomialIdeal, b: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
-    """Ideal intersection via pairwise lcms."""
-    _check_same_universe(a, b)
-    if a.is_zero or b.is_zero:
-        return zero_ideal(a.n)
-    if len(a.gens) * len(b.gens) > cap:
-        raise SizeLimitError(f"intersection candidate count {len(a.gens) * len(b.gens)} exceeds cap {cap}")
-    cands = [lcm(g, h) for g in a.gens for h in b.gens]
-    return minimalize(a.n, cands)
-
-
 def member(m: Monomial, a: MonomialIdeal) -> bool:
     """Whether the monomial lies in the ideal (some generator divides it)."""
     if len(m) != a.n:
@@ -321,50 +311,50 @@ def member(m: Monomial, a: MonomialIdeal) -> bool:
     return any(divides_packed(pg, pm, high) for pg in a.packed_gens())
 
 
-def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:
-    """Whether m lies in A^s, without expanding A^s.
+def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
+                need: Optional[int] = None) -> int:
+    """Largest sum(z) over z in N^r that packs the columns under `capacity`.
 
-    Searches for s generators (with repetition) whose product divides m,
-    choosing factors in descending degree with memoisation on the quotient.
-    Quotients stay packed; exponents past FIELD_MAX raise ValueError.
+    Column j covers the rows in `rows[j]`, which must be nonempty and
+    ordered by ascending size, so the remaining capacity over the size of
+    column i bounds what columns i.. can still add.  Columns through a
+    zero-capacity row are dropped first.  The search is depth first, larger
+    multiplicities first.  With `need` it stops as soon as the count reaches
+    `need`, so the result is exact below `need` and at least `need` above.
     """
-    if len(m) != a.n:
-        raise ValueError(f"monomial length {len(m)} does not match universe {a.n}")
-    if s < 0:
-        raise ValueError("member_power needs s >= 0")
-    top = pack(m)
-    if s == 0:
-        return True
-    if a.is_zero:
-        return False
-    if a.is_unit:
-        return True
-    factors = a.power_factors()
-    min_deg = factors[-1][1]
-    high = _high_mask(a.n)
-    memo: dict[tuple[int, int], bool] = {}
+    zero = {i for i, x in enumerate(capacity) if not x}
+    cols = [c for c in rows if zero.isdisjoint(c)] if zero else rows
+    ncols = len(cols)
+    residual = list(capacity)
+    get = residual.__getitem__
+    total = sum(capacity)
+    goal = total + 1 if need is None else need
+    best = 0
 
-    def rec(q: int, k: int, qdeg: int) -> bool:
-        if k == 0:
-            return True
-        if qdeg < k * min_deg:
+    def dfs(i: int, count: int, left: int) -> bool:
+        nonlocal best
+        if i == ncols:
             return False
-        key = (q, k)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        ok = False
-        for g, d in factors:
-            if d > qdeg:
-                continue
-            r = q - g
-            if not r & high and rec(r, k - 1, qdeg - d):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
+        c = cols[i]
+        size = len(c)
+        if count + left // size <= best:
+            return False
+        for z in range(min(map(get, c)), 0, -1):
+            if count + z > best:
+                best = count + z
+                if best >= goal:
+                    return True
+            for r in c:
+                residual[r] -= z
+            done = dfs(i + 1, count + z, left - z * size)
+            for r in c:
+                residual[r] += z
+            if done:
+                return True
+        return dfs(i + 1, count, left)
 
-    return rec(top, s, sum(m))
+    dfs(0, 0, total)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +437,6 @@ def height(a: MonomialIdeal) -> int:
     if not a.is_square_free:
         raise ValueError("height implemented for square-free ideals only")
     return min_cover_masks(a.support_masks(), a.n)
-
-
-def equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    """Ideal equality via canonical generator comparison."""
-    _check_same_universe(a, b)
-    return a.gens == b.gens
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,18 @@ cover ideal generators.  For a weight vector alpha:
 
 An optimal y for tau can be taken 0/1 (capping a feasible y at 1 keeps
 every covering constraint satisfied, since B has 0/1 entries, and never
-raises the cost), so tau branches over 0/1 vectors.  nu is an exhaustive
-bounded DFS over the packing multiplicities.
+raises the cost), and since alpha >= 0 it can be taken inclusion-minimal.
+So tau is the least alpha-weight of a minimal cover: a minimal transversal
+of the column supports, enumerated once per matrix by the MMCS search of
+`coverpack.ideals.minimal_transversals`.  For B = cover_matrix(G, t) those
+covers are the I_t(G) generators, since J_t(G) is their Alexander dual.
+nu is the library's one packing search, `coverpack.ideals.max_packing`,
+run exactly over the columns cached on the matrix.
 
 `duality_gap_search` scans alpha in {0..entry_bound}^n ascending by
 (sum, lex), reduced by the rotation action when the instance is a cycle,
-and returns the first alpha with tau != nu.  It reads tau off the minimal
-covers, which for B = cover_matrix(G, t) are the I_t(G) generators.
+and returns the first alpha with tau != nu.  It reads tau off the same
+cached covers.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .graphs import Graph, classify_shape
-from .ideals import DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, SizeLimitError
+from .ideals import (DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, SizeLimitError, max_packing,
+                     minimal_transversals)
 from .packing import VerificationError
 from .tconn import cover_ideal, t_connected_ideal
 
@@ -47,8 +53,19 @@ class ZeroOneMatrix:
 
     @cached_property
     def column_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per column, the 0-based rows holding a 1; built once per matrix."""
-        return tuple(tuple(i for i, e in enumerate(c) if e) for c in self.columns)
+        """Per column, the 0-based rows holding a 1, shortest columns first
+        (a stable sort): the columns `max_packing` takes, built once."""
+        return tuple(sorted(
+            (tuple(i for i, e in enumerate(c) if e) for c in self.columns), key=len))
+
+    @cached_property
+    def min_covers(self) -> tuple[tuple[int, ...], ...]:
+        """The inclusion-minimal 0/1 y with B^T y >= 1, as 0-based row tuples;
+        one MMCS search per matrix."""
+        if self.column_rows and not self.column_rows[0]:
+            raise ValueError("a zero column makes the covering program infeasible")
+        return tuple(tuple(i for i in range(self.n) if m >> i & 1)
+                     for m in minimal_transversals(self.column_masks(), self.n))
 
     def column_masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << i for i, e in enumerate(c) if e) for c in self.columns)
@@ -72,120 +89,28 @@ def cover_matrix(g: Graph, t: int, cap: int = DEFAULT_GEN_CAP) -> ZeroOneMatrix:
     return ZeroOneMatrix(g.n, tuple(tuple(gen) for gen in ideal.gens))
 
 
-def path_incidence_formula(n: int, t: int) -> ZeroOneMatrix:
-    """Closed form for paths: column j has ones in rows j..j+t-1."""
-    cols = []
-    for j in range(1, n - t + 2):
-        cols.append(tuple(1 if j <= i <= j + t - 1 else 0 for i in range(1, n + 1)))
-    return ZeroOneMatrix(n, tuple(cols))
-
-
-def cycle_incidence_formula(n: int, t: int) -> ZeroOneMatrix:
-    """Closed form for cycles: column j has ones where (i - j) mod n < t.
-
-    Needs t < n: at t = n all n windows coincide and the ideal is principal.
-    """
-    if not 2 <= t < n:
-        raise ValueError(f"cycle incidence closed form needs 2 <= t < n, got t={t}, n={n}")
-    cols = []
-    for j in range(1, n + 1):
-        cols.append(tuple(1 if (i - j) % n <= t - 1 else 0 for i in range(1, n + 1)))
-    return ZeroOneMatrix(n, tuple(cols))
-
-
 # ---------------------------------------------------------------------------
 # exact integer programs
 
-def tau(b: ZeroOneMatrix, alpha: Sequence[int]) -> int:
-    """Exact covering optimum; branch and bound over 0/1 y."""
+def _check_alpha(b: ZeroOneMatrix, alpha: Sequence[int]):
     if len(alpha) != b.n:
         raise ValueError("alpha length must match the row count")
     if any(x < 0 for x in alpha):
         raise ValueError("alpha must be nonnegative")
-    col_masks = b.column_masks()
-    if any(m == 0 for m in col_masks):
-        raise ValueError("a zero column makes the covering program infeasible")
-    n = b.n
-    free = 0  # zero-cost variables can be taken unconditionally
-    for i, w in enumerate(alpha):
-        if w == 0:
-            free |= 1 << i
-    remaining = [m for m in col_masks if not m & free]
-    best = sum(w for w in alpha)  # y = all-ones is feasible
 
-    def lower_bound(uncovered: list[int]) -> int:
-        used = 0
-        lb = 0
-        for m in uncovered:
-            if not m & used:
-                used |= m
-                lb += min(alpha[i] for i in range(n) if m >> i & 1)
-        return lb
 
-    def bb(uncovered: list[int], cost: int):
-        nonlocal best
-        if not uncovered:
-            if cost < best:
-                best = cost
-            return
-        if cost + lower_bound(uncovered) >= best:
-            return
-        m = min(uncovered, key=lambda e: bin(e).count("1"))
-        vs = sorted((i for i in range(n) if m >> i & 1), key=lambda i: alpha[i])
-        for i in vs:
-            bit = 1 << i
-            bb([e for e in uncovered if not e & bit], cost + alpha[i])
-
-    bb(remaining, 0)
-    return best
+def tau(b: ZeroOneMatrix, alpha: Sequence[int]) -> int:
+    """Exact covering optimum: the lightest minimal cover under alpha."""
+    _check_alpha(b, alpha)
+    return min(sum(alpha[i] for i in c) for c in b.min_covers)
 
 
 def nu(b: ZeroOneMatrix, alpha: Sequence[int]) -> int:
     """Exact packing optimum: max sum(z), B z <= alpha, z in N^r."""
-    if len(alpha) != b.n:
-        raise ValueError("alpha length must match the row count")
-    if any(x < 0 for x in alpha):
-        raise ValueError("alpha must be nonnegative")
-    cols = []
-    for rows in b.column_rows:
-        if not rows:
-            raise ValueError("a zero column makes the packing program unbounded")
-        # a column through a zero-capacity row can never be used
-        if all(alpha[i] > 0 for i in rows):
-            cols.append(rows)
-    cols.sort(key=len)
-    weights = [len(c) for c in cols]
-    suffix_min_w = [0] * (len(cols) + 1)
-    acc = 10 ** 9
-    for i in range(len(cols) - 1, -1, -1):
-        acc = min(acc, weights[i])
-        suffix_min_w[i] = acc
-    residual = list(alpha)
-    total = sum(alpha)
-    best = 0
-
-    def dfs(i: int, count: int, left: int):
-        nonlocal best
-        if count > best:
-            best = count
-        if i == len(cols):
-            return
-        if count + left // suffix_min_w[i] <= best:
-            return
-        rows = cols[i]
-        hi = min(residual[r] for r in rows)
-        for z in range(hi, -1, -1):
-            if z:
-                for r in rows:
-                    residual[r] -= z
-                dfs(i + 1, count + z, left - z * len(rows))
-                for r in rows:
-                    residual[r] += z
-            else:
-                dfs(i + 1, count, left)
-
-    dfs(0, 0, total)
-    return best
+    _check_alpha(b, alpha)
+    if b.column_rows and not b.column_rows[0]:
+        raise ValueError("a zero column makes the packing program unbounded")
+    return max_packing(b.column_rows, alpha)
 
 
 @dataclass(frozen=True)
@@ -222,16 +147,6 @@ def _vectors_by_sum(n: int, bound: int):
         yield from rec([], total, n)
 
 
-def _min_cover_supports(g: Graph, t: int) -> list[tuple[int, ...]]:
-    """Minimal 0/1 covers of cover_matrix(g, t), as 0-based row tuples.
-
-    J_t(G) is the Alexander dual of I_t(G), so the minimal transversals of
-    its generator supports are exactly the I_t(G) generator supports.
-    """
-    return [tuple(i for i in range(g.n) if m >> i & 1)
-            for m in t_connected_ideal(g, t).support_masks()]
-
-
 def duality_gap_search(g: Graph, t: int, entry_bound: int,
                        scan_cap: int = DEFAULT_SCAN_CAP,
                        gen_cap: int = DEFAULT_GEN_CAP) -> GapSearchResult:
@@ -249,16 +164,14 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
         raise SizeLimitError(
             f"alpha space {space} exceeds scan cap {scan_cap}")
     b = cover_matrix(g, t, cap=gen_cap)
-    # every feasible 0/1 y contains a minimal cover and alpha >= 0, so tau is
-    # exactly the lightest minimal cover
-    covers = _min_cover_supports(g, t)
+    covers = b.min_covers
     is_cycle = classify_shape(g) == "cycle" and g == _canonical_cycle(g.n)
     scanned = 0
     for alpha in _vectors_by_sum(n, entry_bound):
         if is_cycle and not _rotation_minimal(alpha, n):
             continue
         scanned += 1
-        tv = min(sum(alpha[i] for i in c) for c in covers)
+        tv = min(sum(alpha[i] for i in c) for c in covers)   # tau(b, alpha)
         nv = nu(b, alpha)
         if nv > tv:
             raise VerificationError(f"weak duality violated at alpha={alpha}")

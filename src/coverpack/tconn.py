@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .duality import alexander_dual
 from .graphs import Graph, connected_induced_subsets, is_connected
-from .ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, from_antichain_masks,
+from .ideals import (DEFAULT_GEN_CAP, MonomialIdeal, from_antichain_masks,
                      from_masks, minimalize)
 
 
@@ -150,28 +150,6 @@ def cycle_cover_gens(n: int, t: int) -> MonomialIdeal:
             raise GenerationError(
                 f"cycle cover {tup} shorter than ceil(n/t)={ceil_bound}")
     return _tuples_to_ideal(n, out)
-
-
-def cycle_konig_sequence(n: int, t: int) -> tuple[Monomial, ...]:
-    """The t pairwise-disjoint generators x_i x_{i+t} ... of J_t(C_n), t | n."""
-    if n % t:
-        raise ValueError(f"Konig sequence needs t | n, got n={n}, t={t}")
-    if not (2 <= t <= n) or n < 3:
-        raise ValueError(f"need n >= 3 and 2 <= t <= n, got t={t}, n={n}")
-    ell = n // t
-    gens = []
-    for i in range(1, t + 1):
-        m = [0] * n
-        for k in range(ell):
-            m[(i + k * t) - 1] = 1
-        gens.append(tuple(m))
-    used = 0
-    for g in gens:
-        mask = sum(1 << j for j, e in enumerate(g) if e)
-        if mask & used:
-            raise GenerationError("Konig sequence members are not disjoint")
-        used |= mask
-    return tuple(gens)
 
 
 def brute_cover_ideal(g: Graph, t: int) -> MonomialIdeal:

@@ -1,20 +1,36 @@
 """Independent reference implementations used only by the tests.
 
-`symbolic_power_tuples` is the exponent-tuple fold that the packed fold in
-`coverpack.duality` replaced: it folds the minimal-prime powers one prime at
-a time and reduces every intermediate candidate list with `minimalize`.
-`tau_enum` and `minimal_solutions` scan all 2^n 0/1 vectors, independently
-of the branch and bound in `coverpack.lpdual.tau` and of the transversal
-search behind `cover_ideal`.  `filtered_minimal_transversals` is the
-enumerate-then-filter recursion that the MMCS search in
-`coverpack.ideals.minimal_transversals` replaced; together with
-`coverpack.ideals.brute_minimal_transversals` (a scan of all 2^n subsets)
-it is the second oracle for that search.  `flat_is_packed` is the odometer
-scan that the memoised depth-first scan in `coverpack.packing.is_packed`
-replaced: it restricts the supports to every one of the 3^n minors in
-ternary-code order and runs the Konig search on each.
-`branching_subset_witness` finds connected (t+1)-subsets with three or more
-non-cut vertices; only the tests use it.
+Each one is a second route to something the library computes, or the code
+the library's faster route replaced:
+
+- `symbolic_power_tuples`: the exponent-tuple fold that the packed fold in
+  `coverpack.duality` replaced.  It folds the minimal-prime powers one
+  prime at a time and reduces every intermediate candidate list with
+  `minimalize`.
+- `intersect` (with `lcm`): ideal intersection by pairwise lcms, the
+  independent route behind the intersection-fold test of `symbolic_power`.
+- `member_power`: membership in A^s by a memoised search for s generators
+  whose product divides m.  The library tests membership in J^s as
+  nu(B_J, g) >= s with `coverpack.ideals.max_packing`; this is the other
+  route, valid for any monomial ideal, not only square-free ones.
+- `equal`: ideal equality by canonical generator comparison.
+- `tau_enum` and `minimal_solutions`: scans of all 2^n 0/1 vectors,
+  independent of the minimal covers behind `coverpack.lpdual.tau` and of
+  the transversal search behind `cover_ideal`.
+- `filtered_minimal_transversals`: the enumerate-then-filter recursion that
+  the MMCS search in `coverpack.ideals.minimal_transversals` replaced.
+  Together with `coverpack.ideals.brute_minimal_transversals` (a scan of
+  all 2^n subsets) it is the second oracle for that search.
+- `flat_is_packed`: the odometer scan that the memoised depth-first scan in
+  `coverpack.packing.is_packed` replaced.  It restricts the supports to
+  every one of the 3^n minors in ternary-code order and runs the Konig
+  search on each.
+- `path_incidence_formula` and `cycle_incidence_formula`: closed forms of
+  the I_t incidence matrices of paths and cycles.
+- `cycle_konig_sequence`: the t pairwise-disjoint generators of J_t(C_n)
+  when t divides n.
+- `non_cut_vertices` and `branching_subset_witness`: connected (t+1)-subsets
+  with three or more non-cut vertices.
 """
 
 from __future__ import annotations
@@ -22,11 +38,13 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from coverpack.duality import minimal_primes
-from coverpack.graphs import Graph, connected_induced_subsets, is_connected_subset
-from coverpack.ideals import DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, minimalize, power
+from coverpack.graphs import Graph, connected_induced_subsets, is_connected, is_connected_subset
+from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, _high_mask,
+                              minimalize, pack, power, zero_ideal)
 from coverpack.lpdual import ZeroOneMatrix
 from coverpack.packing import (PackingReport, PackingWitness, _konig_masks, minor_from_code,
                                restrict)
+from coverpack.tconn import GenerationError
 
 
 def prime_power_weight(m: Monomial, prime_vars: Sequence[int]) -> int:
@@ -85,6 +103,76 @@ def symbolic_power_tuples(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) 
                 f"symbolic power intermediate size {len(cands)} exceeds cap {cap}")
         current = list(minimalize(a.n, cands).gens)
     return minimalize(a.n, current)
+
+
+def lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(max, a, b))
+
+
+def intersect(a: MonomialIdeal, b: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
+    """Ideal intersection via pairwise lcms."""
+    if a.n != b.n:
+        raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
+    if a.is_zero or b.is_zero:
+        return zero_ideal(a.n)
+    if len(a.gens) * len(b.gens) > cap:
+        raise SizeLimitError(f"intersection candidate count {len(a.gens) * len(b.gens)} exceeds cap {cap}")
+    cands = [lcm(g, h) for g in a.gens for h in b.gens]
+    return minimalize(a.n, cands)
+
+
+def equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
+    """Ideal equality via canonical generator comparison."""
+    if a.n != b.n:
+        raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
+    return a.gens == b.gens
+
+
+def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:
+    """Whether m lies in A^s, without expanding A^s.
+
+    Searches for s generators (with repetition) whose product divides m,
+    choosing factors in descending degree with memoisation on the quotient.
+    Quotients stay packed; exponents past FIELD_MAX raise ValueError.
+    """
+    if len(m) != a.n:
+        raise ValueError(f"monomial length {len(m)} does not match universe {a.n}")
+    if s < 0:
+        raise ValueError("member_power needs s >= 0")
+    top = pack(m)
+    if s == 0:
+        return True
+    if a.is_zero:
+        return False
+    if a.is_unit:
+        return True
+    # (packed, degree) per generator by descending degree, then exponent tuple
+    factors = sorted(zip(a.packed_gens(), map(sum, a.gens)), key=lambda f: (-f[1], f[0]))
+    min_deg = factors[-1][1]
+    high = _high_mask(a.n)
+    memo: dict[tuple[int, int], bool] = {}
+
+    def rec(q: int, k: int, qdeg: int) -> bool:
+        if k == 0:
+            return True
+        if qdeg < k * min_deg:
+            return False
+        key = (q, k)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        ok = False
+        for g, d in factors:
+            if d > qdeg:
+                continue
+            r = q - g
+            if not r & high and rec(r, k - 1, qdeg - d):
+                ok = True
+                break
+        memo[key] = ok
+        return ok
+
+    return rec(top, s, sum(m))
 
 
 def tau_enum(b: ZeroOneMatrix, alpha: Sequence[int]) -> int:
@@ -227,6 +315,64 @@ def flat_is_packed(a: MonomialIdeal) -> PackingReport:
                                  PackingWitness(minor, restriction.survivors,
                                                 restriction.ideal, h, count))
     return PackingReport(True, scanned, None)
+
+
+def path_incidence_formula(n: int, t: int) -> ZeroOneMatrix:
+    """Closed form for paths: column j has ones in rows j..j+t-1."""
+    cols = []
+    for j in range(1, n - t + 2):
+        cols.append(tuple(1 if j <= i <= j + t - 1 else 0 for i in range(1, n + 1)))
+    return ZeroOneMatrix(n, tuple(cols))
+
+
+def cycle_incidence_formula(n: int, t: int) -> ZeroOneMatrix:
+    """Closed form for cycles: column j has ones where (i - j) mod n < t.
+
+    Needs t < n: at t = n all n windows coincide and the ideal is principal.
+    """
+    if not 2 <= t < n:
+        raise ValueError(f"cycle incidence closed form needs 2 <= t < n, got t={t}, n={n}")
+    cols = []
+    for j in range(1, n + 1):
+        cols.append(tuple(1 if (i - j) % n <= t - 1 else 0 for i in range(1, n + 1)))
+    return ZeroOneMatrix(n, tuple(cols))
+
+
+def cycle_konig_sequence(n: int, t: int) -> tuple[Monomial, ...]:
+    """The t pairwise-disjoint generators x_i x_{i+t} ... of J_t(C_n), t | n."""
+    if n % t:
+        raise ValueError(f"Konig sequence needs t | n, got n={n}, t={t}")
+    if not (2 <= t <= n) or n < 3:
+        raise ValueError(f"need n >= 3 and 2 <= t <= n, got t={t}, n={n}")
+    ell = n // t
+    gens = []
+    for i in range(1, t + 1):
+        m = [0] * n
+        for k in range(ell):
+            m[(i + k * t) - 1] = 1
+        gens.append(tuple(m))
+    used = 0
+    for g in gens:
+        mask = sum(1 << j for j, e in enumerate(g) if e)
+        if mask & used:
+            raise GenerationError("Konig sequence members are not disjoint")
+        used |= mask
+    return tuple(gens)
+
+
+def non_cut_vertices(g: Graph) -> tuple[int, ...]:
+    """Vertices whose removal keeps the graph connected (needs g connected)."""
+    if not is_connected(g):
+        raise ValueError("non_cut_vertices needs a connected graph")
+    if g.n == 1:
+        return (1,)
+    full = (1 << g.n) - 1
+    out = []
+    for v in range(1, g.n + 1):
+        rest = full & ~(1 << (v - 1))
+        if is_connected_subset(g, rest):
+            out.append(v)
+    return tuple(out)
 
 
 def branching_subset_witness(g: Graph, t: int) -> Optional[tuple[tuple[int, ...], int]]:

@@ -13,10 +13,11 @@ import time
 from coverpack.classify import theorem_classification, verify_theorem
 from coverpack.duality import simis_check, symbolic_power
 from coverpack.graphs import cycle, path, star
-from coverpack.ideals import SizeLimitError, MonomialIdeal, member, member_power, power
+from coverpack.ideals import SizeLimitError, MonomialIdeal, max_packing, member, power
 from coverpack.lpdual import cover_matrix, duality_gap_search, nu, tau
 from coverpack.packing import cycle_nonpacking_minor, is_konig, is_packed, minor_code
 from coverpack.tconn import cover_ideal, cycle_cover_gens, path_cover_gens
+from oracles import member_power
 
 
 @contextlib.contextmanager
@@ -207,6 +208,7 @@ def test_criterion_10_invariant_suite():
             expanded = power(a, s)
             m = tuple(rng.randint(0, 2) for _ in range(a.n))
             assert member_power(m, a, s) == member(m, expanded)
+            assert (max_packing(a.support_rows(), m, s) >= s) == member(m, expanded)
 
         for _ in range(500):
             n = rng.randint(2, 7)

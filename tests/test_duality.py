@@ -18,16 +18,16 @@ from coverpack.graphs import cycle, path, star
 from coverpack.ideals import (
     FIELD_MAX,
     SizeLimitError,
-    intersect,
+    max_packing,
     member,
-    member_power,
     minimalize,
     power,
     unit_ideal,
     zero_ideal,
 )
 from coverpack.tconn import cover_ideal, t_connected_ideal
-from oracles import in_symbolic_shortcut, prime_power_gens, prime_power_weight, symbolic_power_tuples
+from oracles import (in_symbolic_shortcut, intersect, member_power, prime_power_gens,
+                     prime_power_weight, symbolic_power_tuples)
 
 
 def test_dual_hand_cases():
@@ -121,9 +121,10 @@ def test_symbolic_membership_shortcut_agrees(a, s, data):
 
 
 def _check_fold_against_oracle(g, t):
-    # same generators in the same order as the tuple fold; packed
-    # member_power agrees with membership in the expanded power (s <= 3,
-    # beyond which expanding J^s dominates the suite's run time)
+    # same generators in the same order as the tuple fold; the packing
+    # route nu(B_J, m) >= s and the oracle member_power both agree with
+    # membership in the expanded power (s <= 3, beyond which expanding J^s
+    # dominates the suite's run time)
     J = cover_ideal(g, t)
     for s in range(2, t + 1):
         sym = symbolic_power(J, s)
@@ -131,7 +132,9 @@ def _check_fold_against_oracle(g, t):
         if s <= 3:
             ordinary = power(J, s)
             for m in sym.gens:
-                assert member_power(m, J, s) == member(m, ordinary), (g, t, s, m)
+                want = member(m, ordinary)
+                assert member_power(m, J, s) == want, (g, t, s, m)
+                assert (max_packing(J.support_rows(), m, s) >= s) == want, (g, t, s, m)
 
 
 def test_packed_fold_matches_tuple_oracle_small_graphs():

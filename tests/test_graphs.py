@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import non_cut_vertices
 from coverpack.graphs import (
     Graph,
     Graph6ParseError,
@@ -15,7 +16,6 @@ from coverpack.graphs import (
     is_bipartite,
     is_connected,
     is_connected_subset,
-    non_cut_vertices,
     parse_graph6,
     path,
     star,

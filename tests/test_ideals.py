@@ -5,22 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monomials, random_square_free_ideal, square_free_ideals
-from oracles import filtered_minimal_transversals
+from oracles import equal, filtered_minimal_transversals, intersect, lcm, member_power
 from coverpack.ideals import (
     MonomialIdeal,
     SizeLimitError,
     brute_minimal_transversals,
     divides,
     divides_packed,
-    equal,
     from_antichain_masks,
     from_masks,
     height,
-    intersect,
-    lcm,
     mask_to_monomial,
+    max_packing,
     member,
-    member_power,
     minimal_transversals,
     minimalize,
     monomial_str,
@@ -172,18 +169,39 @@ def test_member():
 @given(square_free_ideals(n_max=5, k_max=4), st.integers(1, 3), st.data())
 @settings(max_examples=100, deadline=None)
 def test_member_power_matches_expansion(a, s, data):
+    # both membership routes, the library's packing search nu(B_J, m) >= s
+    # and the oracle's factor search, against the expanded power
     ps = power(a, s)
     m = data.draw(monomials(a.n, max_exp=3))
     assert member_power(m, a, s) == member(m, ps)
+    assert (max_packing(a.support_rows(), m, s) >= s) == member(m, ps)
+    assert (max_packing(a.support_rows(), m) >= s) == member(m, ps)
 
 
-def test_power_factors_built_once_in_search_order():
-    a = minimalize(3, [(2, 0, 0), (0, 0, 1), (1, 1, 0), (0, 2, 1)])
-    factors = a.power_factors()
-    assert factors is a.power_factors()
-    # descending degree, then ascending exponent tuple
-    assert [unpack(p, 3) for p, _d in factors] == [(1, 1, 0), (2, 0, 0), (0, 0, 1)]
-    assert [d for _p, d in factors] == [2, 2, 1]
+def test_support_rows_built_once_in_size_order():
+    a = minimalize(4, [(1, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 0, 1)])
+    rows = a.support_rows()
+    assert rows is a.support_rows()
+    # one row tuple per generator support, smallest first, ties in
+    # canonical generator order
+    assert rows == ((2, 3), (1, 3), (0, 3), (0, 1, 2))
+    assert [len(r) for r in rows] == sorted(len(r) for r in rows)
+    # a non-square-free ideal: support size is not degree, so the sort moves
+    # x1^3 (support size 1) ahead of x2*x3 (size 2)
+    b = minimalize(3, [(0, 1, 1), (3, 0, 0)])
+    assert b.gens == ((0, 1, 1), (3, 0, 0))
+    assert b.support_rows() == ((0,), (1, 2))
+
+
+def test_max_packing_need_stops_early():
+    # supports {1,2} and {2,3} under capacity (2, 3, 2): nu = 3
+    rows = ((0, 1), (1, 2))
+    assert max_packing(rows, (2, 3, 2)) == 3
+    assert max_packing(rows, (2, 3, 2), need=2) >= 2
+    assert max_packing(rows, (2, 3, 2), need=4) == 3
+    assert max_packing(rows, (2, 3, 2), need=1) >= 1
+    assert max_packing(rows, (0, 3, 2)) == 2     # {1,2} is blocked
+    assert max_packing((), (1, 1)) == 0
 
 
 def test_member_power_edge_cases():
@@ -192,6 +210,10 @@ def test_member_power_edge_cases():
     assert not member_power((0, 0), a, 1)
     assert member_power((3, 1), a, 3)
     assert not member_power((2, 5), a, 3)
+    rows = a.support_rows()
+    assert max_packing(rows, (0, 0), 1) < 1
+    assert max_packing(rows, (3, 1), 3) >= 3
+    assert max_packing(rows, (2, 5), 3) < 3
 
 
 # -- intersection -----------------------------------------------------------

@@ -3,20 +3,20 @@ import random
 import pytest
 
 from conftest import random_square_free_ideal
-from oracles import minimal_solutions, tau_enum
-from coverpack.duality import alexander_dual
-from coverpack.graphs import cycle, path, star
-from coverpack.ideals import SizeLimitError, minimal_transversals
+from oracles import cycle_incidence_formula, minimal_solutions, path_incidence_formula, tau_enum
+from coverpack.classify import connected_graphs, verify_theorem
+from coverpack.duality import alexander_dual, simis_check
+from coverpack.graphs import cycle, parse_graph6, path, star
+from coverpack.ideals import SizeLimitError, parse_monomial
 from coverpack.lpdual import (
     ZeroOneMatrix,
     cover_matrix,
-    cycle_incidence_formula,
     duality_gap_search,
     incidence_matrix,
     nu,
-    path_incidence_formula,
     tau,
 )
+from coverpack.tconn import cover_ideal, t_connected_ideal
 
 
 def _random_matrix(rng, n_max=7, r_max=6):
@@ -103,7 +103,7 @@ def test_tau_nu_hand_values():
     assert nu(b, (1,) * 9) == 3
 
 
-def test_tau_branch_and_bound_matches_enumeration():
+def test_tau_matches_enumeration_on_random_matrices():
     rng = random.Random(99)
     for _ in range(300):
         b = _random_matrix(rng)
@@ -125,17 +125,18 @@ def test_tau_matches_enumeration_on_cover_matrices():
 
 
 def test_gap_search_covers_are_minimal_transversals():
-    # the gap search reads tau off these covers, so they must be exactly the
-    # minimal 0/1 covers of the cover matrix's columns
-    from coverpack.lpdual import _min_cover_supports
+    # tau and the gap search read tau off the matrix's cached minimal covers,
+    # so they must be exactly the I_t(G) supports (J_t(G) is their Alexander
+    # dual) and the minimal 0/1 covers a subset scan finds
     graphs = [path(n) for n in range(3, 13)] + [cycle(n) for n in range(3, 13)]
     graphs += [star(n) for n in range(4, 8)]
     for g in graphs:
         for t in range(3, g.n + 1):
             b = cover_matrix(g, t)
-            covers = [sum(1 << i for i in c) for c in _min_cover_supports(g, t)]
-            assert sorted(covers) == sorted(
-                minimal_transversals(b.column_masks(), g.n)), (g, t)
+            covers = [sum(1 << i for i in c) for c in b.min_covers]
+            assert b.min_covers is b.min_covers
+            assert sorted(covers) == sorted(t_connected_ideal(g, t).support_masks()), (g, t)
+            assert sorted(covers) == sorted(minimal_solutions(b).column_masks()), (g, t)
 
 
 def test_weak_duality_random():
@@ -236,6 +237,13 @@ def test_gap_search_guards():
         duality_gap_search(cycle(12), 3, 2, scan_cap=100)
 
 
+def test_column_rows_built_once_in_size_order():
+    b = ZeroOneMatrix(4, ((1, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 0), (0, 1, 0, 1)))
+    assert b.column_rows is b.column_rows
+    # shortest first, ties in column order
+    assert b.column_rows == ((0,), (2, 3), (1, 3), (0, 1, 2))
+
+
 def test_nu_row_cache_matches_fresh_matrix():
     # nu reads the per-column rows cached on the matrix; a matrix reused for
     # many alpha must give what a freshly built one gives
@@ -247,3 +255,42 @@ def test_nu_row_cache_matches_fresh_matrix():
         for _ in range(15):
             alpha = tuple(rng.randint(0, 3) for _ in range(b.n))
             assert nu(b, alpha) == nu(ZeroOneMatrix(b.n, b.columns), alpha), (g, alpha)
+
+
+# -- cross-module identities ------------------------------------------------
+
+def _assert_witness_rows_have_gap(rows):
+    # a minimal generator w of J^(s) outside J^s has weight >= s on every
+    # minimal prime, with equality on one, so tau(B, w) = s; and w not in
+    # J^s means no s generators pack under w, so nu(B, w) < s
+    count = 0
+    for r in rows:
+        if r.simis_verdict != "witness_at":
+            continue
+        g = parse_graph6(r.graph6)
+        w = parse_monomial(r.simis_witness, g.n)
+        b = cover_matrix(g, r.t)
+        assert tau(b, w) == r.simis_s > nu(b, w), r
+        count += 1
+    return count
+
+
+def test_harness_witnesses_are_tau_nu_gaps_small_graphs():
+    assert _assert_witness_rows_have_gap(verify_theorem(5).rows) == 1362
+
+
+def test_harness_witnesses_are_tau_nu_gaps_six_vertex_sample():
+    rng = random.Random(20261018)
+    sample = rng.sample([g for _code, g in connected_graphs(6)], 200)
+    assert _assert_witness_rows_have_gap(verify_theorem(0, graphs=sample).rows) > 0
+
+
+def test_gap_search_witnesses_are_simis_witnesses():
+    # x^alpha has weight >= tau(alpha) on every minimal prime, so it lies in
+    # J^(tau); nu(alpha) < tau puts it outside J^tau, so the Simis check
+    # fails at some s <= tau
+    for n in (7, 10, 12):
+        res = duality_gap_search(cycle(n), 3, 2)
+        assert res.witness is not None and res.tau > res.nu, n
+        rep = simis_check(cover_ideal(cycle(n), 3), res.tau)
+        assert rep.verdict == "witness_at" and rep.s <= res.tau, (n, rep)

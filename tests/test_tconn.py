@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import filtered_minimal_transversals
+from oracles import cycle_konig_sequence, filtered_minimal_transversals
 from coverpack.graphs import Graph, complete, cycle, path, star
 from coverpack.classify import connected_graphs
 from coverpack.ideals import (
@@ -19,7 +19,6 @@ from coverpack.tconn import (
     brute_cover_ideal,
     cover_ideal,
     cycle_cover_gens,
-    cycle_konig_sequence,
     path_cover_gens,
     t_connected_ideal,
 )
