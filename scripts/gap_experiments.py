@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Covering/packing duality experiments on path and cycle cover matrices.
+"""Covering/packing duality experiments on path and cycle cover ideals.
 
 For each instance, sweeps random weight vectors looking for tau != nu, then
 runs the exhaustive ascending gap search.  Instances whose cover ideal packs
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from coverpack.classify import theorem_classification
 from coverpack.graphs import cycle, path
 from coverpack.ideals import SizeLimitError
-from coverpack.lpdual import cover_matrix, duality_gap_search, nu, tau
+from coverpack.lpdual import duality_gap_search, nu, tau
+from coverpack.tconn import cover_ideal
 
 
 @dataclass(frozen=True)
@@ -27,14 +28,14 @@ class GapConfig:
 
 
 def run_instance(name, g, t, cfg: GapConfig):
-    b = cover_matrix(g, t)
+    j = cover_ideal(g, t)
     predicted = theorem_classification(g, t).verdict
     rng = random.Random(cfg.seed)
     sampled_gap = None
     for _ in range(cfg.samples):
         alpha = tuple(rng.randint(0, cfg.max_entry) for _ in range(g.n))
-        tv = tau(b, alpha)
-        nv = nu(b, alpha)
+        tv = tau(j, alpha)
+        nv = nu(j, alpha)
         if tv != nv:
             sampled_gap = (alpha, tv, nv)
             break

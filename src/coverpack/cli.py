@@ -28,7 +28,7 @@ from .classify import verify_theorem
 from .duality import simis_check
 from .graphs import Graph, Graph6ParseError, classify_shape, complete, cycle, parse_graph6, path, star
 from .ideals import DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, SizeLimitError
-from .lpdual import cover_matrix, duality_gap_search, nu, tau
+from .lpdual import duality_gap_search, nu, tau
 from .packing import is_konig, is_packed, VerificationError
 from .tconn import GenerationError, brute_cover_ideal, cover_ideal, cycle_cover_gens, path_cover_gens
 
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--closed-form", action="store_true",
                    help="use the path/cycle closed form (canonical labellings only)")
     p.add_argument("--brute-force", action="store_true",
-                   help="force the transversal enumeration route")
+                   help="scan all 2^n vertex subsets (n <= 20) instead of the transversal search")
 
     p = sub.add_parser("simis", help="bounded symbolic vs ordinary power comparison for J_t(G)")
     _add_common(p)
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("packing", help="packing property of J_t(G) (3^n minor scan)")
     _add_common(p)
 
-    p = sub.add_parser("lp", help="tau and nu for the cover matrix of J_t(G)")
+    p = sub.add_parser("lp", help="tau and nu for J_t(G) at one weight vector")
     _add_common(p)
     p.add_argument("--alpha", help="comma-separated weights, default all ones")
 
@@ -223,7 +223,7 @@ def _packing_payload(args, gen_cap: int, scan_cap: int) -> dict:
 
 def _lp_payload(args, gen_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
-    b = cover_matrix(g, args.t, cap=gen_cap)
+    j = cover_ideal(g, args.t, cap=gen_cap)
     if args.alpha:
         try:
             alpha = tuple(int(x) for x in args.alpha.split(","))
@@ -233,8 +233,8 @@ def _lp_payload(args, gen_cap: int) -> dict:
             raise UsageError(f"--alpha needs {g.n} entries")
     else:
         alpha = (1,) * g.n
-    tv = tau(b, alpha)
-    nv = nu(b, alpha)
+    tv = tau(j, alpha)
+    nv = nu(j, alpha)
     return {
         "command": "lp",
         "config": {"graph": args.graph, "t": args.t, "alpha": list(alpha)},
@@ -254,7 +254,7 @@ def _gap_payload(args, gen_cap: int, scan_cap: int) -> dict:
 
 
 def _verify_payload(args, gen_cap: int) -> tuple[dict, int]:
-    if args.paths_cycles:
+    if args.paths_cycles is not None:
         fams = []
         for n in range(3, args.paths_cycles + 1):
             fams.append(path(n))

@@ -5,9 +5,8 @@ an ideal is its canonical minimal generating set, kept sorted by
 (total degree, exponent tuple).  Square-free monomials double as support
 bitmasks, which the combinatorial layers use directly.
 
-Packed form.  The inner loops (minimalisation, membership, the
-symbolic-power fold in `coverpack.duality`) work on one integer per
-monomial: 16 bits per variable, x1 in the most significant field and x_n in
+Packed form.  The inner loops (minimalisation and the symbolic-power
+fold in `coverpack.duality`) work on one integer per monomial: 16 bits per variable, x1 in the most significant field and x_n in
 the least, so for equal n integer order is lexicographic order on exponent
 tuples and sorting (degree, packed) pairs reproduces the canonical order.
 With every field below 2^15, b - a has a field's top bit set exactly when
@@ -18,10 +17,10 @@ Exponent limit.  Packing checks every exponent against the 15-bit capacity
 (`FIELD_MAX` = 32767) and raises ValueError beyond it, so packed arithmetic
 never wraps silently.
 
-Packing search.  `max_packing` is the library's one integer packing search:
-`coverpack.lpdual.nu` runs it over a matrix's columns, and
-`coverpack.duality` over a square-free ideal's `support_rows` to test
-membership in J^s.
+Packing search.  `max_packing` is the library's one integer packing search,
+always over a square-free ideal's `support_rows`: `coverpack.lpdual.nu`
+runs it exactly, and `coverpack.duality` stopped at s to test membership
+in J^s.
 """
 
 from __future__ import annotations
@@ -101,10 +100,6 @@ def mask_to_monomial(mask: int, n: int) -> Monomial:
     return tuple(1 if mask >> i & 1 else 0 for i in range(n))
 
 
-def divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -145,7 +140,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
 class MonomialIdeal:
     """Canonically minimally generated monomial ideal; () means the zero ideal."""
 
-    __slots__ = ("n", "gens", "_masks", "_packed", "_rows", "_transversals")
+    __slots__ = ("n", "gens", "_masks", "_rows", "_transversals")
 
     def __init__(self, n: int, gens: Sequence[Monomial], _trusted: bool = False):
         self.n = n
@@ -154,7 +149,6 @@ class MonomialIdeal:
         else:
             self.gens = _minimalize_list(n, gens)
         self._masks: Optional[tuple[int, ...]] = None
-        self._packed: Optional[tuple[int, ...]] = None
         self._rows: Optional[tuple[tuple[int, ...], ...]] = None
         self._transversals: Optional[tuple[int, ...]] = None
 
@@ -175,12 +169,6 @@ class MonomialIdeal:
         if self._masks is None:
             self._masks = tuple(support_mask(g) for g in self.gens)
         return self._masks
-
-    def packed_gens(self) -> tuple[int, ...]:
-        """The generators in packed form, packed once."""
-        if self._packed is None:
-            self._packed = tuple(pack(g) for g in self.gens)
-        return self._packed
 
     def support_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per generator, the 0-based variables of its support, smallest
@@ -300,15 +288,6 @@ def power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal
     for _ in range(s - 1):
         acc = product(acc, a, cap=cap)
     return acc
-
-
-def member(m: Monomial, a: MonomialIdeal) -> bool:
-    """Whether the monomial lies in the ideal (some generator divides it)."""
-    if len(m) != a.n:
-        raise ValueError(f"monomial length {len(m)} does not match universe {a.n}")
-    high = _high_mask(a.n)
-    pm = pack(m)
-    return any(divides_packed(pg, pm, high) for pg in a.packed_gens())
 
 
 def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],

@@ -1,116 +1,70 @@
 """Integer covering/packing duality for t-connected instances.
 
-A is the vertex/t-subset incidence matrix of I_t(G) (columns = generator
-supports), B the matrix whose columns are the exponent vectors of the
-cover ideal generators.  For a weight vector alpha:
+Let J be a square-free monomial ideal in n variables and B the 0/1 matrix
+whose columns are the supports of its minimal generators; for
+J = cover_ideal(G, t) that is J_t(G).  For a weight vector alpha:
 
-  tau(B, alpha) = min alpha.y  over y in N^n with B^T y >= 1,
-  nu(B, alpha)  = max sum(z)   over z in N^r with B z <= alpha.
+  tau(J, alpha) = min alpha.y  over y in N^n with B^T y >= 1,
+  nu(J, alpha)  = max sum(z)   over z in N^r with B z <= alpha.
 
+Both are read off the ideal itself, with no second copy of its supports.
 An optimal y for tau can be taken 0/1 (capping a feasible y at 1 keeps
 every covering constraint satisfied, since B has 0/1 entries, and never
 raises the cost), and since alpha >= 0 it can be taken inclusion-minimal.
-So tau is the least alpha-weight of a minimal cover: a minimal transversal
-of the column supports, enumerated once per matrix by the MMCS search of
-`coverpack.ideals.minimal_transversals`.  For B = cover_matrix(G, t) those
-covers are the I_t(G) generators, since J_t(G) is their Alexander dual.
-nu is the library's one packing search, `coverpack.ideals.max_packing`,
-run exactly over the columns cached on the matrix.
+So tau is the least alpha-weight of a minimal transversal of the supports,
+that is of a minimal prime of J: `MonomialIdeal.transversal_masks`, which
+`cover_ideal` seeds with the I_t(G) supports (J_t(G) is their Alexander
+dual), so no transversal search runs for it.  nu is the library's one
+packing search, `coverpack.ideals.max_packing`, over `J.support_rows()`.
+Neither value changes when B has duplicate or non-minimal columns (a
+superset column's covering row is implied by its subset's, and in a
+packing it can be swapped for its subset), so J's minimal generators
+stand in for any 0/1 matrix.
 
 `duality_gap_search` scans alpha in {0..entry_bound}^n ascending by
 (sum, lex), reduced by the rotation action when the instance is a cycle,
-and returns the first alpha with tau != nu.  It reads tau off the same
-cached covers.
+and returns the first alpha with tau != nu.  It builds J_t(G) and checks
+it once, then evaluates both programs directly for every alpha: going
+through `tau` and `nu` would re-check the ideal (the square-free test
+walks every generator) once per scanned alpha.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
-from .graphs import Graph, classify_shape
-from .ideals import (DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, SizeLimitError, max_packing,
-                     minimal_transversals)
+from .duality import _require_square_free_proper
+from .graphs import Graph, classify_shape, cycle
+from .ideals import (DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, MonomialIdeal, SizeLimitError,
+                     max_packing)
 from .packing import VerificationError
-from .tconn import cover_ideal, t_connected_ideal
+from .tconn import cover_ideal
 
 
-@dataclass(frozen=True)
-class ZeroOneMatrix:
-    """0/1 matrix stored column-wise; rows are variables 1..n."""
-    n: int
-    columns: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for c in self.columns:
-            if len(c) != self.n or any(e not in (0, 1) for e in c):
-                raise ValueError("columns must be 0/1 vectors of length n")
-
-    @property
-    def r(self) -> int:
-        return len(self.columns)
-
-    @cached_property
-    def column_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per column, the 0-based rows holding a 1, shortest columns first
-        (a stable sort): the columns `max_packing` takes, built once."""
-        return tuple(sorted(
-            (tuple(i for i, e in enumerate(c) if e) for c in self.columns), key=len))
-
-    @cached_property
-    def min_covers(self) -> tuple[tuple[int, ...], ...]:
-        """The inclusion-minimal 0/1 y with B^T y >= 1, as 0-based row tuples;
-        one MMCS search per matrix."""
-        if self.column_rows and not self.column_rows[0]:
-            raise ValueError("a zero column makes the covering program infeasible")
-        return tuple(tuple(i for i in range(self.n) if m >> i & 1)
-                     for m in minimal_transversals(self.column_masks(), self.n))
-
-    def column_masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << i for i, e in enumerate(c) if e) for c in self.columns)
-
-    def row_strings(self) -> list[str]:
-        return ["".join(str(c[i]) for c in self.columns) for i in range(self.n)]
-
-    def to_json(self) -> dict:
-        return {"rows": self.n, "cols": self.r, "row_strings": self.row_strings()}
-
-
-def incidence_matrix(g: Graph, t: int) -> ZeroOneMatrix:
-    """Columns = supports of the I_t(G) generators, in canonical ideal order."""
-    ideal = t_connected_ideal(g, t)
-    return ZeroOneMatrix(g.n, tuple(tuple(gen) for gen in ideal.gens))
-
-
-def cover_matrix(g: Graph, t: int, cap: int = DEFAULT_GEN_CAP) -> ZeroOneMatrix:
-    """Columns = exponent vectors of the J_t(G) generators (at most `cap`)."""
-    ideal = cover_ideal(g, t, cap=cap)
-    return ZeroOneMatrix(g.n, tuple(tuple(gen) for gen in ideal.gens))
-
-
-# ---------------------------------------------------------------------------
-# exact integer programs
-
-def _check_alpha(b: ZeroOneMatrix, alpha: Sequence[int]):
-    if len(alpha) != b.n:
+def _check_program(j: MonomialIdeal, alpha: Sequence[int], what: str):
+    _require_square_free_proper(j, what)
+    if len(alpha) != j.n:
         raise ValueError("alpha length must match the row count")
     if any(x < 0 for x in alpha):
         raise ValueError("alpha must be nonnegative")
 
 
-def tau(b: ZeroOneMatrix, alpha: Sequence[int]) -> int:
-    """Exact covering optimum: the lightest minimal cover under alpha."""
-    _check_alpha(b, alpha)
-    return min(sum(alpha[i] for i in c) for c in b.min_covers)
+def _prime_rows(j: MonomialIdeal) -> list[tuple[int, ...]]:
+    """The 0-based variables of each minimal prime of J."""
+    return [tuple(i for i in range(j.n) if m >> i & 1) for m in j.transversal_masks()]
 
 
-def nu(b: ZeroOneMatrix, alpha: Sequence[int]) -> int:
+def tau(j: MonomialIdeal, alpha: Sequence[int]) -> int:
+    """Exact covering optimum: the lightest minimal prime of J under alpha."""
+    _check_program(j, alpha, "tau")
+    return min(sum(alpha[i] for i in p) for p in _prime_rows(j))
+
+
+def nu(j: MonomialIdeal, alpha: Sequence[int]) -> int:
     """Exact packing optimum: max sum(z), B z <= alpha, z in N^r."""
-    _check_alpha(b, alpha)
-    if b.column_rows and not b.column_rows[0]:
-        raise ValueError("a zero column makes the packing program unbounded")
-    return max_packing(b.column_rows, alpha)
+    _check_program(j, alpha, "nu")
+    return max_packing(j.support_rows(), alpha)
 
 
 @dataclass(frozen=True)
@@ -163,26 +117,22 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
     if space > scan_cap:
         raise SizeLimitError(
             f"alpha space {space} exceeds scan cap {scan_cap}")
-    b = cover_matrix(g, t, cap=gen_cap)
-    covers = b.min_covers
-    is_cycle = classify_shape(g) == "cycle" and g == _canonical_cycle(g.n)
+    j = cover_ideal(g, t, cap=gen_cap)
+    _require_square_free_proper(j, "duality_gap_search")
+    primes, rows = _prime_rows(j), j.support_rows()
+    is_cycle = classify_shape(g) == "cycle" and g == cycle(g.n)
     scanned = 0
     for alpha in _vectors_by_sum(n, entry_bound):
         if is_cycle and not _rotation_minimal(alpha, n):
             continue
         scanned += 1
-        tv = min(sum(alpha[i] for i in c) for c in covers)   # tau(b, alpha)
-        nv = nu(b, alpha)
+        tv = min(sum(alpha[i] for i in p) for p in primes)   # tau(j, alpha)
+        nv = max_packing(rows, alpha)                        # nu(j, alpha)
         if nv > tv:
             raise VerificationError(f"weak duality violated at alpha={alpha}")
         if tv != nv:
             return GapSearchResult(tuple(alpha), tv, nv, scanned)
     return GapSearchResult(None, None, None, scanned)
-
-
-def _canonical_cycle(n: int) -> Graph:
-    from .graphs import cycle
-    return cycle(n)
 
 
 def _rotation_minimal(alpha: tuple[int, ...], n: int) -> bool:

@@ -112,15 +112,6 @@ def minor_from_code(code: int, n: int) -> Minor:
     return Minor(tuple(zeros), tuple(ones))
 
 
-def minor_code(minor: Minor, n: int) -> int:
-    code = 0
-    for v in minor.zeros:
-        code += 3 ** (v - 1)
-    for v in minor.ones:
-        code += 2 * 3 ** (v - 1)
-    return code
-
-
 def _max_disjoint_masks(masks: Sequence[int], need: Optional[int] = None) -> tuple[int, tuple[int, ...]]:
     """Maximum pairwise-disjoint selection (count, chosen masks).
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from .duality import alexander_dual
 from .graphs import Graph, connected_induced_subsets, is_connected
-from .ideals import (DEFAULT_GEN_CAP, MonomialIdeal, from_antichain_masks,
-                     from_masks, minimalize)
+from .ideals import (DEFAULT_GEN_CAP, MonomialIdeal, brute_minimal_transversals,
+                     from_antichain_masks, from_masks, minimalize)
 
 
 class GenerationError(RuntimeError):
@@ -154,7 +154,6 @@ def cycle_cover_gens(n: int, t: int) -> MonomialIdeal:
 
 def brute_cover_ideal(g: Graph, t: int) -> MonomialIdeal:
     """Oracle route: minimal covers by scanning all 2^n subsets (small n only)."""
-    from .ideals import brute_minimal_transversals
     ideal = t_connected_ideal(g, t)
     if ideal.is_zero:
         raise ValueError("graph has no connected t-subsets")

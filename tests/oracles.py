@@ -14,9 +14,12 @@ the library's faster route replaced:
   nu(B_J, g) >= s with `coverpack.ideals.max_packing`; this is the other
   route, valid for any monomial ideal, not only square-free ones.
 - `equal`: ideal equality by canonical generator comparison.
-- `tau_enum` and `minimal_solutions`: scans of all 2^n 0/1 vectors,
-  independent of the minimal covers behind `coverpack.lpdual.tau` and of
-  the transversal search behind `cover_ideal`.
+- `divides` and `member`: divisibility and ideal membership on exponent
+  tuples, the plain route beside the packed `divides_packed`.
+- `tau_enum` and `minimal_solutions`: scans of all 2^n 0/1 vectors over
+  the support masks of a 0/1 matrix's columns, independent of the minimal
+  primes behind `coverpack.lpdual.tau` and of the transversal search
+  behind `cover_ideal`.
 - `filtered_minimal_transversals`: the enumerate-then-filter recursion that
   the MMCS search in `coverpack.ideals.minimal_transversals` replaced.
   Together with `coverpack.ideals.brute_minimal_transversals` (a scan of
@@ -25,8 +28,10 @@ the library's faster route replaced:
   `coverpack.packing.is_packed` replaced.  It restricts the supports to
   every one of the 3^n minors in ternary-code order and runs the Konig
   search on each.
+- `minor_code`: the ternary code of a minor, inverse of
+  `coverpack.packing.minor_from_code`.
 - `path_incidence_formula` and `cycle_incidence_formula`: closed forms of
-  the I_t incidence matrices of paths and cycles.
+  the I_t(G) generator supports of paths and cycles, as masks.
 - `cycle_konig_sequence`: the t pairwise-disjoint generators of J_t(C_n)
   when t divides n.
 - `non_cut_vertices` and `branching_subset_witness`: connected (t+1)-subsets
@@ -41,9 +46,8 @@ from coverpack.duality import minimal_primes
 from coverpack.graphs import Graph, connected_induced_subsets, is_connected, is_connected_subset
 from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, _high_mask,
                               minimalize, pack, power, zero_ideal)
-from coverpack.lpdual import ZeroOneMatrix
-from coverpack.packing import (PackingReport, PackingWitness, _konig_masks, minor_from_code,
-                               restrict)
+from coverpack.packing import (Minor, PackingReport, PackingWitness, _konig_masks,
+                               minor_from_code, restrict)
 from coverpack.tconn import GenerationError
 
 
@@ -121,6 +125,17 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) ->
     return minimalize(a.n, cands)
 
 
+def divides(a: Monomial, b: Monomial) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def member(m: Monomial, a: MonomialIdeal) -> bool:
+    """Whether the monomial lies in the ideal (some generator divides it)."""
+    if len(m) != a.n:
+        raise ValueError(f"monomial length {len(m)} does not match universe {a.n}")
+    return any(divides(g, m) for g in a.gens)
+
+
 def equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     """Ideal equality via canonical generator comparison."""
     if a.n != b.n:
@@ -147,7 +162,7 @@ def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:
     if a.is_unit:
         return True
     # (packed, degree) per generator by descending degree, then exponent tuple
-    factors = sorted(zip(a.packed_gens(), map(sum, a.gens)), key=lambda f: (-f[1], f[0]))
+    factors = sorted(zip(map(pack, a.gens), map(sum, a.gens)), key=lambda f: (-f[1], f[0]))
     min_deg = factors[-1][1]
     high = _high_mask(a.n)
     memo: dict[tuple[int, int], bool] = {}
@@ -175,25 +190,24 @@ def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:
     return rec(top, s, sum(m))
 
 
-def tau_enum(b: ZeroOneMatrix, alpha: Sequence[int]) -> int:
-    """Minimise alpha.y over every 0/1 y with B^T y >= 1, by scanning all 2^n."""
-    n = b.n
-    masks = b.column_masks()
+def tau_enum(masks: Sequence[int], alpha: Sequence[int]) -> int:
+    """Minimise alpha.y over every 0/1 y with B^T y >= 1, by scanning all 2^n;
+    B has the given support masks as columns and len(alpha) rows."""
+    n = len(alpha)
     return min(sum(alpha[i] for i in range(n) if y >> i & 1)
                for y in range(1 << n) if all(y & m for m in masks))
 
 
-def minimal_solutions(a: ZeroOneMatrix) -> ZeroOneMatrix:
-    """Componentwise-minimal 0/1 solutions of A^T x >= 1, by subset scan.
+def minimal_solutions(col_masks: Sequence[int], n: int) -> list[int]:
+    """Componentwise-minimal 0/1 solutions of A^T x >= 1, by subset scan, as
+    masks; A has n rows and the given support masks as columns.
 
     Feasible sets are upward closed, so x is minimal iff dropping any single
     1 breaks feasibility.  Independent of the transversal recursion used by
     the cover-ideal route, which is the point: the two must agree.
     """
-    n = a.n
     if n > 20:
         raise SizeLimitError("minimal_solutions subset scan capped at n <= 20")
-    col_masks = a.column_masks()
     if any(m == 0 for m in col_masks):
         raise ValueError("a zero column makes the covering program infeasible")
     feasible = [x for x in range(1 << n) if all(x & m for m in col_masks)]
@@ -211,7 +225,7 @@ def minimal_solutions(a: ZeroOneMatrix) -> ZeroOneMatrix:
         if minimal:
             sols.append(x)
     sols.sort(key=lambda x: (bin(x).count("1"), tuple(1 if x >> i & 1 else 0 for i in range(n))))
-    return ZeroOneMatrix(n, tuple(tuple(1 if x >> i & 1 else 0 for i in range(n)) for x in sols))
+    return sols
 
 
 def filtered_minimal_transversals(edge_masks: Sequence[int], n: int) -> list[int]:
@@ -317,25 +331,31 @@ def flat_is_packed(a: MonomialIdeal) -> PackingReport:
     return PackingReport(True, scanned, None)
 
 
-def path_incidence_formula(n: int, t: int) -> ZeroOneMatrix:
-    """Closed form for paths: column j has ones in rows j..j+t-1."""
-    cols = []
-    for j in range(1, n - t + 2):
-        cols.append(tuple(1 if j <= i <= j + t - 1 else 0 for i in range(1, n + 1)))
-    return ZeroOneMatrix(n, tuple(cols))
+def path_incidence_formula(n: int, t: int) -> list[int]:
+    """Closed form for paths: support j holds the variables j..j+t-1."""
+    return [sum(1 << (i - 1) for i in range(j, j + t)) for j in range(1, n - t + 2)]
 
 
-def cycle_incidence_formula(n: int, t: int) -> ZeroOneMatrix:
-    """Closed form for cycles: column j has ones where (i - j) mod n < t.
+def cycle_incidence_formula(n: int, t: int) -> list[int]:
+    """Closed form for cycles: support j holds the variables i with
+    (i - j) mod n < t.
 
     Needs t < n: at t = n all n windows coincide and the ideal is principal.
     """
     if not 2 <= t < n:
         raise ValueError(f"cycle incidence closed form needs 2 <= t < n, got t={t}, n={n}")
-    cols = []
-    for j in range(1, n + 1):
-        cols.append(tuple(1 if (i - j) % n <= t - 1 else 0 for i in range(1, n + 1)))
-    return ZeroOneMatrix(n, tuple(cols))
+    return [sum(1 << (i - 1) for i in range(1, n + 1) if (i - j) % n <= t - 1)
+            for j in range(1, n + 1)]
+
+
+def minor_code(minor: Minor, n: int) -> int:
+    """Ternary code of a minor: digit i-1 is 1 if x_i is set to 0, 2 if to 1."""
+    code = 0
+    for v in minor.zeros:
+        code += 3 ** (v - 1)
+    for v in minor.ones:
+        code += 2 * 3 ** (v - 1)
+    return code
 
 
 def cycle_konig_sequence(n: int, t: int) -> tuple[Monomial, ...]:

@@ -13,11 +13,11 @@ import time
 from coverpack.classify import theorem_classification, verify_theorem
 from coverpack.duality import simis_check, symbolic_power
 from coverpack.graphs import cycle, path, star
-from coverpack.ideals import SizeLimitError, MonomialIdeal, max_packing, member, power
-from coverpack.lpdual import cover_matrix, duality_gap_search, nu, tau
-from coverpack.packing import cycle_nonpacking_minor, is_konig, is_packed, minor_code
+from coverpack.ideals import SizeLimitError, MonomialIdeal, max_packing, power
+from coverpack.lpdual import duality_gap_search, nu, tau
+from coverpack.packing import cycle_nonpacking_minor, is_konig, is_packed
 from coverpack.tconn import cover_ideal, cycle_cover_gens, path_cover_gens
-from oracles import member_power
+from oracles import member, member_power, minor_code
 
 
 @contextlib.contextmanager
@@ -152,16 +152,16 @@ def test_criterion_09_lp_duality():
     with criterion(9, "covering-packing-duality", 300.0):
         rng = random.Random(20260823)
         for g, t in [(path(6), 3), (path(7), 4), (cycle(6), 3), (cycle(8), 4), (cycle(9), 3)]:
-            b = cover_matrix(g, t)
+            j = cover_ideal(g, t)
             alphas = [(1,) * g.n] + [tuple(rng.randint(0, 3) for _ in range(g.n))
                                      for _ in range(100)]
             for alpha in alphas:
-                tv = tau(b, alpha)
-                assert tv == nu(b, alpha), (g, t, alpha)
+                tv = tau(j, alpha)
+                assert tv == nu(j, alpha), (g, t, alpha)
 
-        b = cover_matrix(cycle(7), 3)
-        assert tau(b, (1,) * 7) == 3
-        assert nu(b, (1,) * 7) == 2
+        j = cover_ideal(cycle(7), 3)
+        assert tau(j, (1,) * 7) == 3
+        assert nu(j, (1,) * 7) == 2
 
         res = duality_gap_search(cycle(12), 3, 2)
         if res.witness is None:
@@ -174,8 +174,7 @@ def test_criterion_09_lp_duality():
 
 def test_criterion_10_invariant_suite():
     from coverpack.duality import alexander_dual
-    from coverpack.ideals import mask_to_monomial, minimalize
-    from coverpack.lpdual import ZeroOneMatrix
+    from coverpack.ideals import from_masks, mask_to_monomial, minimalize
     from oracles import tau_enum
 
     with criterion(10, "structural-invariants", 600.0):
@@ -217,9 +216,10 @@ def test_criterion_10_invariant_suite():
                 c = [rng.randint(0, 1) for _ in range(n)]
                 if not any(c):
                     c[rng.randrange(n)] = 1
-                cols.append(tuple(c))
-            b = ZeroOneMatrix(n, tuple(cols))
+                cols.append(sum(1 << i for i, e in enumerate(c) if e))
+            # duplicate and nested columns change neither program
+            j = from_masks(n, cols)
             alpha = tuple(rng.randint(0, 3) for _ in range(n))
-            tv = tau(b, alpha)
-            assert nu(b, alpha) <= tv
-            assert tv == tau_enum(b, alpha)
+            tv = tau(j, alpha)
+            assert nu(j, alpha) <= tv
+            assert tv == tau_enum(cols, alpha)

@@ -7,7 +7,7 @@ import pytest
 
 import coverpack
 from coverpack.cli import REPORT_SCHEMA, build_parser, emit_report, main, parse_graph_spec
-from coverpack.graphs import complete, cycle, path, star
+from coverpack.graphs import complete, cycle, encode_graph6, path, star
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +137,19 @@ def test_verify_theorem_paths_cycles(capsys):
     assert json.loads(out)["result"]["disagreements"] == 0
 
 
+def test_verify_theorem_paths_cycles_bound_is_honoured(capsys):
+    # --paths-cycles 0 checks no families; it must not fall back to the sweep
+    code, out, _ = run_cli(capsys, "verify-theorem", "--paths-cycles", "0", "--nmax", "4")
+    payload = json.loads(out)
+    assert code == 0 and payload["config"]["paths_cycles"] == 0
+    assert payload["result"]["summary"]["instances"] == 0
+    code, out, _ = run_cli(capsys, "verify-theorem", "--paths-cycles", "3", "--rows")
+    rows = json.loads(out)["result"]["rows"]
+    assert code == 0
+    assert [(r["graph6"], r["t"]) for r in rows] == [
+        (encode_graph6(path(3)), 3), (encode_graph6(cycle(3)), 3)]
+
+
 def test_reports_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "packing", "--graph", "cycle:12", "--t", "3")
     _, out2, _ = run_cli(capsys, "packing", "--graph", "cycle:12", "--t", "3")
@@ -264,7 +277,7 @@ def test_field_capacity_exit(capsys, monkeypatch):
 
 def test_weak_duality_violation_exit(capsys, monkeypatch):
     import coverpack.lpdual
-    monkeypatch.setattr(coverpack.lpdual, "nu", lambda b, alpha: sum(alpha) + 1)
+    monkeypatch.setattr(coverpack.lpdual, "max_packing", lambda rows, alpha: sum(alpha) + 1)
     code, out, err = run_cli(capsys, "gap-search", "--graph", "cycle:6", "--t", "3",
                              "--entry-bound", "1")
     assert code == 1 and out == ""

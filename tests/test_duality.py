@@ -19,14 +19,13 @@ from coverpack.ideals import (
     FIELD_MAX,
     SizeLimitError,
     max_packing,
-    member,
     minimalize,
     power,
     unit_ideal,
     zero_ideal,
 )
 from coverpack.tconn import cover_ideal, t_connected_ideal
-from oracles import (in_symbolic_shortcut, intersect, member_power, prime_power_gens,
+from oracles import (in_symbolic_shortcut, intersect, member, member_power, prime_power_gens,
                      prime_power_weight, symbolic_power_tuples)
 
 

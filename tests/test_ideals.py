@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monomials, random_square_free_ideal, square_free_ideals
-from oracles import equal, filtered_minimal_transversals, intersect, lcm, member_power
+from oracles import (divides, equal, filtered_minimal_transversals, intersect, lcm, member,
+                     member_power)
 from coverpack.ideals import (
     MonomialIdeal,
     SizeLimitError,
     brute_minimal_transversals,
-    divides,
     divides_packed,
     from_antichain_masks,
     from_masks,
     height,
     mask_to_monomial,
     max_packing,
-    member,
     minimal_transversals,
     minimalize,
     monomial_str,

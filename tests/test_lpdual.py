@@ -2,74 +2,59 @@ import random
 
 import pytest
 
+import coverpack.ideals
 from conftest import random_square_free_ideal
 from oracles import cycle_incidence_formula, minimal_solutions, path_incidence_formula, tau_enum
 from coverpack.classify import connected_graphs, verify_theorem
 from coverpack.duality import alexander_dual, simis_check
 from coverpack.graphs import cycle, parse_graph6, path, star
-from coverpack.ideals import SizeLimitError, parse_monomial
-from coverpack.lpdual import (
-    ZeroOneMatrix,
-    cover_matrix,
-    duality_gap_search,
-    incidence_matrix,
-    nu,
-    tau,
-)
+from coverpack.ideals import (MonomialIdeal, SizeLimitError, from_masks, parse_monomial,
+                              unit_ideal, zero_ideal)
+from coverpack.lpdual import duality_gap_search, nu, tau
 from coverpack.tconn import cover_ideal, t_connected_ideal
 
 
 def _random_matrix(rng, n_max=7, r_max=6):
+    """(n, column masks) of a random 0/1 matrix without zero columns;
+    duplicate and nested columns are kept."""
     n = rng.randint(2, n_max)
     cols = []
     for _ in range(rng.randint(1, r_max)):
         c = [rng.randint(0, 1) for _ in range(n)]
         if not any(c):
             c[rng.randrange(n)] = 1
-        cols.append(tuple(c))
-    return ZeroOneMatrix(n, tuple(cols))
-
-
-def test_matrix_validation():
-    with pytest.raises(ValueError):
-        ZeroOneMatrix(2, ((1, 2),))
-    with pytest.raises(ValueError):
-        ZeroOneMatrix(2, ((1,),))
-    b = ZeroOneMatrix(3, ((1, 0, 1), (0, 1, 0)))
-    assert b.r == 2
-    assert b.column_masks() == (0b101, 0b010)
-    assert b.row_strings() == ["10", "01", "10"]
+        cols.append(sum(1 << i for i, e in enumerate(c) if e))
+    return n, cols
 
 
 def test_incidence_matrix_columns_are_generator_supports():
-    b = incidence_matrix(path(5), 3)
-    assert b.r == 3
-    assert sorted(b.columns) == [(0, 0, 1, 1, 1), (0, 1, 1, 1, 0), (1, 1, 1, 0, 0)]
+    a = t_connected_ideal(path(5), 3)
+    assert a.gens == ((0, 0, 1, 1, 1), (0, 1, 1, 1, 0), (1, 1, 1, 0, 0))
+    assert a.support_masks() == (0b11100, 0b01110, 0b00111)
 
 
 def test_path_incidence_formula_matches():
-    # the closed form gives the same column set; order may differ from the
+    # the closed form gives the same supports; order may differ from the
     # canonical ideal order, so compare as sets
     for n in range(2, 13):
         for t in range(2, n + 1):
-            a = incidence_matrix(path(n), t)
-            b = path_incidence_formula(n, t)
-            assert sorted(a.columns) == sorted(b.columns), (n, t)
+            a = t_connected_ideal(path(n), t).support_masks()
+            assert sorted(a) == sorted(path_incidence_formula(n, t)), (n, t)
 
 
 def test_cycle_incidence_formula_matches():
     for n in range(3, 13):
         for t in range(2, n):
-            a = incidence_matrix(cycle(n), t)
-            b = cycle_incidence_formula(n, t)
-            assert sorted(a.columns) == sorted(b.columns), (n, t)
+            a = t_connected_ideal(cycle(n), t).support_masks()
+            assert sorted(a) == sorted(cycle_incidence_formula(n, t)), (n, t)
 
 
 def test_cycle_incidence_formula_is_circulant():
-    b = cycle_incidence_formula(9, 3)
-    first = b.columns[0]
-    for j, col in enumerate(b.columns):
-        assert col == tuple(first[(i - j) % 9] for i in range(9))
+    masks = cycle_incidence_formula(9, 3)
+    full = (1 << 9) - 1
+    for j, m in enumerate(masks):
+        # support j is support 0 rotated by j variables
+        assert m == (masks[0] << j | masks[0] >> (9 - j)) & full
 
 
 def test_cycle_incidence_formula_domain():
@@ -81,34 +66,35 @@ def test_minimal_solutions_match_dual_generators():
     rng = random.Random(23)
     for _ in range(120):
         a = random_square_free_ideal(rng)
-        b = ZeroOneMatrix(a.n, tuple(tuple(g) for g in a.gens))
-        sols = minimal_solutions(b)
+        sols = minimal_solutions(a.support_masks(), a.n)
         dual = alexander_dual(a)
-        assert sorted(sols.column_masks()) == sorted(dual.support_masks())
+        assert sorted(sols) == sorted(dual.support_masks())
 
 
 def test_minimal_solutions_guards():
     with pytest.raises(ValueError):
-        minimal_solutions(ZeroOneMatrix(2, ((0, 0),)))
+        minimal_solutions([0], 2)
 
 
 # -- integer programs -------------------------------------------------------
 
 def test_tau_nu_hand_values():
-    b = cover_matrix(cycle(7), 3)
-    assert tau(b, (1,) * 7) == 3
-    assert nu(b, (1,) * 7) == 2
-    b = cover_matrix(cycle(9), 3)
-    assert tau(b, (1,) * 9) == 3
-    assert nu(b, (1,) * 9) == 3
+    j = cover_ideal(cycle(7), 3)
+    assert tau(j, (1,) * 7) == 3
+    assert nu(j, (1,) * 7) == 2
+    j = cover_ideal(cycle(9), 3)
+    assert tau(j, (1,) * 9) == 3
+    assert nu(j, (1,) * 9) == 3
 
 
 def test_tau_matches_enumeration_on_random_matrices():
+    # duplicate and nested columns change neither program, so the ideal
+    # from_masks minimalises them into stands in for the raw matrix
     rng = random.Random(99)
     for _ in range(300):
-        b = _random_matrix(rng)
-        alpha = tuple(rng.randint(0, 3) for _ in range(b.n))
-        assert tau(b, alpha) == tau_enum(b, alpha)
+        n, cols = _random_matrix(rng)
+        alpha = tuple(rng.randint(0, 3) for _ in range(n))
+        assert tau(from_masks(n, cols), alpha) == tau_enum(cols, alpha)
 
 
 def test_tau_matches_enumeration_on_cover_matrices():
@@ -118,67 +104,97 @@ def test_tau_matches_enumeration_on_cover_matrices():
             for t in (3, 4):
                 if t > n:
                     continue
-                b = cover_matrix(g, t)
+                j = cover_ideal(g, t)
+                masks = j.support_masks()
                 for _ in range(10):
                     alpha = tuple(rng.randint(0, 3) for _ in range(n))
-                    assert tau(b, alpha) == tau_enum(b, alpha), (g, t, alpha)
+                    assert tau(j, alpha) == tau_enum(masks, alpha), (g, t, alpha)
 
 
 def test_gap_search_covers_are_minimal_transversals():
-    # tau and the gap search read tau off the matrix's cached minimal covers,
-    # so they must be exactly the I_t(G) supports (J_t(G) is their Alexander
-    # dual) and the minimal 0/1 covers a subset scan finds
+    # tau and the gap search read tau off the cover ideal's cached minimal
+    # transversals, so they must be exactly the I_t(G) supports (J_t(G) is
+    # their Alexander dual) and the minimal 0/1 covers a subset scan finds
     graphs = [path(n) for n in range(3, 13)] + [cycle(n) for n in range(3, 13)]
     graphs += [star(n) for n in range(4, 8)]
     for g in graphs:
         for t in range(3, g.n + 1):
-            b = cover_matrix(g, t)
-            covers = [sum(1 << i for i in c) for c in b.min_covers]
-            assert b.min_covers is b.min_covers
+            j = cover_ideal(g, t)
+            covers = j.transversal_masks()
+            assert j.transversal_masks() is covers
             assert sorted(covers) == sorted(t_connected_ideal(g, t).support_masks()), (g, t)
-            assert sorted(covers) == sorted(minimal_solutions(b).column_masks()), (g, t)
+            assert sorted(covers) == sorted(minimal_solutions(j.support_masks(), j.n)), (g, t)
+
+
+def test_tau_nu_run_no_transversal_search_on_a_cover_ideal(monkeypatch):
+    # cover_ideal seeds J's minimal transversals with the I_t(G) supports, so
+    # tau and nu run no search; the gap search runs exactly one, to dualize
+    calls = []
+    search = coverpack.ideals.minimal_transversals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(coverpack.ideals, "minimal_transversals", counted)
+    j = cover_ideal(cycle(9), 3)
+    assert len(calls) == 1
+    calls.clear()
+    for alpha in [(1,) * 9, (0, 1, 2, 3, 0, 1, 2, 3, 0)]:
+        assert nu(j, alpha) <= tau(j, alpha)
+    assert calls == []
+    assert duality_gap_search(cycle(9), 3, 2).witness is None
+    assert len(calls) == 1
 
 
 def test_weak_duality_random():
     rng = random.Random(100)
     for _ in range(300):
-        b = _random_matrix(rng)
-        alpha = tuple(rng.randint(0, 3) for _ in range(b.n))
-        assert nu(b, alpha) <= tau(b, alpha)
+        n, cols = _random_matrix(rng)
+        alpha = tuple(rng.randint(0, 3) for _ in range(n))
+        j = from_masks(n, cols)
+        assert nu(j, alpha) <= tau(j, alpha)
 
 
 def test_tau_zero_cost_variables_are_free():
-    b = ZeroOneMatrix(3, ((1, 0, 0), (0, 1, 1)))
-    assert tau(b, (0, 5, 7)) == 5
-    assert tau(b, (0, 0, 7)) == 0
+    j = from_masks(3, [0b001, 0b110])
+    assert tau(j, (0, 5, 7)) == 5
+    assert tau(j, (0, 0, 7)) == 0
 
 
 def test_nu_zero_capacity_blocks_columns():
-    b = ZeroOneMatrix(2, ((1, 0), (1, 1)))
-    assert nu(b, (0, 3)) == 0          # both columns touch row 1
-    assert nu(b, (2, 3)) == 2
+    # x1 and x1*x2 minimalise to x1, which leaves the same programs
+    j = from_masks(2, [0b01, 0b11])
+    assert nu(j, (0, 3)) == 0          # the column touches row 1
+    assert nu(j, (2, 3)) == 2
 
 
 def test_program_validation():
-    b = ZeroOneMatrix(2, ((1, 0),))
-    with pytest.raises(ValueError):
-        tau(b, (1,))
-    with pytest.raises(ValueError):
-        tau(b, (-1, 1))
-    with pytest.raises(ValueError):
-        tau(ZeroOneMatrix(2, ((0, 0),)), (1, 1))
-    with pytest.raises(ValueError):
-        nu(ZeroOneMatrix(2, ((0, 0),)), (1, 1))
+    j = from_masks(2, [0b01])
+    with pytest.raises(ValueError, match="alpha length must match the row count"):
+        tau(j, (1,))
+    with pytest.raises(ValueError, match="alpha length must match the row count"):
+        nu(j, (1, 1, 1))
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        tau(j, (-1, 1))
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        nu(j, (1, -1))
+    bad = [(zero_ideal(2), "nonzero"), (unit_ideal(2), "proper"),
+           (MonomialIdeal(2, [(2, 0)]), "square-free")]
+    for ideal, what in bad:
+        for program in (tau, nu):
+            with pytest.raises(ValueError, match=what):
+                program(ideal, (1, 1))
 
 
 def test_nu_alpha_one_equals_max_disjoint_columns():
     # with unit capacities, nu counts the largest set of pairwise
-    # row-disjoint columns
+    # row-disjoint columns of the raw matrix, duplicates and nested
+    # columns included
     rng = random.Random(55)
     for _ in range(100):
-        b = _random_matrix(rng, n_max=6, r_max=5)
-        alpha = (1,) * b.n
-        masks = b.column_masks()
+        n, masks = _random_matrix(rng, n_max=6, r_max=5)
+        alpha = (1,) * n
         best = 0
         for sub in range(1 << len(masks)):
             chosen = [masks[i] for i in range(len(masks)) if sub >> i & 1]
@@ -191,7 +207,7 @@ def test_nu_alpha_one_equals_max_disjoint_columns():
                 used |= m
             if ok:
                 best = max(best, len(chosen))
-        assert nu(b, alpha) == best
+        assert nu(from_masks(n, masks), alpha) == best
 
 
 # -- gap search -------------------------------------------------------------
@@ -205,14 +221,14 @@ def test_gap_search_finds_odd_cycle_gap():
 
 def test_gap_search_witness_is_global_first():
     # replay the unreduced scan; the first gap must be the reported witness
-    b = cover_matrix(cycle(7), 3)
+    j = cover_ideal(cycle(7), 3)
     found = None
     count = 0
     from coverpack.lpdual import _vectors_by_sum
     for alpha in _vectors_by_sum(7, 1):
         count += 1
-        tv = tau(b, alpha)
-        nv = nu(b, alpha)
+        tv = tau(j, alpha)
+        nv = nu(j, alpha)
         if tv != nv:
             found = tuple(alpha)
             break
@@ -237,24 +253,18 @@ def test_gap_search_guards():
         duality_gap_search(cycle(12), 3, 2, scan_cap=100)
 
 
-def test_column_rows_built_once_in_size_order():
-    b = ZeroOneMatrix(4, ((1, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 0), (0, 1, 0, 1)))
-    assert b.column_rows is b.column_rows
-    # shortest first, ties in column order
-    assert b.column_rows == ((0,), (2, 3), (1, 3), (0, 1, 2))
-
-
 def test_nu_row_cache_matches_fresh_matrix():
-    # nu reads the per-column rows cached on the matrix; a matrix reused for
+    # nu reads the support rows cached on the ideal; an ideal reused for
     # many alpha must give what a freshly built one gives
     rng = random.Random(47)
     for g in (cycle(9), path(10), cycle(11), star(6)):
-        b = cover_matrix(g, 3)
-        assert b.column_rows == tuple(
-            tuple(i for i in range(b.n) if c[i]) for c in b.columns)
+        j = cover_ideal(g, 3)
+        # square-free generators in canonical order are already sorted by size
+        assert j.support_rows() == tuple(
+            tuple(i for i in range(j.n) if c[i]) for c in j.gens)
         for _ in range(15):
-            alpha = tuple(rng.randint(0, 3) for _ in range(b.n))
-            assert nu(b, alpha) == nu(ZeroOneMatrix(b.n, b.columns), alpha), (g, alpha)
+            alpha = tuple(rng.randint(0, 3) for _ in range(j.n))
+            assert nu(j, alpha) == nu(MonomialIdeal(j.n, j.gens), alpha), (g, alpha)
 
 
 # -- cross-module identities ------------------------------------------------
@@ -269,8 +279,8 @@ def _assert_witness_rows_have_gap(rows):
             continue
         g = parse_graph6(r.graph6)
         w = parse_monomial(r.simis_witness, g.n)
-        b = cover_matrix(g, r.t)
-        assert tau(b, w) == r.simis_s > nu(b, w), r
+        j = cover_ideal(g, r.t)
+        assert tau(j, w) == r.simis_s > nu(j, w), r
         count += 1
     return count
 

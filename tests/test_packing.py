@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_square_free_ideal
-from oracles import _ternary_minor_masks, branching_subset_witness, flat_is_packed
+from oracles import _ternary_minor_masks, branching_subset_witness, flat_is_packed, minor_code
 from coverpack.classify import connected_graphs
 from coverpack.graphs import complete, cycle, path, star
 from coverpack.ideals import SizeLimitError, from_masks, minimalize, unit_ideal, zero_ideal
@@ -17,7 +17,6 @@ from coverpack.packing import (
     cycle_nonpacking_minor,
     is_konig,
     is_packed,
-    minor_code,
     minor_from_code,
     restrict,
 )
