@@ -28,9 +28,10 @@ the length of one call.  The first labelling of a class is computed by
 the first failing s.  Those of sigma(J)^(s) are sigma(F), so the witness of
 labelling sigma, the first of them in (degree, exponent tuple) order, is
 min sigma(F).  Relabelling keeps degrees, so only the least-degree members
-of F are needed; they are collected once, in canonical labels, when the
-class's second labelling arrives (a class met once never pays for them).
-Later rows need no fold and no membership test.
+of F are needed, and the first labelling's fold already found them: they
+are the failures of its Simis check, which the row carries.  Every later
+row relabels that set, sorts it and takes its first member as the witness,
+with no dualization, no fold and no membership test.
 
 Aborts are the one thing that depends on the labelling: the fold's
 intermediate sizes follow the order of the minimal primes, and the packing
@@ -55,11 +56,10 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .canon import canonical_form
-from .duality import lowest_failures, simis_check
+from .duality import simis_check
 from .graphs import (Graph, classify_shape, connected_induced_subsets, encode_graph6,
                      is_bipartite, is_connected)
-from .ideals import (DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, Monomial, SizeLimitError,
-                     monomial_str, parse_monomial)
+from .ideals import DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, Monomial, SizeLimitError, monomial_str
 from .packing import PACKED_CYCLES, is_packed
 from .tconn import cover_ideal
 
@@ -109,6 +109,9 @@ class HarnessRow:
     simis_verdict: str            # "equal_up_to" | "witness_at" | "aborted"
     simis_s: Optional[int]
     simis_witness: Optional[str]
+    # the Simis check's least-degree failures, witness first; not part of
+    # the report
+    failures: tuple[Monomial, ...] = field(default=(), compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -172,7 +175,7 @@ def check_instance(g: Graph, t: int, s_max: Optional[int] = None,
     """
     bound = t if s_max is None else s_max
     cls = theorem_classification(g, t)
-    packed, verdict, s, wit = None, "aborted", None, None
+    packed, verdict, s, wit, failures = None, "aborted", None, None, ()
     try:
         ideal = cover_ideal(g, t, cap=cap)
     except SizeLimitError:
@@ -181,7 +184,7 @@ def check_instance(g: Graph, t: int, s_max: Optional[int] = None,
         packed = is_packed(ideal).packed
         try:
             rep = simis_check(ideal, bound, cap=cap)
-            verdict, s, wit = rep.verdict, rep.s, rep.witness
+            verdict, s, wit, failures = rep.verdict, rep.s, rep.witness, rep.failures
         except SizeLimitError:
             pass
     return HarnessRow(
@@ -189,6 +192,7 @@ def check_instance(g: Graph, t: int, s_max: Optional[int] = None,
         predicted=cls.verdict, case=cls.case, packed=packed,
         simis_verdict=verdict, simis_s=s,
         simis_witness=monomial_str(wit) if wit is not None else None,
+        failures=failures,
     )
 
 
@@ -216,9 +220,6 @@ class _ClassEntry:
     perm: tuple[int, ...]
     # whether every labelling is computed; decided at the second labelling
     direct: Optional[bool] = None
-    # the failing J^(s) generators of least degree at the first failing s,
-    # in canonical labels; built at the class's second labelling
-    failing: Optional[list[Monomial]] = None
 
 
 def _antichain_width(n: int, s: int) -> int:
@@ -254,21 +255,18 @@ def _needs_direct(row: HarnessRow, g: Graph, s_max: Optional[int], cap: int) -> 
     return comps * (comps if primes == 2 else _antichain_width(n, last)) > cap
 
 
-def _cached_row(entry: _ClassEntry, g: Graph, perm: tuple[int, ...],
-                cap: int) -> HarnessRow:
+def _cached_row(entry: _ClassEntry, g: Graph, perm: tuple[int, ...]) -> HarnessRow:
     """The row of labelling g, read off its class entry."""
     row = entry.row
-    wit = None
-    if row.simis_verdict == "witness_at":
-        if entry.failing is None:
-            first = parse_monomial(row.simis_witness, g.n)
-            ideal = cover_ideal(entry.graph, row.t, cap=cap)
-            to_canon = itemgetter(*sorted(range(g.n), key=lambda v: entry.perm[v]))
-            entry.failing = [to_canon(f) for f in lowest_failures(ideal, row.simis_s, first, cap=cap)]
-        # equal degrees, so the least exponent tuple is the witness
-        wit = monomial_str(min(map(itemgetter(*[c - 1 for c in perm]), entry.failing)))
+    # vertex v of g is the vertex of the first labelling with the same
+    # canonical label
+    first_of = sorted(range(g.n), key=entry.perm.__getitem__)
+    relabel = itemgetter(*[first_of[c - 1] for c in perm])
+    # one degree, so exponent-tuple order is canonical order
+    failures = tuple(sorted(map(relabel, row.failures)))
+    wit = monomial_str(failures[0]) if failures else None
     return HarnessRow(encode_graph6(g), row.n, row.t, row.predicted, row.case, row.packed,
-                      row.simis_verdict, row.simis_s, wit)
+                      row.simis_verdict, row.simis_s, wit, failures)
 
 
 def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
@@ -301,7 +299,7 @@ def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
                 if entry is None:
                     classes[g.n, edges, t] = _ClassEntry(row, g, perm)
             else:
-                row = _cached_row(entry, g, perm, cap)
+                row = _cached_row(entry, g, perm)
             report.rows.append(row)
             if _row_violations(row):
                 report.disagreements.append(row)

@@ -102,8 +102,11 @@ def emit_report(payload: dict, pretty: bool = False, out: Optional[str] = None) 
     else:
         text = json.dumps(payload, separators=(",", ":")) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write {out}: {e}")
     else:
         sys.stdout.write(text)
     return text
@@ -281,9 +284,12 @@ def _env_int(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise UsageError(f"{name} must be an integer, got {raw!r}")
+    if value < 1:
+        raise UsageError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -11,7 +11,9 @@ antichain, which the dual only sorts into canonical order.
 
 Symbolic powers are computed exactly as the intersection of the
 minimal-prime powers P^s, folded one prime at a time (primes by ascending
-size, then variables).
+size, then variables) from the unit ideal.  There is one path for every
+ideal: a complete intersection (variables, or one monomial) folds like any
+other, its first prime by the same step as the rest.
 
 The fold state is a sorted list of (degree, packed) pairs in the layout of
 `coverpack.ideals`: 16 bits per variable with x1 in the most significant
@@ -29,8 +31,7 @@ strictly lower degree (equal degree and dividing means equal).
 Exponent limit.  Every exponent in the fold stays at most s and a prime's
 weight at most s times its size, so s * (largest prime size) must not pass
 the 15-bit field capacity FIELD_MAX = 32767.  `symbolic_power` raises
-ValueError past it, checked per call after the complete-intersection fast
-path; nothing is allowed to wrap silently.
+ValueError past it, checked per call; nothing is allowed to wrap silently.
 
 The bounded Simis check compares I^(s) with I^s for s = 2..s_max.  Since
 I^s is always contained in I^(s), equality at s holds iff every minimal
@@ -42,12 +43,16 @@ test is `coverpack.ideals.max_packing`, stopped once it reaches s.  The
 minimal primes are the minimal covers of B, so g lies in I^(s) iff
 tau(B, g) >= s, and the Simis check compares tau with nu as the gap search
 does (Simis <=> max-flow min-cut; Gitler, Reyes and Villarreal, Rocky
-Mountain J. Math. 39, 2009).
+Mountain J. Math. 39, 2009).  At the first failing s the check goes on
+through the generators of the first failure's degree and reports them all
+(`SimisReport.failures`); a relabelling of the variables keeps degrees, so
+these give the first failure of every relabelled ideal as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .ideals import (
@@ -62,7 +67,6 @@ from .ideals import (
     from_antichain_masks,
     max_packing,
     monomial_str,
-    power,
     unpack,
 )
 
@@ -109,9 +113,6 @@ def symbolic_power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> Mono
         raise ValueError("symbolic_power needs s >= 1")
     if s == 1:
         return a
-    # complete-intersection fast paths: symbolic and ordinary powers agree
-    if all(sum(g) == 1 for g in a.gens) or len(a.gens) == 1:
-        return power(a, s, cap=cap)
     primes = sorted(minimal_primes(a), key=lambda p: (len(p), p))
     if s * len(primes[-1]) > FIELD_MAX:
         raise ValueError(
@@ -122,8 +123,8 @@ def symbolic_power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> Mono
     ones = _ones(n)
     top = field_shift(0, n)
     shifts = [[field_shift(v - 1, n) for v in p] for p in primes]
-    current = sorted((s, g) for g in _offsets(shifts[0], s))
-    for sh in shifts[1:]:
+    current = [(0, 0)]
+    for sh in shifts:
         pmask = sum(FIELD_MAX << x for x in sh)
         by_need: dict[int, list[int]] = {}
         kept: list[tuple[int, int]] = []
@@ -174,6 +175,9 @@ class SimisReport:
     verdict: str                      # "equal_up_to" or "witness_at"
     s: Optional[int] = None
     witness: Optional[Monomial] = None
+    # every failing generator of the witness's degree at s, witness first;
+    # not part of the report
+    failures: tuple[Monomial, ...] = field(default=(), compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -188,7 +192,8 @@ def simis_check(a: MonomialIdeal, s_max: int, cap: int = DEFAULT_GEN_CAP) -> Sim
     """Compare I^(s) with I^s for s = 2..s_max; stop at the first inequality.
 
     The witness, when present, is the first minimal generator of I^(s) in
-    canonical order that fails membership in I^s.
+    canonical order that fails membership in I^s; `failures` holds it and
+    the failing generators of its degree after it, in canonical order.
     """
     _require_square_free_proper(a, "simis_check")
     if s_max < 1:
@@ -198,29 +203,9 @@ def simis_check(a: MonomialIdeal, s_max: int, cap: int = DEFAULT_GEN_CAP) -> Sim
         return SimisReport(a.n, s_max, "equal_up_to")
     rows = a.support_rows()
     for s in range(2, s_max + 1):
-        sym = symbolic_power(a, s, cap=cap)
-        for g in sym.gens:
-            if max_packing(rows, g, s) < s:
-                return SimisReport(a.n, s_max, "witness_at", s, g)
+        # generators come by degree, so the first failing level is complete
+        for _d, level in groupby(symbolic_power(a, s, cap=cap).gens, key=sum):
+            failures = tuple(g for g in level if max_packing(rows, g, s) < s)
+            if failures:
+                return SimisReport(a.n, s_max, "witness_at", s, failures[0], failures)
     return SimisReport(a.n, s_max, "equal_up_to")
-
-
-def lowest_failures(a: MonomialIdeal, s: int, first: Monomial,
-                    cap: int = DEFAULT_GEN_CAP) -> list[Monomial]:
-    """The minimal generators of I^(s) outside I^s of least degree.
-
-    `first` is the witness simis_check reports at s: the first failing
-    generator in canonical order, so it has the least degree of them all
-    and the generators before it lie in I^s.  Only the generators after it
-    of the same degree are tested.
-    """
-    gens = symbolic_power(a, s, cap=cap).gens
-    rows = a.support_rows()
-    d = sum(first)
-    out = [first]
-    for g in gens[gens.index(first) + 1:]:
-        if sum(g) > d:
-            break
-        if max_packing(rows, g, s) < s:
-            out.append(g)
-    return out

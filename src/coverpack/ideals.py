@@ -100,10 +100,6 @@ def mask_to_monomial(mask: int, n: int) -> Monomial:
     return tuple(1 if mask >> i & 1 else 0 for i in range(n))
 
 
-def mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def monomial_str(m: Monomial) -> str:
     """Render like "x1^2*x4"; the empty monomial renders as "1"."""
     parts = []
@@ -260,34 +256,6 @@ def from_antichain_masks(n: int, masks: Iterable[int]) -> MonomialIdeal:
     """
     gens = sorted({mask_to_monomial(m, n) for m in masks}, key=_sort_key)
     return MonomialIdeal(n, gens, _trusted=True)
-
-
-def _check_same_universe(a: MonomialIdeal, b: MonomialIdeal):
-    if a.n != b.n:
-        raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
-
-
-def product(a: MonomialIdeal, b: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
-    """Ideal product AB."""
-    _check_same_universe(a, b)
-    if a.is_zero or b.is_zero:
-        return zero_ideal(a.n)
-    if len(a.gens) * len(b.gens) > cap:
-        raise SizeLimitError(f"product candidate count {len(a.gens) * len(b.gens)} exceeds cap {cap}")
-    cands = [mul(g, h) for g in a.gens for h in b.gens]
-    return minimalize(a.n, cands)
-
-
-def power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
-    """Ordinary power A^s by repeated products; A^0 is the unit ideal."""
-    if s < 0:
-        raise ValueError("power needs s >= 0")
-    if s == 0:
-        return unit_ideal(a.n)
-    acc = a
-    for _ in range(s - 1):
-        acc = product(acc, a, cap=cap)
-    return acc
 
 
 def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],

@@ -3,10 +3,15 @@
 Each one is a second route to something the library computes, or the code
 the library's faster route replaced:
 
+- `product` and `power` (with `mul`): the ordinary ideal product and
+  power by multiplying every pair of generators and minimalising, the
+  expanded J^s that the packing-search membership test in
+  `coverpack.duality` avoids.
 - `symbolic_power_tuples`: the exponent-tuple fold that the packed fold in
   `coverpack.duality` replaced.  It folds the minimal-prime powers one
   prime at a time and reduces every intermediate candidate list with
-  `minimalize`.
+  `minimalize`; a complete intersection takes the ordinary power instead,
+  where the library folds it like any other ideal.
 - `intersect` (with `lcm`): ideal intersection by pairwise lcms, the
   independent route behind the intersection-fold test of `symbolic_power`.
 - `member_power`: membership in A^s by a memoised search for s generators
@@ -45,7 +50,7 @@ from typing import Iterator, Optional, Sequence
 from coverpack.duality import minimal_primes
 from coverpack.graphs import Graph, connected_induced_subsets, is_connected, is_connected_subset
 from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, _high_mask,
-                              minimalize, pack, power, zero_ideal)
+                              minimalize, pack, unit_ideal, zero_ideal)
 from coverpack.packing import (Minor, PackingReport, PackingWitness, _konig_masks,
                                minor_from_code, restrict)
 from coverpack.tconn import GenerationError
@@ -79,6 +84,38 @@ def prime_power_gens(n: int, prime_vars: Sequence[int], s: int) -> list[Monomial
             m[v - 1] = e
         gens.append(tuple(m))
     return gens
+
+
+def mul(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _check_same_universe(a: MonomialIdeal, b: MonomialIdeal):
+    if a.n != b.n:
+        raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
+
+
+def product(a: MonomialIdeal, b: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
+    """Ideal product AB."""
+    _check_same_universe(a, b)
+    if a.is_zero or b.is_zero:
+        return zero_ideal(a.n)
+    if len(a.gens) * len(b.gens) > cap:
+        raise SizeLimitError(f"product candidate count {len(a.gens) * len(b.gens)} exceeds cap {cap}")
+    cands = [mul(g, h) for g in a.gens for h in b.gens]
+    return minimalize(a.n, cands)
+
+
+def power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
+    """Ordinary power A^s by repeated products; A^0 is the unit ideal."""
+    if s < 0:
+        raise ValueError("power needs s >= 0")
+    if s == 0:
+        return unit_ideal(a.n)
+    acc = a
+    for _ in range(s - 1):
+        acc = product(acc, a, cap=cap)
+    return acc
 
 
 def symbolic_power_tuples(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
@@ -115,8 +152,7 @@ def lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
     """Ideal intersection via pairwise lcms."""
-    if a.n != b.n:
-        raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
+    _check_same_universe(a, b)
     if a.is_zero or b.is_zero:
         return zero_ideal(a.n)
     if len(a.gens) * len(b.gens) > cap:

@@ -13,11 +13,11 @@ import time
 from coverpack.classify import theorem_classification, verify_theorem
 from coverpack.duality import simis_check, symbolic_power
 from coverpack.graphs import cycle, path, star
-from coverpack.ideals import SizeLimitError, MonomialIdeal, max_packing, power
+from coverpack.ideals import SizeLimitError, MonomialIdeal, max_packing
 from coverpack.lpdual import duality_gap_search, nu, tau
 from coverpack.packing import cycle_nonpacking_minor, is_konig, is_packed
 from coverpack.tconn import cover_ideal, cycle_cover_gens, path_cover_gens
-from oracles import member, member_power, minor_code
+from oracles import member, member_power, minor_code, power
 
 
 @contextlib.contextmanager

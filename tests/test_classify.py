@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import relabel
+from coverpack import classify, duality
 from coverpack.classify import (
     Classification,
     _antichain_width,
@@ -127,16 +128,25 @@ def test_verify_theorem_report_json():
 
 
 def direct_rows(graphs, t_max=None, cap=DEFAULT_GEN_CAP):
-    """verify_theorem's rows computed one check_instance call per row."""
-    return [check_instance(g, t, cap=cap).to_json()
+    """verify_theorem's rows computed one check_instance call per row, as
+    (report row, least-degree failures) pairs."""
+    return [_with_failures(check_instance(g, t, cap=cap))
             for g in graphs
             for t in range(3, (g.n if t_max is None else min(g.n, t_max)) + 1)]
+
+
+def _with_failures(row):
+    return row.to_json(), row.failures
+
+
+def cached_rows(rep):
+    return [_with_failures(r) for r in rep.rows]
 
 
 def test_class_cache_matches_direct_rows_n_le_5():
     graphs = [g for n in range(3, 6) for _code, g in connected_graphs(n)]
     rep = verify_theorem(5)
-    assert [r.to_json() for r in rep.rows] == direct_rows(graphs)
+    assert cached_rows(rep) == direct_rows(graphs)
     # 77 (class, t) pairs; every other row comes from the cache
     assert rep.computed == 77 and len(rep.rows) == 2264
 
@@ -145,7 +155,7 @@ def test_class_cache_matches_direct_rows_six_vertex_sample():
     rng = random.Random(20261018)
     sample = rng.sample([g for _code, g in connected_graphs(6)], 300)
     rep = verify_theorem(0, graphs=sample)
-    assert [r.to_json() for r in rep.rows] == direct_rows(sample)
+    assert cached_rows(rep) == direct_rows(sample)
     assert rep.computed < len(rep.rows) // 2
     assert sum(r.simis_verdict == "witness_at" for r in rep.rows) > 500
 
@@ -161,9 +171,40 @@ def test_class_cache_matches_direct_rows_paths_cycles():
             rng.shuffle(perm)
             graphs += [g, relabel(g, perm)]
     rep = verify_theorem(0, t_max=4, graphs=graphs)
-    assert [r.to_json() for r in rep.rows] == direct_rows(graphs, t_max=4)
+    assert cached_rows(rep) == direct_rows(graphs, t_max=4)
     assert not rep.disagreements
     assert rep.computed < len(rep.rows)
+
+
+def test_class_cache_runs_no_dualization_or_fold(monkeypatch):
+    # a cached row relabels the failures its class's first row carries, so
+    # J_t(G) is built and folded only inside check_instance
+    calls = {"cover": 0, "fold": 0, "fold_outside": 0, "inside": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "fold" and not calls["inside"]:
+                calls["fold_outside"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def inside(*args, **kwargs):
+        calls["inside"] += 1
+        try:
+            return check_instance(*args, **kwargs)
+        finally:
+            calls["inside"] -= 1
+
+    monkeypatch.setattr(classify, "cover_ideal", counted("cover", classify.cover_ideal))
+    monkeypatch.setattr(duality, "symbolic_power", counted("fold", duality.symbolic_power))
+    monkeypatch.setattr(classify, "check_instance", inside)
+    rep = verify_theorem(5)
+    assert rep.computed == 77 and len(rep.rows) == 2264
+    assert calls["cover"] == rep.computed
+    assert calls["fold"] > 0 and calls["fold_outside"] == 0
+    # the counts above cover cached rows that carry a witness
+    assert sum(r.simis_verdict == "witness_at" for r in rep.rows) > rep.computed
 
 
 def test_labellings_of_a_path_are_served_from_the_cache():
@@ -176,7 +217,7 @@ def test_labellings_of_a_path_are_served_from_the_cache():
         rng.shuffle(perm)
         graphs.append(relabel(path(6), perm))
     rep = verify_theorem(0, graphs=graphs)
-    assert [r.to_json() for r in rep.rows] == direct_rows(graphs)
+    assert cached_rows(rep) == direct_rows(graphs)
     assert rep.computed == 4 and len(rep.rows) == 24
 
 
@@ -193,8 +234,8 @@ def test_antichain_width_is_the_largest_level():
 def test_class_cache_matches_direct_rows_under_small_caps(cap):
     graphs = [g for n in range(3, 6) for _code, g in connected_graphs(n)]
     rep = verify_theorem(5, cap=cap)
+    assert cached_rows(rep) == direct_rows(graphs, cap=cap)
     rows = [r.to_json() for r in rep.rows]
-    assert rows == direct_rows(graphs, cap=cap)
     # both fallbacks occur: dualization aborts (packed unknown) and fold
     # aborts (packed known)
     assert any(r["packed"] is None for r in rows)

@@ -191,10 +191,14 @@ def test_gen_cap_env(capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("var", ["COVERPACK_GEN_CAP", "COVERPACK_SCAN_CAP"])
-def test_bad_cap_env_is_usage_error(var):
-    # run as a process so an uncaught exception would show as a traceback
-    env = dict(os.environ, **{var: "abc"})
+@pytest.mark.parametrize("var,raw", [
+    pytest.param(var, raw, id=var if raw == "abc" else f"{var}-{raw}")
+    for raw in ("abc", "0", "-1")
+    for var in ("COVERPACK_GEN_CAP", "COVERPACK_SCAN_CAP")])
+def test_bad_cap_env_is_usage_error(var, raw):
+    # run as a process so an uncaught exception would show as a traceback;
+    # a cap below 1 is a usage error, not a resource-guard abort
+    env = dict(os.environ, **{var: raw})
     src = os.path.dirname(os.path.dirname(coverpack.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -203,6 +207,22 @@ def test_bad_cap_env_is_usage_error(var):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and var in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unwritable_out_is_usage_error(tmp_path):
+    # run as a process so an uncaught exception would show as a traceback
+    out = str(tmp_path / "missing" / "x.json")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(coverpack.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverpack.cli", "gens", "--graph", "path:4", "--t", "3",
+         "--out", out],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write {out}:")
     assert "Traceback" not in proc.stderr
 
 

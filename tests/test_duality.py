@@ -9,7 +9,6 @@ from coverpack.classify import connected_graphs
 from coverpack.duality import (
     SimisReport,
     alexander_dual,
-    lowest_failures,
     minimal_primes,
     simis_check,
     symbolic_power,
@@ -20,13 +19,12 @@ from coverpack.ideals import (
     SizeLimitError,
     max_packing,
     minimalize,
-    power,
     unit_ideal,
     zero_ideal,
 )
 from coverpack.tconn import cover_ideal, t_connected_ideal
-from oracles import (in_symbolic_shortcut, intersect, member, member_power, prime_power_gens,
-                     prime_power_weight, symbolic_power_tuples)
+from oracles import (in_symbolic_shortcut, intersect, member, member_power, power,
+                     prime_power_gens, prime_power_weight, symbolic_power_tuples)
 
 
 def test_dual_hand_cases():
@@ -92,6 +90,17 @@ def test_symbolic_power_small_identities():
     assert symbolic_power(p, 4) == power(p, 4)
     v = minimalize(3, [(1, 0, 0), (0, 1, 0)])
     assert symbolic_power(v, 3) == power(v, 3)
+    # complete intersections fold like any other ideal: every ideal
+    # generated by variables, and every principal square-free ideal, on
+    # n <= 6 has symbolic powers equal to its ordinary powers
+    for n in range(1, 7):
+        for mask in range(1, 1 << n):
+            ones = [i for i in range(n) if mask >> i & 1]
+            variables = minimalize(n, [tuple(int(j == i) for j in range(n)) for i in ones])
+            principal = minimalize(n, [tuple(mask >> j & 1 for j in range(n))])
+            for ci in (variables, principal):
+                for s in range(1, 5):
+                    assert symbolic_power(ci, s) == power(ci, s), (ci, s)
 
 
 def test_symbolic_power_against_intersection_fold():
@@ -156,8 +165,8 @@ def test_symbolic_power_field_capacity():
     J = cover_ideal(path(3), 2)
     with pytest.raises(ValueError, match="capacity"):
         symbolic_power(J, FIELD_MAX // 2 + 1)
-    # the guard runs after the complete-intersection fast path, which has
-    # no weight sums: a principal ideal keeps its powers past that limit
+    # the limit is on s times the largest prime size: the primes of a
+    # principal ideal are single variables, so its powers go far past it
     principal = minimalize(3, [(1, 1, 1)])
     assert symbolic_power(principal, 12000).gens == ((12000, 12000, 12000),)
     # the check is lazy in s: a witness below the limit is still reported
@@ -176,6 +185,9 @@ def test_symbolic_power_cap():
     J = cover_ideal(cycle(9), 3)
     with pytest.raises(SizeLimitError):
         symbolic_power(J, 3, cap=10)
+    # the first prime is guarded too: <x1, x2, x3>^4 has 15 generators
+    with pytest.raises(SizeLimitError):
+        symbolic_power(minimalize(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 4, cap=10)
 
 
 def test_symbolic_power_validation():
@@ -226,7 +238,8 @@ def test_simis_witness_is_canonical_first():
 
 
 def test_lowest_failures_match_expanded_power():
-    # every failing generator of the witness's degree, in canonical order
+    # simis_check reports every failing generator of the witness's degree,
+    # in canonical order, witness first
     cases = [(star(5), 4), (star(4), 3), (cycle(7), 3), (cycle(5), 3)]
     cases += [(g, 3) for _code, g in connected_graphs(5)][::40]
     seen = 0
@@ -234,17 +247,20 @@ def test_lowest_failures_match_expanded_power():
         J = cover_ideal(g, t)
         rep = simis_check(J, t)
         if rep.verdict != "witness_at":
+            assert rep.failures == ()
             continue
         ordinary = power(J, rep.s)
         d = sum(rep.witness)
-        want = [m for m in symbolic_power(J, rep.s).gens
-                if sum(m) == d and not member(m, ordinary)]
-        assert lowest_failures(J, rep.s, rep.witness) == want, (g, t)
+        want = tuple(m for m in symbolic_power(J, rep.s).gens
+                     if sum(m) == d and not member(m, ordinary))
+        assert rep.failures == want and rep.failures[0] == rep.witness, (g, t)
         seen += len(want) > 1
     assert seen
 
 
 def test_simis_report_json():
-    rep = SimisReport(3, 4, "witness_at", 2, (1, 1, 1))
+    rep = SimisReport(3, 4, "witness_at", 2, (1, 1, 1), ((1, 1, 1),))
     assert rep.to_json() == {"s_max": 4, "verdict": "witness_at", "s": 2,
                              "witness": "x1*x2*x3"}
+    # the failures stay out of the report and out of equality
+    assert rep == SimisReport(3, 4, "witness_at", 2, (1, 1, 1))

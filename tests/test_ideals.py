@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import monomials, random_square_free_ideal, square_free_ideals
 from oracles import (divides, equal, filtered_minimal_transversals, intersect, lcm, member,
-                     member_power)
+                     member_power, mul, power, product)
 from coverpack.ideals import (
     MonomialIdeal,
     SizeLimitError,
@@ -20,11 +20,8 @@ from coverpack.ideals import (
     minimal_transversals,
     minimalize,
     monomial_str,
-    mul,
     pack,
     parse_monomial,
-    power,
-    product,
     support_mask,
     unit_ideal,
     unpack,
