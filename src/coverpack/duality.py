@@ -205,7 +205,7 @@ def simis_check(a: MonomialIdeal, s_max: int, cap: int = DEFAULT_GEN_CAP) -> Sim
     for s in range(2, s_max + 1):
         # generators come by degree, so the first failing level is complete
         for _d, level in groupby(symbolic_power(a, s, cap=cap).gens, key=sum):
-            failures = tuple(g for g in level if max_packing(rows, g, s) < s)
+            failures = tuple(g for g in level if max_packing(rows, g, s)[0] < s)
             if failures:
                 return SimisReport(a.n, s_max, "witness_at", s, failures[0], failures)
     return SimisReport(a.n, s_max, "equal_up_to")

@@ -14,13 +14,22 @@ that field of a exceeds the one of b (the lowest such field sees no borrow
 from below), so a | b is `(b - a) & high == 0` for the mask of top bits.
 
 Exponent limit.  Packing checks every exponent against the 15-bit capacity
-(`FIELD_MAX` = 32767) and raises ValueError beyond it, so packed arithmetic
-never wraps silently.
+(`FIELD_MAX` = 32767) and raises ValueError beyond it or below 0, so packed
+arithmetic never wraps silently; `parse_monomial` rejects a negative
+exponent too.
 
 Packing search.  `max_packing` is the library's one integer packing search,
-always over a square-free ideal's `support_rows`: `coverpack.lpdual.nu`
-runs it exactly, and `coverpack.duality` stopped at s to test membership
-in J^s.
+always over the supports of a square-free ideal: `coverpack.lpdual.nu` runs
+it exactly, `coverpack.duality` stopped at s to test membership in J^s, and
+`coverpack.packing` under unit capacity, stopped at the height, for the
+Konig test.  It returns the count and the columns of the packing that
+reached `need`, the Konig certificate.
+
+Covering.  The minimal transversals cached on an ideal
+(`MonomialIdeal.transversal_masks`, enumerated once by MMCS unless
+`cover_ideal` seeds them) are the library's one covering route: `height`
+is the size of the smallest, and `coverpack.lpdual.tau` and the Konig test
+read them too.
 """
 
 from __future__ import annotations
@@ -63,8 +72,9 @@ def pack(m: Monomial) -> int:
     """Pack an exponent tuple into one integer, 16 bits per variable, x1 first."""
     acc = 0
     for e in m:
-        if e > FIELD_MAX:
+        if e > FIELD_MAX or e < 0:
             raise ValueError(
+                f"exponent {e} is negative" if e < 0 else
                 f"exponent {e} exceeds the packed-field capacity {FIELD_MAX}")
         acc = acc << _FIELD | e
     return acc
@@ -122,6 +132,8 @@ def parse_monomial(text: str, n: int) -> Monomial:
         if "^" in factor:
             var, _, p = factor.partition("^")
             e = int(p)
+            if e < 0:
+                raise ValueError(f"negative exponent in {factor!r}")
         else:
             var, e = factor, 1
         if not var.startswith("x"):
@@ -259,7 +271,7 @@ def from_antichain_masks(n: int, masks: Iterable[int]) -> MonomialIdeal:
 
 
 def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
-                need: Optional[int] = None) -> int:
+                need: Optional[int] = None) -> tuple[int, list[tuple[int, ...]]]:
     """Largest sum(z) over z in N^r that packs the columns under `capacity`.
 
     Column j covers the rows in `rows[j]`, which must be nonempty and
@@ -267,7 +279,10 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
     column i bounds what columns i.. can still add.  Columns through a
     zero-capacity row are dropped first.  The search is depth first, larger
     multiplicities first.  With `need` it stops as soon as the count reaches
-    `need`, so the result is exact below `need` and at least `need` above.
+    `need`, so the count is exact below `need` and at least `need` above.
+    Returns (count, columns): the columns of the packing that reached
+    `need`, each repeated by its multiplicity in column order, or [] when
+    the count stays below `need` or no `need` is given.
     """
     zero = {i for i, x in enumerate(capacity) if not x}
     cols = [c for c in rows if zero.isdisjoint(c)] if zero else rows
@@ -277,6 +292,7 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
     total = sum(capacity)
     goal = total + 1 if need is None else need
     best = 0
+    chosen: list[tuple[int, ...]] = []
 
     def dfs(i: int, count: int, left: int) -> bool:
         nonlocal best
@@ -290,6 +306,7 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
             if count + z > best:
                 best = count + z
                 if best >= goal:
+                    chosen.extend([c] * z)
                     return True
             for r in c:
                 residual[r] -= z
@@ -297,97 +314,17 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
             for r in c:
                 residual[r] += z
             if done:
+                chosen.extend([c] * z)
                 return True
         return dfs(i + 1, count, left)
 
     dfs(0, 0, total)
-    return best
+    chosen.reverse()
+    return best, chosen
 
 
 # ---------------------------------------------------------------------------
-# height (= codimension) of a square-free ideal
-
-def _greedy_cover(edge_masks: Sequence[int], n: int) -> int:
-    uncovered = list(edge_masks)
-    size = 0
-    while uncovered:
-        counts = [0] * n
-        for e in uncovered:
-            m = e
-            while m:
-                low = m & -m
-                counts[low.bit_length() - 1] += 1
-                m ^= low
-        v = max(range(n), key=lambda i: counts[i])
-        bit = 1 << v
-        uncovered = [e for e in uncovered if not e & bit]
-        size += 1
-    return size
-
-
-def min_cover_masks(edge_masks: Sequence[int], n: int) -> int:
-    """Minimum number of variables meeting every support mask (exact B&B)."""
-    edges = [e for e in edge_masks if e]
-    if len(edges) != len(edge_masks):
-        raise ValueError("empty support present (unit generator)")
-    if not edges:
-        return 0
-    best = _greedy_cover(edges, n)
-
-    def lower_bound(uncovered: list[int]) -> int:
-        # greedy disjoint supports give a matching-style bound
-        used = 0
-        lb = 0
-        for e in uncovered:
-            if not e & used:
-                used |= e
-                lb += 1
-        return lb
-
-    def bb(uncovered: list[int], chosen: int):
-        nonlocal best
-        if not uncovered:
-            if chosen < best:
-                best = chosen
-            return
-        if chosen + lower_bound(uncovered) >= best:
-            return
-        counts: dict[int, int] = {}
-        for e in uncovered:
-            m = e
-            while m:
-                low = m & -m
-                counts[low] = counts.get(low, 0) + 1
-                m ^= low
-        hot = max(counts, key=lambda b: counts[b])
-        branch_edge = next(e for e in uncovered if e & hot)
-        vs = []
-        m = branch_edge
-        while m:
-            low = m & -m
-            vs.append(low)
-            m ^= low
-        vs.sort(key=lambda b: -counts.get(b, 0))
-        for bit in vs:
-            bb([e for e in uncovered if not e & bit], chosen + 1)
-
-    bb(edges, 0)
-    return best
-
-
-def height(a: MonomialIdeal) -> int:
-    """Height of a proper nonzero square-free monomial ideal."""
-    if a.is_zero:
-        raise ValueError("height of the zero ideal is undefined here")
-    if a.is_unit:
-        raise ValueError("height needs a proper ideal")
-    if not a.is_square_free:
-        raise ValueError("height implemented for square-free ideals only")
-    return min_cover_masks(a.support_masks(), a.n)
-
-
-# ---------------------------------------------------------------------------
-# minimal transversals of a set system (used by duality and brute-force covers)
+# minimal transversals of a set system (used by duality, packing and height)
 
 def minimal_transversals(edge_masks: Sequence[int], n: int,
                          cap: int = DEFAULT_GEN_CAP) -> list[int]:
@@ -450,6 +387,19 @@ def minimal_transversals(edge_masks: Sequence[int], n: int,
     rec(0, [], sum(inc), (1 << len(edges)) - 1)
     out.sort(key=lambda t: (t.bit_count(), t))
     return out
+
+
+def height(a: MonomialIdeal) -> int:
+    """Height of a proper nonzero square-free monomial ideal: the size of its
+    smallest minimal transversal, read off the cached ones (so more than
+    `DEFAULT_GEN_CAP` of them raise SizeLimitError)."""
+    if a.is_zero:
+        raise ValueError("height of the zero ideal is undefined here")
+    if a.is_unit:
+        raise ValueError("height needs a proper ideal")
+    if not a.is_square_free:
+        raise ValueError("height implemented for square-free ideals only")
+    return a.transversal_masks()[0].bit_count()
 
 
 def brute_minimal_transversals(edge_masks: Sequence[int], n: int) -> list[int]:

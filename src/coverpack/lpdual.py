@@ -64,7 +64,7 @@ def tau(j: MonomialIdeal, alpha: Sequence[int]) -> int:
 def nu(j: MonomialIdeal, alpha: Sequence[int]) -> int:
     """Exact packing optimum: max sum(z), B z <= alpha, z in N^r."""
     _check_program(j, alpha, "nu")
-    return max_packing(j.support_rows(), alpha)
+    return max_packing(j.support_rows(), alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
             continue
         scanned += 1
         tv = min(sum(alpha[i] for i in p) for p in primes)   # tau(j, alpha)
-        nv = max_packing(rows, alpha)                        # nu(j, alpha)
+        nv = max_packing(rows, alpha)[0]                     # nu(j, alpha)
         if nv > tv:
             raise VerificationError(f"weak duality violated at alpha={alpha}")
         if tv != nv:

@@ -8,6 +8,14 @@ the least significant digit, and digit 0 = keep, 1 = set to zero, 2 = set
 to one.  The packing scan reports the first failing code, so its witness
 minor is deterministic.
 
+Konig is tau(C, 1) = nu(C, 1) for the clutter C of generator supports
+(Cornuejols, "Combinatorial Optimization: Packing and Covering", SIAM
+2001).  The height tau(1) is the size of the smallest set in the blocker
+b(C), the minimal transversals of C.  nu(1) is `coverpack.ideals.max_packing`
+under unit capacity over the supports in (popcount, mask) order, stopped
+at the height; its include-first search makes the certificate the first
+pairwise-disjoint height-subset of the supports in that order.
+
 The scan is a depth-first search over the variables from n down to 1 that
 tries the digits 0, 1, 2 in turn at each level, so it meets the minors in
 ascending code order.  A node holds the set of support masks left by the
@@ -26,6 +34,15 @@ ideal) or one holding the empty support (the unit ideal) makes its whole
 subtree vacuous, and a variable no support contains is skipped, since its
 three children are equal.
 
+Each node also carries the blocker of its antichain, so no leaf searches
+for a cover.  The root takes the ideal's cached minimal transversals,
+which `cover_ideal` seeds, so a cover ideal runs no transversal search at
+all.  The children follow the blocker identities b(C \\ v) = b(C) / v and
+b(C / v) = b(C) \\ v: setting v to zero deletes v from the clutter and
+contracts it in the blocker (`_delete_bit`), and setting v to one
+contracts it in the clutter and drops the transversals through v.  The
+blocker is a function of the antichain, so the memo key stays as it is.
+
 For cycles with t | n, `cycle_nonpacking_minor` builds the explicit
 zero-sets that collapse J_t(C_n) onto the cover ideal of a smaller odd
 cycle (t = 3), onto J_{t-1} of a shorter cycle (t >= 4), or onto one of
@@ -37,15 +54,15 @@ reflection of the surviving cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, Optional
 
 from .ideals import (
     DEFAULT_SCAN_CAP,
     Monomial,
     MonomialIdeal,
     SizeLimitError,
-    mask_to_monomial,
-    min_cover_masks,
+    max_packing,
     minimalize,
     monomial_str,
 )
@@ -112,55 +129,21 @@ def minor_from_code(code: int, n: int) -> Minor:
     return Minor(tuple(zeros), tuple(ones))
 
 
-def _max_disjoint_masks(masks: Sequence[int], need: Optional[int] = None) -> tuple[int, tuple[int, ...]]:
-    """Maximum pairwise-disjoint selection (count, chosen masks).
-
-    If `need` is given the search stops as soon as that many are found.
-    Sorting by popcount makes the capacity bound sharp: the masks still
-    unprocessed at index i each occupy at least bit_count(ms[i]) variables,
-    so the free variables cap how many more can fit.
-    """
-    ms = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    k = len(ms)
-    union = 0
-    for m in ms:
-        union |= m
-    total_bits = union.bit_count()
-    best = 0
-    best_sel: tuple[int, ...] = ()
-    sel: list[int] = []
-
-    def dfs(i: int, used: int):
-        nonlocal best, best_sel
-        if need is not None and best >= need:
-            return
-        if len(sel) > best:
-            best = len(sel)
-            best_sel = tuple(sel)
-        if i >= k or len(sel) + (k - i) <= best:
-            return
-        if len(sel) + (total_bits - used.bit_count()) // ms[i].bit_count() <= best:
-            return
-        for j in range(i, k):
-            m = ms[j]
-            if not m & used:
-                sel.append(m)
-                dfs(j + 1, used | m)
-                sel.pop()
-                if need is not None and best >= need:
-                    return
-
-    dfs(0, 0)
-    return best, best_sel
+@lru_cache(maxsize=1 << 12)
+def _mask_row(mask: int) -> tuple[int, ...]:
+    """The 0-based variables of a support mask, as a `max_packing` column."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _konig_masks(masks: Sequence[int], n: int) -> tuple[bool, int, int, tuple[int, ...]]:
-    # returns (konig, height, max_disjoint, certificate_masks); when the capped
-    # search misses the height it has in fact explored everything, so the
-    # count it reports is the exact maximum
-    h = min_cover_masks(masks, n)
-    count, sel = _max_disjoint_masks(masks, need=h)
-    return count >= h, h, count, sel
+def _konig_masks(masks: Iterable[int], blocker: Iterable[int],
+                 n: int) -> tuple[bool, int, int, list[tuple[int, ...]]]:
+    # returns (konig, height, max_disjoint, certificate columns), the height
+    # read off the blocker; when the packing search misses the height it has
+    # explored everything, so the count it reports is the exact maximum
+    h = min(t.bit_count() for t in blocker)
+    rows = [_mask_row(m) for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
+    count, cols = max_packing(rows, (1,) * n, need=h)
+    return count >= h, h, count, cols
 
 
 @dataclass(frozen=True)
@@ -181,13 +164,17 @@ class KonigResult:
 
 
 def is_konig(a: MonomialIdeal) -> KonigResult:
-    """Height-many pairwise support-disjoint generators; zero/unit are vacuous."""
+    """Height-many pairwise support-disjoint generators; zero/unit are vacuous.
+
+    The height comes from the ideal's minimal transversals, so an ideal with
+    more than `DEFAULT_GEN_CAP` of them raises SizeLimitError.
+    """
     if a.is_zero or a.is_unit:
         return KonigResult(True, None, None, None)
     if not a.is_square_free:
         raise ValueError("Konig property is set up for square-free ideals")
-    ok, h, count, sel = _konig_masks(a.support_masks(), a.n)
-    cert = tuple(mask_to_monomial(m, a.n) for m in sel) if ok else None
+    ok, h, count, cols = _konig_masks(a.support_masks(), a.transversal_masks(), a.n)
+    cert = tuple(tuple(1 if i in c else 0 for i in range(a.n)) for c in cols) if ok else None
     return KonigResult(ok, h, count, cert)
 
 
@@ -232,8 +219,9 @@ class PackingReport:
 
 
 def _delete_bit(clutter: frozenset, bit: int) -> frozenset:
-    """Set the variable `bit` to one: delete it from every support, then drop
-    the supports that contain a shortened one.
+    """Contract the variable `bit`: delete it from every set, then drop the
+    sets that contain a shortened one.  On the supports this sets the
+    variable to one; on the blocker it follows setting it to zero.
 
     In an antichain only a shortened support can lie inside another support,
     and only inside one that did not contain the bit, so the result is an
@@ -261,9 +249,10 @@ def is_packed(a: MonomialIdeal, cap: int = DEFAULT_SCAN_CAP) -> PackingReport:
         return PackingReport(True, 0, None)
     memo: dict[tuple[int, frozenset], Optional[tuple[int, int, int]]] = {}
 
-    def scan(k: int, clutter: frozenset) -> Optional[tuple[int, int, int]]:
+    def scan(k: int, clutter: frozenset, blocker: frozenset) -> Optional[tuple[int, int, int]]:
         # first failure among the 3^k settings of variables 1..k, as
-        # (offset, height, max_disjoint); None when every one is Konig
+        # (offset, height, max_disjoint); None when every one is Konig.
+        # `blocker` holds the minimal transversals of `clutter`
         if not clutter or 0 in clutter:
             return None                     # zero or unit: vacuous throughout
         union = 0
@@ -278,23 +267,25 @@ def is_packed(a: MonomialIdeal, cap: int = DEFAULT_SCAN_CAP) -> PackingReport:
         if len(memo) >= cap:
             raise SizeLimitError(f"packing scan memo exceeds cap {cap}")
         if k == 0:
-            ok, h, count, _sel = _konig_masks(tuple(clutter), n)
+            ok, h, count, _cols = _konig_masks(clutter, blocker, n)
             found = None if ok else (0, h, count)
         else:
             bit = 1 << (k - 1)
-            sub = scan(k - 1, clutter)
+            sub = scan(k - 1, clutter, blocker)
             digit = 0
             if sub is None:
-                sub = scan(k - 1, frozenset(m for m in clutter if not m & bit))
+                sub = scan(k - 1, frozenset(m for m in clutter if not m & bit),
+                           _delete_bit(blocker, bit))
                 digit = 1
             if sub is None:
-                sub = scan(k - 1, _delete_bit(clutter, bit))
+                sub = scan(k - 1, _delete_bit(clutter, bit),
+                           frozenset(t for t in blocker if not t & bit))
                 digit = 2
             found = None if sub is None else (digit * 3 ** (k - 1) + sub[0], sub[1], sub[2])
         memo[key] = found
         return found
 
-    found = scan(n, frozenset(masks))
+    found = scan(n, frozenset(masks), frozenset(a.transversal_masks()))
     if found is None:
         return PackingReport(True, 3 ** n, None)
     code, h, count = found

@@ -32,7 +32,13 @@ the library's faster route replaced:
 - `flat_is_packed`: the odometer scan that the memoised depth-first scan in
   `coverpack.packing.is_packed` replaced.  It restricts the supports to
   every one of the 3^n minors in ternary-code order and runs the Konig
-  search on each.
+  oracle `konig_masks` on each.
+- `konig_masks`, with `min_cover_masks` (and `_greedy_cover`) and
+  `_max_disjoint_masks`: the Konig search the library ran before it read
+  the height off the minimal transversals carried by the scan and nu(1)
+  off `coverpack.ideals.max_packing`.  An unweighted branch and bound for
+  the height and a max-disjoint search, sharing no code with the library;
+  a subset scan would be too slow at 3^10 minors.
 - `minor_code`: the ternary code of a minor, inverse of
   `coverpack.packing.minor_from_code`.
 - `path_incidence_formula` and `cycle_incidence_formula`: closed forms of
@@ -51,8 +57,7 @@ from coverpack.duality import minimal_primes
 from coverpack.graphs import Graph, connected_induced_subsets, is_connected, is_connected_subset
 from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, _high_mask,
                               minimalize, pack, unit_ideal, zero_ideal)
-from coverpack.packing import (Minor, PackingReport, PackingWitness, _konig_masks,
-                               minor_from_code, restrict)
+from coverpack.packing import Minor, PackingReport, PackingWitness, minor_from_code, restrict
 from coverpack.tconn import GenerationError
 
 
@@ -330,6 +335,124 @@ def _ternary_minor_masks(n: int) -> Iterator[tuple[int, int, int]]:
         yield code, zeros, ones
 
 
+def _greedy_cover(edge_masks: Sequence[int], n: int) -> int:
+    uncovered = list(edge_masks)
+    size = 0
+    while uncovered:
+        counts = [0] * n
+        for e in uncovered:
+            m = e
+            while m:
+                low = m & -m
+                counts[low.bit_length() - 1] += 1
+                m ^= low
+        v = max(range(n), key=lambda i: counts[i])
+        bit = 1 << v
+        uncovered = [e for e in uncovered if not e & bit]
+        size += 1
+    return size
+
+
+def min_cover_masks(edge_masks: Sequence[int], n: int) -> int:
+    """Minimum number of variables meeting every support mask (exact B&B)."""
+    edges = [e for e in edge_masks if e]
+    if len(edges) != len(edge_masks):
+        raise ValueError("empty support present (unit generator)")
+    if not edges:
+        return 0
+    best = _greedy_cover(edges, n)
+
+    def lower_bound(uncovered: list[int]) -> int:
+        # greedy disjoint supports give a matching-style bound
+        used = 0
+        lb = 0
+        for e in uncovered:
+            if not e & used:
+                used |= e
+                lb += 1
+        return lb
+
+    def bb(uncovered: list[int], chosen: int):
+        nonlocal best
+        if not uncovered:
+            if chosen < best:
+                best = chosen
+            return
+        if chosen + lower_bound(uncovered) >= best:
+            return
+        counts: dict[int, int] = {}
+        for e in uncovered:
+            m = e
+            while m:
+                low = m & -m
+                counts[low] = counts.get(low, 0) + 1
+                m ^= low
+        hot = max(counts, key=lambda b: counts[b])
+        branch_edge = next(e for e in uncovered if e & hot)
+        vs = []
+        m = branch_edge
+        while m:
+            low = m & -m
+            vs.append(low)
+            m ^= low
+        vs.sort(key=lambda b: -counts.get(b, 0))
+        for bit in vs:
+            bb([e for e in uncovered if not e & bit], chosen + 1)
+
+    bb(edges, 0)
+    return best
+
+
+def _max_disjoint_masks(masks: Sequence[int], need: Optional[int] = None) -> tuple[int, tuple[int, ...]]:
+    """Maximum pairwise-disjoint selection (count, chosen masks).
+
+    If `need` is given the search stops as soon as that many are found.
+    Sorting by popcount makes the capacity bound sharp: the masks still
+    unprocessed at index i each occupy at least bit_count(ms[i]) variables,
+    so the free variables cap how many more can fit.
+    """
+    ms = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    k = len(ms)
+    union = 0
+    for m in ms:
+        union |= m
+    total_bits = union.bit_count()
+    best = 0
+    best_sel: tuple[int, ...] = ()
+    sel: list[int] = []
+
+    def dfs(i: int, used: int):
+        nonlocal best, best_sel
+        if need is not None and best >= need:
+            return
+        if len(sel) > best:
+            best = len(sel)
+            best_sel = tuple(sel)
+        if i >= k or len(sel) + (k - i) <= best:
+            return
+        if len(sel) + (total_bits - used.bit_count()) // ms[i].bit_count() <= best:
+            return
+        for j in range(i, k):
+            m = ms[j]
+            if not m & used:
+                sel.append(m)
+                dfs(j + 1, used | m)
+                sel.pop()
+                if need is not None and best >= need:
+                    return
+
+    dfs(0, 0)
+    return best, best_sel
+
+
+def konig_masks(masks: Sequence[int], n: int) -> tuple[bool, int, int, tuple[int, ...]]:
+    """(konig, height, max_disjoint, certificate masks) by the branch and
+    bound cover and the max-disjoint search above."""
+    h = min_cover_masks(masks, n)
+    count, sel = _max_disjoint_masks(masks, need=h)
+    return count >= h, h, count, sel
+
+
 def flat_is_packed(a: MonomialIdeal) -> PackingReport:
     """Scan all 3^n minors in ternary-counter order; stop at the first failure."""
     if a.is_zero or a.is_unit:
@@ -357,7 +480,7 @@ def flat_is_packed(a: MonomialIdeal) -> PackingReport:
             rest.append(gg)
         if unit or not rest:
             continue
-        ok, h, count, _sel = _konig_masks(rest, n)
+        ok, h, count, _sel = konig_masks(rest, n)
         if not ok:
             minor = minor_from_code(code, n)
             restriction = restrict(a, minor)

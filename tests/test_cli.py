@@ -297,7 +297,7 @@ def test_field_capacity_exit(capsys, monkeypatch):
 
 def test_weak_duality_violation_exit(capsys, monkeypatch):
     import coverpack.lpdual
-    monkeypatch.setattr(coverpack.lpdual, "max_packing", lambda rows, alpha: sum(alpha) + 1)
+    monkeypatch.setattr(coverpack.lpdual, "max_packing", lambda rows, alpha: (sum(alpha) + 1, []))
     code, out, err = run_cli(capsys, "gap-search", "--graph", "cycle:6", "--t", "3",
                              "--entry-bound", "1")
     assert code == 1 and out == ""

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,12 @@ def test_parse_monomial_round_trip():
         parse_monomial("x9", 3)
     with pytest.raises(ValueError):
         parse_monomial("y1", 3)
+    # a negative exponent is rejected, not kept as a generator that prints
+    # without its first factor
+    with pytest.raises(ValueError, match="negative"):
+        parse_monomial("x1^-2*x2", 3)
+    with pytest.raises(ValueError, match="negative"):
+        MonomialIdeal.from_json(3, ["x1^-2*x2", "x3"])
 
 
 def test_divides_lcm_mul():
@@ -162,6 +169,12 @@ def test_member():
     assert not member((0, 0), a)
 
 
+def _fits(cols, rows, capacity):
+    # every column is a given row and no row is loaded past its capacity
+    load = Counter(r for c in cols for r in c)
+    return all(c in rows for c in cols) and all(load[r] <= x for r, x in enumerate(capacity))
+
+
 @given(square_free_ideals(n_max=5, k_max=4), st.integers(1, 3), st.data())
 @settings(max_examples=100, deadline=None)
 def test_member_power_matches_expansion(a, s, data):
@@ -169,9 +182,16 @@ def test_member_power_matches_expansion(a, s, data):
     # and the oracle's factor search, against the expanded power
     ps = power(a, s)
     m = data.draw(monomials(a.n, max_exp=3))
+    rows = a.support_rows()
+    count, cols = max_packing(rows, m, s)
     assert member_power(m, a, s) == member(m, ps)
-    assert (max_packing(a.support_rows(), m, s) >= s) == member(m, ps)
-    assert (max_packing(a.support_rows(), m) >= s) == member(m, ps)
+    assert (count >= s) == member(m, ps)
+    assert (max_packing(rows, m)[0] >= s) == member(m, ps)
+    # a packing that reached s comes back with its columns, else none do
+    if count >= s:
+        assert len(cols) == count and _fits(cols, rows, m)
+    else:
+        assert cols == []
 
 
 def test_support_rows_built_once_in_size_order():
@@ -192,12 +212,15 @@ def test_support_rows_built_once_in_size_order():
 def test_max_packing_need_stops_early():
     # supports {1,2} and {2,3} under capacity (2, 3, 2): nu = 3
     rows = ((0, 1), (1, 2))
-    assert max_packing(rows, (2, 3, 2)) == 3
-    assert max_packing(rows, (2, 3, 2), need=2) >= 2
-    assert max_packing(rows, (2, 3, 2), need=4) == 3
-    assert max_packing(rows, (2, 3, 2), need=1) >= 1
-    assert max_packing(rows, (0, 3, 2)) == 2     # {1,2} is blocked
-    assert max_packing((), (1, 1)) == 0
+    assert max_packing(rows, (2, 3, 2)) == (3, [])
+    for need in (1, 2, 3):
+        count, cols = max_packing(rows, (2, 3, 2), need=need)
+        assert count >= need and len(cols) == count
+        assert _fits(cols, rows, (2, 3, 2))
+    assert max_packing(rows, (2, 3, 2), need=4) == (3, [])
+    assert max_packing(rows, (0, 3, 2)) == (2, [])     # {1,2} is blocked
+    assert max_packing(rows, (0, 3, 2), need=2) == (2, [(1, 2), (1, 2)])
+    assert max_packing((), (1, 1)) == (0, [])
 
 
 def test_member_power_edge_cases():
@@ -207,9 +230,9 @@ def test_member_power_edge_cases():
     assert member_power((3, 1), a, 3)
     assert not member_power((2, 5), a, 3)
     rows = a.support_rows()
-    assert max_packing(rows, (0, 0), 1) < 1
-    assert max_packing(rows, (3, 1), 3) >= 3
-    assert max_packing(rows, (2, 5), 3) < 3
+    assert max_packing(rows, (0, 0), 1)[0] < 1
+    assert max_packing(rows, (3, 1), 3)[0] >= 3
+    assert max_packing(rows, (2, 5), 3)[0] < 3
 
 
 # -- intersection -----------------------------------------------------------

@@ -8,7 +8,8 @@ from conftest import random_square_free_ideal
 from oracles import _ternary_minor_masks, branching_subset_witness, flat_is_packed, minor_code
 from coverpack.classify import connected_graphs
 from coverpack.graphs import complete, cycle, path, star
-from coverpack.ideals import SizeLimitError, from_masks, minimalize, unit_ideal, zero_ideal
+from coverpack.ideals import (SizeLimitError, from_masks, minimal_transversals, minimalize,
+                              unit_ideal, zero_ideal)
 import coverpack.packing
 from coverpack.packing import (
     CycleMinorResult,
@@ -201,17 +202,21 @@ def test_scan_matches_flat_scan_on_families(make):
             assert is_packed(J) == flat_is_packed(J), (n, t)
 
 
-def test_scan_matches_flat_scan_on_random_clutters():
+def _random_clutters(seed: int, count: int):
     # supports with duplicates and nested pairs, minimalised by from_masks
-    rng = random.Random(11)
-    verdicts = set()
-    for _ in range(500):
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(2, 8)
         masks = [rng.getrandbits(n) or 1 for _ in range(rng.randint(1, 12))]
         for _ in range(rng.randint(0, 3)):
             m = rng.choice(masks)
             masks += [m, m | rng.getrandbits(n)]
-        a = from_masks(n, masks)
+        yield n, masks, from_masks(n, masks)
+
+
+def test_scan_matches_flat_scan_on_random_clutters():
+    verdicts = set()
+    for n, masks, a in _random_clutters(11, 500):
         rep = is_packed(a)
         assert rep == flat_is_packed(a), (n, masks)
         verdicts.add(rep.packed)
@@ -231,11 +236,57 @@ def test_konig_runs_once_per_distinct_clutter(monkeypatch, g):
             distinct.add(frozenset(m for m in rest
                                    if not any(s != m and s & m == s for s in rest)))
     calls = []
-    real = coverpack.packing.min_cover_masks
-    monkeypatch.setattr(coverpack.packing, "min_cover_masks",
-                        lambda *args: calls.append(1) or real(*args))
+    real = coverpack.packing.max_packing
+    monkeypatch.setattr(coverpack.packing, "max_packing",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
     assert is_packed(J).packed
     assert len(calls) == len(distinct)
+
+
+def test_scan_carries_each_leaf_blocker(monkeypatch):
+    # the blocker handed down by b(C\v) = b(C)/v and b(C/v) = b(C)\v is the
+    # set of minimal transversals of the leaf's clutter, as MMCS finds it
+    leaves = []
+    real = coverpack.packing._konig_masks
+
+    def checked(masks, blocker, n):
+        assert set(blocker) == set(minimal_transversals(list(masks), n)), masks
+        leaves.append(1)
+        return real(masks, blocker, n)
+
+    monkeypatch.setattr(coverpack.packing, "_konig_masks", checked)
+    ideals = [cover_ideal(path(8), 3), cover_ideal(cycle(9), 3)]
+    ideals += [a for _n, _m, a in _random_clutters(11, 200)]
+    for a in ideals:
+        is_packed(a)
+    assert len(leaves) > 1000
+
+
+def _first_disjoint_combination(masks, h):
+    # the first pairwise-disjoint h-subset of the supports, in
+    # itertools.combinations order over the (popcount, mask) order
+    ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
+    for combo in itertools.combinations(ordered, h):
+        if not any(x & y for x, y in itertools.combinations(combo, 2)):
+            return combo
+    return None
+
+
+def test_konig_certificate_is_first_disjoint_combination():
+    ideals = [cover_ideal(g, t) for n in range(2, 6)
+              for _, g in connected_graphs(n) for t in range(2, n + 1)]
+    ideals += [a for _n, _m, a in _random_clutters(23, 300)]
+    certified = 0
+    for a in ideals:
+        res = is_konig(a)
+        masks = a.support_masks()
+        want = _first_disjoint_combination(masks, res.height)
+        assert res.konig == (want is not None), a
+        if res.konig:
+            certified += 1
+            got = tuple(sum(1 << i for i, e in enumerate(m) if e) for m in res.certificate)
+            assert got == want, a
+    assert certified > 1000
 
 
 def test_scan_cap():
