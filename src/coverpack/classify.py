@@ -279,13 +279,16 @@ def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
     bounds each Simis check by the instance's own t.  Rows equal the ones
     check_instance computes for each graph; repeated isomorphism classes are
     served from a cache that lives for this call (see the module docstring).
+    The classification starts at t = 3, so t_min below 3 raises ValueError.
     """
+    if t_min < 3:
+        raise ValueError(f"t_min must be at least 3, got {t_min}")
     report = HarnessReport()
     classes: dict[tuple, _ClassEntry] = {}
 
     def run(g: Graph):
         hi = min(g.n, t_max) if t_max is not None else g.n
-        ts = range(max(3, t_min), hi + 1)
+        ts = range(t_min, hi + 1)
         if not ts:
             return
         edges, perm = canonical_form(g)

@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theorem", help="classification harness")
     p.add_argument("--nmax", type=int, default=5, help="largest vertex count")
-    p.add_argument("--tmin", type=int, default=3)
+    p.add_argument("--tmin", type=int, default=3, help="smallest t (at least 3)")
     p.add_argument("--tmax", type=int, default=None)
     p.add_argument("--smax", type=int, default=None, help="Simis bound (default t per instance)")
     p.add_argument("--paths-cycles", type=int, default=None, metavar="N",

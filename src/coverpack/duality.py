@@ -21,12 +21,31 @@ field, so sorting the pairs gives the canonical (degree, exponent tuple)
 order.  A prime's weight on a generator is one mask of its fields and one
 multiply by the all-ones pattern, which sums the fields into the top one.
 Folding in P^s keeps every generator g with weight w(g) >= s and replaces
-the others by g times each composition of s - w(g) over P's variables (each
-composition offset packed once per (prime, s - w)).  Kept generators need
-no divisibility test: if a new candidate g*m divided a kept h, then g | h
-inside the previous antichain, so g = h, which w(g) < s <= w(h) rules out.
-Only the new candidates are tested, each against the accepted generators of
-strictly lower degree (equal degree and dividing means equal).
+the others by g times each composition of s - w(g) over P's variables (the
+composition offsets are packed once per (P's field positions, s - w) and
+cached; see `_offsets`).
+Kept generators need no test: if a new candidate g*m divided a kept h, then
+g | h inside the previous antichain, so g = h, which w(g) < s <= w(h) rules
+out.  The new candidates are tested by weight, not by divisibility (the
+minimal generators of an intersection of prime powers; Herzog, Hibi and
+Trung, Adv. Math. 210, 2007).  After folding P_1..P_k, a monomial c in the
+intersection is a minimal generator exactly when every variable v of c lies
+in some P_i of weight w_i(c) = s: dividing c by x_v then drops that P_i
+below s, and if no such P_i exists, every prime through v has weight above
+s on c, so c / x_v is still in the intersection.  A candidate c = g + o
+(o a composition over P) has weight exactly s on P, which covers the
+variables of P.  The variables of g outside P need an earlier prime P_i,
+and since g already lies in P_i^s and o raises w_i only on the variables
+P_i shares with P, w_i(c) = s exactly when w_i(g) = s and o misses those
+shared variables.  So the primes tight on g are found once per g, and each
+candidate is tested by and/and-not on support masks (the top bit of each
+field; (x + FIELD_MAX * ones) & high sets it exactly for the nonzero fields,
+as no field passes s <= FIELD_MAX).  The accepted candidates go into a set,
+which drops the duplicates that different g give.
+
+The generator cap bounds the kept generators plus every candidate of a
+fold, duplicates included.  The count is taken from the weights before the
+candidates are built, and a fold past the cap raises SizeLimitError.
 
 Exponent limit.  Every exponent in the fold stays at most s and a prime's
 weight at most s times its size, so s * (largest prime size) must not pass
@@ -51,9 +70,12 @@ these give the first failure of every relabelled ideal as well.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import groupby
-from typing import Optional, Sequence
+from math import comb
+from typing import Optional
 
 from .ideals import (
     DEFAULT_GEN_CAP,
@@ -97,13 +119,27 @@ def minimal_primes(a: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
                  for m in a.transversal_masks())
 
 
-def _offsets(shifts: Sequence[int], total: int) -> list[int]:
-    """Packed exponent vectors on the fields at `shifts` summing to `total`."""
-    if len(shifts) == 1:
-        return [total << shifts[0]]
+@lru_cache(maxsize=512)
+def _offsets(shifts: tuple[int, ...], total: int) -> tuple[tuple[int, int], ...]:
+    """(offset, support) pairs: each packed exponent vector on the fields at
+    `shifts` summing to `total`, with the top bits of its nonzero fields.
+
+    The key is a prime's absolute field positions, so an entry is shared
+    only by the same prime over the same number of variables: across the
+    generators of one fold, and across calls (simis_check folds one ideal
+    at every s, and a harness meets the same primes in many ideals).  The
+    cache is bounded because it lives for the process: a pass of the
+    harness or of the paths-and-cycles report fills under 300 entries
+    (recursive suffixes included), holding under 2 000 pairs in all.  One
+    entry is at most the fold's candidate count, which the generator cap
+    bounds before the offsets are built.
+    """
     head, rest = shifts[0], shifts[1:]
-    return [(e << head) + o
-            for e in range(total + 1) for o in _offsets(rest, total - e)]
+    bit = (FIELD_MAX + 1) << head
+    if not rest:
+        return ((total << head, bit if total else 0),)
+    return tuple(((e << head) + o, (bit if e else 0) | m)
+                 for e in range(total + 1) for o, m in _offsets(rest, total - e))
 
 
 def symbolic_power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
@@ -121,49 +157,51 @@ def symbolic_power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> Mono
     n = a.n
     high = _high_mask(n)
     ones = _ones(n)
+    fill = FIELD_MAX * ones
     top = field_shift(0, n)
-    shifts = [[field_shift(v - 1, n) for v in p] for p in primes]
     current = [(0, 0)]
-    for sh in shifts:
-        pmask = sum(FIELD_MAX << x for x in sh)
-        by_need: dict[int, list[int]] = {}
+    folded: list[tuple[int, int]] = []    # (field mask, support) per folded prime
+    for p in primes:
+        shifts = tuple(field_shift(v - 1, n) for v in p)
+        pmask = sum(FIELD_MAX << x for x in shifts)
+        psupp = sum((FIELD_MAX + 1) << x for x in shifts)
+        needs = [s - (((g & pmask) * ones >> top) & FIELD_MAX) for _d, g in current]
+        size = sum(c if need <= 0 else c * comb(need + len(shifts) - 1, len(shifts) - 1)
+                   for need, c in Counter(needs).items())
+        if size > cap:
+            raise SizeLimitError(f"symbolic power intermediate size {size} exceeds cap {cap}")
         kept: list[tuple[int, int]] = []
-        fresh: list[tuple[int, int]] = []
-        for d, g in current:
-            need = s - (((g & pmask) * ones >> top) & FIELD_MAX)
+        fresh: set[tuple[int, int]] = set()
+        for (d, g), need in zip(current, needs):
             if need <= 0:
                 kept.append((d, g))
                 continue
-            offs = by_need.get(need)
-            if offs is None:
-                offs = by_need[need] = _offsets(sh, need)
             d += need
-            fresh.extend([(d, g + o) for o in offs])
-        if len(kept) + len(fresh) > cap:
-            raise SizeLimitError(
-                f"symbolic power intermediate size {len(kept) + len(fresh)} exceeds cap {cap}")
-        # accept each new candidate unless an accepted generator of lower
-        # degree divides it; kept generators are minimal without a test
-        pool: list[int] = []
-        level: list[int] = []
-        accepted: list[tuple[int, int]] = []
-        ki, nk, cur = 0, len(kept), -1
-        for d, g in sorted(set(fresh)):
-            if d != cur:
-                pool += level
-                level = []
-                while ki < nk and kept[ki][0] < d:
-                    pool.append(kept[ki][1])
-                    ki += 1
-                cur = d
-            for h in pool:
-                if not (g - h) & high:
-                    break
-            else:
-                level.append(g)
-                accepted.append((d, g))
-        current = kept + accepted
+            offs = _offsets(shifts, need)
+            # variables of g outside p need a folded prime of weight exactly
+            # s through them; such a prime stays tight on g + o unless o
+            # raises it, i.e. unless o meets its overlap with p
+            rest = (g + fill) & high & ~psupp
+            cond = []
+            for qmask, qsupp in folded:
+                if qsupp & rest and (((g & qmask) * ones >> top) & FIELD_MAX) == s:
+                    if qsupp & psupp:
+                        cond.append((qsupp & psupp, qsupp & rest))
+                    else:
+                        rest &= ~qsupp
+            if not rest:
+                fresh.update([(d, g + o) for o, _m in offs])
+                continue
+            for o, m in offs:
+                left = rest
+                for overlap, covers in cond:
+                    if not m & overlap:
+                        left &= ~covers
+                if not left:
+                    fresh.add((d, g + o))
+        current = kept + list(fresh)
         current.sort()
+        folded.append((pmask, psupp))
     return MonomialIdeal(n, [unpack(g, n) for _, g in current], _trusted=True)
 
 

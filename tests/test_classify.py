@@ -120,6 +120,14 @@ def test_verify_theorem_family_override():
     assert {r.t for r in rep.rows} == {3, 4}
 
 
+@pytest.mark.parametrize("t_min", [2, 0, -1])
+def test_verify_theorem_rejects_t_min_below_three(t_min):
+    # the classification starts at t = 3; a lower t_min is an error, not
+    # silently raised to 3
+    with pytest.raises(ValueError, match=f"t_min must be at least 3, got {t_min}"):
+        verify_theorem(0, t_min=t_min, graphs=[path(4)])
+
+
 def test_verify_theorem_report_json():
     rep = verify_theorem(3)
     j = rep.to_json()

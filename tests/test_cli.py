@@ -226,6 +226,22 @@ def test_unwritable_out_is_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("tmin", ["2", "0", "-1"])
+def test_tmin_below_three_is_usage_error(tmin):
+    # the harness starts at t = 3; verify_theorem refuses a lower t_min,
+    # rather than echoing it in the config over rows that start at 3
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(coverpack.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverpack.cli", "verify-theorem", "--paths-cycles", "5",
+         "--tmin", tmin],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: t_min must be at least 3, got {tmin}\n"
+
+
 def test_gen_cap_env_bounds_dualization():
     # J_3(C_20) has 851 generators; the transversal route must stop at the cap
     env = dict(os.environ, COVERPACK_GEN_CAP="100")

@@ -160,6 +160,48 @@ def test_packed_fold_matches_tuple_oracle_paths_cycles():
                 _check_fold_against_oracle(g, t)
 
 
+@given(square_free_ideals(n_max=7), st.integers(2, 4))
+@settings(max_examples=120, deadline=None)
+def test_weight_fold_matches_tuple_oracle(a, s):
+    assert symbolic_power(a, s).gens == symbolic_power_tuples(a, s).gens
+
+
+def test_weight_fold_matches_tuple_oracle_on_the_largest_fold():
+    # J_4(P_10) at s = 4 is the largest fold the verify-theorem families run
+    J = cover_ideal(path(10), 4)
+    sym = symbolic_power(J, 4)
+    assert len(sym.gens) == 2605
+    assert sym.gens == symbolic_power_tuples(J, 4).gens
+
+
+def _check_weight_criterion(a, s):
+    # every variable of a generator lies in a prime of weight exactly s, and
+    # lowering any one exponent leaves the symbolic power
+    primes = minimal_primes(a)
+    for g in symbolic_power(a, s).gens:
+        assert in_symbolic_shortcut(g, primes, s)
+        tight = [p for p in primes if prime_power_weight(g, p) == s]
+        for v in range(a.n):
+            if g[v]:
+                assert any(v + 1 in p for p in tight), (a, s, g, v)
+                lower = g[:v] + (g[v] - 1,) + g[v + 1:]
+                assert not in_symbolic_shortcut(lower, primes, s), (a, s, g, v)
+
+
+@given(square_free_ideals(n_max=7), st.integers(2, 4))
+@settings(max_examples=120, deadline=None)
+def test_symbolic_generators_meet_the_weight_criterion(a, s):
+    _check_weight_criterion(a, s)
+
+
+def test_symbolic_generators_meet_the_weight_criterion_paths_cycles():
+    for n in (7, 8, 10):
+        for g in (path(n), cycle(n)):
+            for t in (2, 3, 4):
+                for s in (2, 3, 4):
+                    _check_weight_criterion(cover_ideal(g, t), s)
+
+
 def test_symbolic_power_field_capacity():
     # J_2(P_3) = <x2, x1*x3>: minimal primes <x1, x2> and <x2, x3>, so the
     # weight of a prime reaches 2s and s = FIELD_MAX // 2 is the last safe s
@@ -195,6 +237,16 @@ def test_symbolic_power_cap():
     # the first prime is guarded too: <x1, x2, x3>^4 has 15 generators
     with pytest.raises(SizeLimitError):
         symbolic_power(minimalize(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 4, cap=10)
+
+
+def test_symbolic_power_cap_boundary():
+    # the guard counts the kept generators plus every candidate of a fold,
+    # duplicates included; the largest such count for J_3(C_9) at s = 3 is
+    # 1 046, so that cap passes and one less raises before the fold is built
+    J = cover_ideal(cycle(9), 3)
+    assert len(symbolic_power(J, 3, cap=1046).gens) == 442
+    with pytest.raises(SizeLimitError, match="intermediate size 1046 exceeds cap 1045"):
+        symbolic_power(J, 3, cap=1045)
 
 
 def test_symbolic_power_validation():
