@@ -42,8 +42,10 @@ def run_instance(name, g, t, cfg: GapConfig):
     t0 = time.perf_counter()
     try:
         res = duality_gap_search(g, t, cfg.entry_bound)
+        # on a cycle the search counts one vector per rotation class
+        up_to = " up to rotation" if g.n >= 3 and g == cycle(g.n) else ""
         search = (f"first gap at {res.witness} (tau={res.tau}, nu={res.nu})"
-                  if res.witness else f"no gap in {res.scanned} vectors")
+                  if res.witness else f"no gap in {res.scanned} vectors{up_to}")
     except SizeLimitError as e:
         search = f"skipped: {e}"
     dt = time.perf_counter() - t0

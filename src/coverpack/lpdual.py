@@ -22,20 +22,27 @@ packing it can be swapped for its subset), so J's minimal generators
 stand in for any 0/1 matrix.
 
 `duality_gap_search` scans alpha in {0..entry_bound}^n ascending by
-(sum, lex), reduced by the rotation action when the instance is a cycle,
-and returns the first alpha with tau != nu.  It builds J_t(G) and checks
-it once, then evaluates both programs directly for every alpha: going
-through `tau` and `nu` would re-check the ideal (the square-free test
-walks every generator) once per scanned alpha.
+(sum, lex) and returns the first alpha with tau != nu.  Its `scanned`
+counts the alpha up to that one, every alpha on most graphs but only the
+rotation-minimal ones (one per rotation class) on the standard-labelled
+cycle(n); the count is taken before the orbit pruning below.  It builds
+J_t(G) and checks it once, then evaluates both programs directly, and only
+at an alpha that is least in its orbit under the rotations and reflections
+of cycle(n) or the reversal of path(n): tau and nu are constant on an orbit,
+so the rest cannot hold the first gap.  Going through `tau` and `nu` would
+re-check the ideal (the square-free test walks every generator) once per
+evaluated alpha.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .duality import _require_square_free_proper
-from .graphs import Graph, classify_shape, cycle
+from .graphs import Graph, cycle, path
 from .ideals import (DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, MonomialIdeal, SizeLimitError,
                      max_packing)
 from .packing import VerificationError
@@ -69,6 +76,13 @@ def nu(j: MonomialIdeal, alpha: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class GapSearchResult:
+    """The first gap, or None fields when there is none.
+
+    `scanned` counts the alpha the scan passed, up to and including the
+    witness: the rotation classes on the standard-labelled cycle(n), every
+    vector otherwise, counted before orbit pruning.
+    """
+
     witness: Optional[tuple[int, ...]]
     tau: Optional[int]
     nu: Optional[int]
@@ -84,21 +98,25 @@ class GapSearchResult:
 
 
 def _vectors_by_sum(n: int, bound: int):
-    # ascending by total, then lexicographic
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 0:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        for v in range(min(bound, remaining) + 1):
-            if remaining - v > bound * (slots - 1):
-                continue
-            prefix.append(v)
-            yield from rec(prefix, remaining - v, slots - 1)
-            prefix.pop()
+    """Every alpha in {0..bound}^n, ascending by sum, then lexicographic.
 
+    alpha is a prefix of floor(n/2) entries followed by a suffix of the
+    rest.  For a fixed sum, running the prefixes in lex order and following
+    each by the suffixes of the complementary sum in lex order is lex order,
+    so two tables of at most (bound+1)^ceil(n/2) tuples replace a depth-n
+    recursion.
+    """
+    half = n // 2
+    values = range(bound + 1)
+    prefixes = [(p, sum(p)) for p in product(values, repeat=half)]
+    top = bound * (n - half)
+    suffixes: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
+    for s in product(values, repeat=n - half):
+        suffixes[sum(s)].append(s)
     for total in range(bound * n + 1):
-        yield from rec([], total, n)
+        for p, ps in prefixes:
+            if 0 <= total - ps <= top:
+                yield from map(p.__add__, suffixes[total - ps])
 
 
 def duality_gap_search(g: Graph, t: int, entry_bound: int,
@@ -106,9 +124,20 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
                        gen_cap: int = DEFAULT_GEN_CAP) -> GapSearchResult:
     """First alpha in {0..entry_bound}^n (by sum, then lex) with tau != nu.
 
-    Cycle instances are reduced by the rotation action: only the lexicographic
-    minimum of each rotation orbit is evaluated, which is also the first orbit
-    member in scan order, so the reported witness is still the global first.
+    `scanned` counts the rotation-minimal alpha up to the witness when g is
+    the standard-labelled cycle(n), and every alpha up to it otherwise.
+
+    tau and nu are evaluated only at an alpha that is least in its orbit
+    under the symmetries of g that the search knows: the rotations and
+    reflections of cycle(n), the reversal of path(n), and the identity on
+    any other graph.  An automorphism of g permutes the minimal primes of
+    J_t(G) and its generators alike, so tau and nu are constant on an orbit.
+    Every member of an orbit has the same sum, so the orbit's least member
+    comes first in scan order, and on a cycle it is rotation-minimal, so it
+    is scanned.  The search stops at the first gap; an alpha it skips
+    therefore shares its orbit with an earlier alpha that was evaluated and
+    had no gap, and has none either.  So the witness, tau, nu and `scanned`
+    are those of the unpruned scan.
     """
     if entry_bound < 1:
         raise ValueError("entry_bound must be >= 1")
@@ -119,25 +148,42 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
             f"alpha space {space} exceeds scan cap {scan_cap}")
     j = cover_ideal(g, t, cap=gen_cap)
     _require_square_free_proper(j, "duality_gap_search")
-    primes, rows = _prime_rows(j), j.support_rows()
-    is_cycle = classify_shape(g) == "cycle" and g == cycle(g.n)
+    # t >= 2, so every getter returns a tuple
+    getters = [itemgetter(*p) for p in _prime_rows(j)]
+    rows = j.support_rows()
+    is_cycle = n >= 3 and g == cycle(n)
+    is_path = not is_cycle and g == path(n)
     scanned = 0
     for alpha in _vectors_by_sum(n, entry_bound):
-        if is_cycle and not _rotation_minimal(alpha, n):
-            continue
-        scanned += 1
-        tv = min(sum(alpha[i] for i in p) for p in primes)   # tau(j, alpha)
-        nv = max_packing(rows, alpha)[0]                     # nu(j, alpha)
+        if is_cycle:
+            # the rotation that starts at a smaller entry than alpha[0] is below it
+            if alpha[0] > min(alpha) or _rotation_below(alpha, alpha, 1):
+                continue
+            scanned += 1
+            if _rotation_below(alpha, alpha[::-1], 0):
+                continue
+        else:
+            scanned += 1
+            if is_path and alpha[::-1] < alpha:
+                continue
+        tv = min([sum(get(alpha)) for get in getters])   # tau(j, alpha)
+        nv = max_packing(rows, alpha)[0]                 # nu(j, alpha)
         if nv > tv:
             raise VerificationError(f"weak duality violated at alpha={alpha}")
         if tv != nv:
-            return GapSearchResult(tuple(alpha), tv, nv, scanned)
+            return GapSearchResult(alpha, tv, nv, scanned)
     return GapSearchResult(None, None, None, scanned)
 
 
-def _rotation_minimal(alpha: tuple[int, ...], n: int) -> bool:
-    for r in range(1, n):
-        rot = alpha[r:] + alpha[:r]
-        if rot < alpha:
-            return False
-    return True
+def _rotation_below(alpha: tuple[int, ...], seq: tuple[int, ...], first: int) -> bool:
+    """Whether a rotation of `seq` by `first`..n-1 places is below alpha.
+
+    alpha[0] must be least in alpha, so only a rotation that starts with
+    alpha[0] can be below it.
+    """
+    a0, n = alpha[0], len(alpha)
+    doubled = seq + seq
+    for r in range(first, n):
+        if doubled[r] == a0 and doubled[r:r + n] < alpha:
+            return True
+    return False

@@ -25,6 +25,10 @@ the library's faster route replaced:
   the support masks of a 0/1 matrix's columns, independent of the minimal
   primes behind `coverpack.lpdual.tau` and of the transversal search
   behind `cover_ideal`.
+- `gap_search_unpruned`: the gap search over the sorted product of every
+  weight vector, with `tau_enum` and `coverpack.lpdual.nu` evaluated at
+  each one, beside the library's orbit-pruned scan over prefix/suffix
+  tables.
 - `filtered_minimal_transversals`: the enumerate-then-filter recursion that
   the MMCS search in `coverpack.ideals.minimal_transversals` replaced.
   Together with `coverpack.ideals.brute_minimal_transversals` (a scan of
@@ -51,14 +55,18 @@ the library's faster route replaced:
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from coverpack.duality import minimal_primes
-from coverpack.graphs import Graph, connected_induced_subsets, is_connected, is_connected_subset
+from coverpack.graphs import (Graph, connected_induced_subsets, cycle, is_connected,
+                              is_connected_subset)
 from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, _high_mask,
                               minimalize, pack, unit_ideal, zero_ideal)
+from coverpack.lpdual import GapSearchResult, nu
 from coverpack.packing import Minor, PackingReport, PackingWitness, minor_from_code, restrict
-from coverpack.tconn import GenerationError
+from coverpack.tconn import GenerationError, cover_ideal
 
 
 def prime_power_weight(m: Monomial, prime_vars: Sequence[int]) -> int:
@@ -231,12 +239,20 @@ def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:
     return rec(top, s, sum(m))
 
 
+@lru_cache(maxsize=256)
+def _minimal_covers(masks: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(i for i in range(n) if y >> i & 1) for y in minimal_solutions(masks, n))
+
+
 def tau_enum(masks: Sequence[int], alpha: Sequence[int]) -> int:
-    """Minimise alpha.y over every 0/1 y with B^T y >= 1, by scanning all 2^n;
-    B has the given support masks as columns and len(alpha) rows."""
-    n = len(alpha)
-    return min(sum(alpha[i] for i in range(n) if y >> i & 1)
-               for y in range(1 << n) if all(y & m for m in masks))
+    """Minimise alpha.y over every 0/1 y with B^T y >= 1; B has the given
+    support masks as columns and len(alpha) rows.
+
+    alpha >= 0, so dropping a 1 from y never raises the cost and an
+    inclusion-minimal y attains the minimum: the minimum runs over
+    `minimal_solutions`, the scan of all 2^n y, made once per matrix.
+    """
+    return min(sum(alpha[i] for i in y) for y in _minimal_covers(tuple(masks), len(alpha)))
 
 
 def minimal_solutions(col_masks: Sequence[int], n: int) -> list[int]:
@@ -570,3 +586,24 @@ def branching_subset_witness(g: Graph, t: int) -> Optional[tuple[tuple[int, ...]
         if r >= 3:
             return combo, r
     return None
+
+
+def gap_search_unpruned(g: Graph, t: int, bound: int) -> GapSearchResult:
+    """The first alpha in {0..bound}^n, by (sum, lex), with tau != nu.
+
+    Every alpha of the sorted product is evaluated, with no orbit pruning.
+    `scanned` counts the alpha up to the witness, on the standard-labelled
+    cycle(n) only those that no rotation puts below.
+    """
+    n = g.n
+    j = cover_ideal(g, t)
+    masks = j.support_masks()
+    is_cycle = n >= 3 and g == cycle(n)
+    scanned = 0
+    for alpha in sorted(itertools.product(range(bound + 1), repeat=n), key=lambda v: (sum(v), v)):
+        if not is_cycle or all(alpha <= alpha[r:] + alpha[:r] for r in range(n)):
+            scanned += 1
+        tv, nv = tau_enum(masks, alpha), nu(j, alpha)
+        if tv != nv:
+            return GapSearchResult(alpha, tv, nv, scanned)
+    return GapSearchResult(None, None, None, scanned)

@@ -1,16 +1,19 @@
 import random
+from itertools import product
 
 import pytest
 
 import coverpack.ideals
+import coverpack.lpdual
 from conftest import random_square_free_ideal
-from oracles import cycle_incidence_formula, minimal_solutions, path_incidence_formula, tau_enum
+from oracles import (cycle_incidence_formula, gap_search_unpruned, minimal_solutions,
+                     path_incidence_formula, tau_enum)
 from coverpack.classify import connected_graphs, verify_theorem
 from coverpack.duality import alexander_dual, simis_check
-from coverpack.graphs import cycle, parse_graph6, path, star
+from coverpack.graphs import Graph, cycle, parse_graph6, path, star
 from coverpack.ideals import (MonomialIdeal, SizeLimitError, from_masks, parse_monomial,
                               unit_ideal, zero_ideal)
-from coverpack.lpdual import duality_gap_search, nu, tau
+from coverpack.lpdual import _vectors_by_sum, duality_gap_search, nu, tau
 from coverpack.tconn import cover_ideal, t_connected_ideal
 
 
@@ -220,19 +223,83 @@ def test_gap_search_finds_odd_cycle_gap():
 
 
 def test_gap_search_witness_is_global_first():
-    # replay the unreduced scan; the first gap must be the reported witness
-    j = cover_ideal(cycle(7), 3)
-    found = None
-    count = 0
-    from coverpack.lpdual import _vectors_by_sum
-    for alpha in _vectors_by_sum(7, 1):
-        count += 1
-        tv = tau(j, alpha)
-        nv = nu(j, alpha)
-        if tv != nv:
-            found = tuple(alpha)
-            break
-    assert found == duality_gap_search(cycle(7), 3, 1).witness
+    # the oracle evaluates every alpha of the sorted product; its first gap
+    # must be the reported witness
+    assert gap_search_unpruned(cycle(7), 3, 1) == duality_gap_search(cycle(7), 3, 1)
+
+
+def test_gap_search_matches_unpruned_oracle_paths_cycles():
+    # orbit pruning skips alpha but must not change the witness, tau, nu or
+    # the count of scanned alpha
+    for n in range(2, 10):
+        for g in [path(n)] + ([cycle(n)] if n >= 3 else []):
+            for t in range(2, n + 1):
+                for bound in (1, 2):
+                    if (bound + 1) ** n <= 20_000:
+                        assert duality_gap_search(g, t, bound) == gap_search_unpruned(g, t, bound), \
+                            (g, t, bound)
+
+
+def _relabel(g, perm):
+    return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+def _count_evaluations(monkeypatch):
+    # nu is one max_packing call per evaluated alpha
+    calls = []
+    search = coverpack.lpdual.max_packing
+
+    def counted(rows, alpha, *args):
+        calls.append(alpha)
+        return search(rows, alpha, *args)
+
+    monkeypatch.setattr(coverpack.lpdual, "max_packing", counted)
+    return calls
+
+
+def test_gap_search_matches_unpruned_oracle_without_pruning(monkeypatch):
+    # star(5) and relabelled copies of C_7 and P_7 are none of the graphs the
+    # search knows symmetries of, so it counts and evaluates every alpha
+    perm = (3, 6, 1, 7, 2, 5, 4)
+    graphs = [star(5), _relabel(cycle(7), perm), _relabel(path(7), perm)]
+    assert graphs[1] != cycle(7) and graphs[2] != path(7)
+    calls = _count_evaluations(monkeypatch)
+    for g in graphs:
+        for t in range(2, g.n + 1):
+            for bound in (1, 2):
+                if (bound + 1) ** g.n <= 20_000:
+                    calls.clear()
+                    res = duality_gap_search(g, t, bound)
+                    assert len(calls) == res.scanned, (g, t, bound)
+                    assert res == gap_search_unpruned(g, t, bound), (g, t, bound)
+    # the relabelled C_7 counts all 102 alpha up to its first gap, the
+    # standard one only the 18 rotation classes up to its own
+    assert duality_gap_search(graphs[1], 3, 1).scanned == 102
+    assert duality_gap_search(cycle(7), 3, 1).scanned == 18
+
+
+def test_vectors_by_sum_is_sorted_product_order():
+    for n in range(1, 9):
+        for b in range(1, 4):
+            want = sorted(product(range(b + 1), repeat=n), key=lambda v: (sum(v), v))
+            assert list(_vectors_by_sum(n, b)) == want, (n, b)
+
+
+@pytest.mark.parametrize("g, witness, tau_value, nu_value, scanned, evaluated", [
+    (cycle(12), (0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1), 2, 1, 8436, 4401),
+    (path(9), None, None, None, 19683, 9963),
+    (cycle(9), None, None, None, 2195, 1219),
+    (cycle(10), (0, 1, 1, 0, 1, 1, 0, 1, 1, 1), 2, 1, 1000, 556),
+], ids=["cycle:12", "path:9", "cycle:9", "cycle:10"])
+def test_dual_lp_gap_searches_pinned(monkeypatch, g, witness, tau_value, nu_value, scanned,
+                                     evaluated):
+    # the four gap searches of the dual_lp benchmark workload, t = 3, bound 2;
+    # tau and nu run once per orbit: (3^9 + 3^5)/2 = 9963 reversal classes on
+    # P_9, and the 1219 ternary bracelets of length 9 on C_9
+    calls = _count_evaluations(monkeypatch)
+    res = duality_gap_search(g, 3, 2)
+    assert (res.witness, res.tau, res.nu, res.scanned) == (witness, tau_value, nu_value, scanned)
+    assert len(calls) == evaluated
 
 
 def test_gap_search_none_on_packed_instance():
