@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import jsonschema
@@ -120,7 +121,9 @@ def _add_common(p: argparse.ArgumentParser, needs_graph: bool = True):
     p.add_argument("--out", help="write the report to this file instead of stdout")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="coverpack",
         description="cover ideals of t-connected ideals: generators, symbolic powers, Konig/packing, covering duality")

@@ -148,7 +148,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
 class MonomialIdeal:
     """Canonically minimally generated monomial ideal; () means the zero ideal."""
 
-    __slots__ = ("n", "gens", "_masks", "_rows", "_transversals")
+    __slots__ = ("n", "gens", "_masks", "_rows", "_transversals", "_square_free")
 
     def __init__(self, n: int, gens: Sequence[Monomial], _trusted: bool = False):
         self.n = n
@@ -159,6 +159,7 @@ class MonomialIdeal:
         self._masks: Optional[tuple[int, ...]] = None
         self._rows: Optional[tuple[tuple[int, ...], ...]] = None
         self._transversals: Optional[tuple[int, ...]] = None
+        self._square_free: Optional[bool] = None
 
     # -- basic predicates ---------------------------------------------------
     @property
@@ -171,7 +172,10 @@ class MonomialIdeal:
 
     @property
     def is_square_free(self) -> bool:
-        return all(is_square_free_monomial(g) for g in self.gens)
+        """Whether every generator is square-free, tested once."""
+        if self._square_free is None:
+            self._square_free = all(is_square_free_monomial(g) for g in self.gens)
+        return self._square_free
 
     def support_masks(self) -> tuple[int, ...]:
         if self._masks is None:

@@ -26,19 +26,22 @@ stand in for any 0/1 matrix.
 counts the alpha up to that one, every alpha on most graphs but only the
 rotation-minimal ones (one per rotation class) on the standard-labelled
 cycle(n); the count is taken before the orbit pruning below.  It builds
-J_t(G) and checks it once, then evaluates both programs directly, and only
-at an alpha that is least in its orbit under the rotations and reflections
-of cycle(n) or the reversal of path(n): tau and nu are constant on an orbit,
-so the rest cannot hold the first gap.  Going through `tau` and `nu` would
-re-check the ideal (the square-free test walks every generator) once per
-evaluated alpha.
+J_t(G) and checks it once, then evaluates tau directly, and only at an
+alpha that is least in its orbit under the rotations and reflections of
+cycle(n) or the reversal of path(n): tau and nu are constant on an orbit,
+so the rest cannot hold the first gap.  It runs the packing search for nu
+only where tau does not already decide it: nu(alpha) = tau(alpha) whenever
+some variable with alpha_i > 0 lies in no prime of weight tau(alpha),
+because nu(alpha - e_i) = tau(alpha - e_i) was settled earlier in the scan
+(see `duality_gap_search`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
+from functools import reduce
+from itertools import compress, product
+from operator import itemgetter, or_
 from typing import Optional, Sequence
 
 from .duality import _require_square_free_proper
@@ -127,17 +130,35 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
     `scanned` counts the rotation-minimal alpha up to the witness when g is
     the standard-labelled cycle(n), and every alpha up to it otherwise.
 
-    tau and nu are evaluated only at an alpha that is least in its orbit
-    under the symmetries of g that the search knows: the rotations and
-    reflections of cycle(n), the reversal of path(n), and the identity on
-    any other graph.  An automorphism of g permutes the minimal primes of
-    J_t(G) and its generators alike, so tau and nu are constant on an orbit.
-    Every member of an orbit has the same sum, so the orbit's least member
-    comes first in scan order, and on a cycle it is rotation-minimal, so it
-    is scanned.  The search stops at the first gap; an alpha it skips
-    therefore shares its orbit with an earlier alpha that was evaluated and
-    had no gap, and has none either.  So the witness, tau, nu and `scanned`
-    are those of the unpruned scan.
+    tau is evaluated only at an alpha that is least in its orbit under the
+    symmetries of g that the search knows: the rotations and reflections of
+    cycle(n), the reversal of path(n), and the identity on any other graph.
+    An automorphism of g permutes the minimal primes of J_t(G) and its
+    generators alike, so tau and nu are constant on an orbit.  Every member
+    of an orbit has the same sum, so the orbit's least member comes first in
+    scan order, and on a cycle it is rotation-minimal, so it is scanned.  The
+    search stops at the first gap; an alpha it skips therefore shares its
+    orbit with an earlier alpha that was evaluated and had no gap, and has
+    none either.  So no alpha before the current one has a gap.
+
+    At an evaluated alpha, nu runs only where tau cannot settle it:
+
+      * nu never falls when capacity rises (a packing under alpha - e_i fits
+        under alpha), so nu(alpha) >= nu(alpha - e_i);
+      * when alpha_i > 0, alpha - e_i is in the box and has a smaller sum, so
+        the scan passed it and nu(alpha - e_i) = tau(alpha - e_i);
+      * tau(alpha - e_i) = tau(alpha) exactly when variable i lies in no
+        prime of weight tau(alpha): the primes through i lose 1 and the
+        others keep their weight;
+      * so if some i with alpha_i > 0 lies in no prime of weight tau(alpha),
+        then nu(alpha) >= nu(alpha - e_i) = tau(alpha - e_i) = tau(alpha),
+        and weak duality gives nu(alpha) = tau(alpha): no gap.
+
+    Otherwise `max_packing` computes nu(alpha) exactly, as `nu` does, and a
+    weak-duality violation raises `VerificationError`.  The first gap is
+    never settled by tau, so its nu is computed.  The argument holds on every
+    graph, so the witness, tau, nu and `scanned` are those of the unpruned
+    scan.
     """
     if entry_bound < 1:
         raise ValueError("entry_bound must be >= 1")
@@ -150,6 +171,8 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
     _require_square_free_proper(j, "duality_gap_search")
     # t >= 2, so every getter returns a tuple
     getters = [itemgetter(*p) for p in _prime_rows(j)]
+    masks = j.transversal_masks()
+    bits = [1 << i for i in range(n)]
     rows = j.support_rows()
     is_cycle = n >= 3 and g == cycle(n)
     is_path = not is_cycle and g == path(n)
@@ -166,13 +189,26 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
             scanned += 1
             if is_path and alpha[::-1] < alpha:
                 continue
-        tv = min([sum(get(alpha)) for get in getters])   # tau(j, alpha)
+        tv, tight = _lightest(getters, masks, alpha)
+        if sum(compress(bits, alpha)) & ~tight:
+            continue                                     # nu(alpha) = tau(alpha)
         nv = max_packing(rows, alpha)[0]                 # nu(j, alpha)
         if nv > tv:
             raise VerificationError(f"weak duality violated at alpha={alpha}")
         if tv != nv:
             return GapSearchResult(alpha, tv, nv, scanned)
     return GapSearchResult(None, None, None, scanned)
+
+
+def _lightest(getters: list[itemgetter], masks: tuple[int, ...],
+              alpha: tuple[int, ...]) -> tuple[int, int]:
+    """tau(J, alpha) and the union of the minimal primes of weight tau.
+
+    `getters[k]` reads the entries of alpha on the prime with mask `masks[k]`.
+    """
+    weights = [sum(get(alpha)) for get in getters]
+    tv = min(weights)
+    return tv, reduce(or_, compress(masks, map(tv.__eq__, weights)))
 
 
 def _rotation_below(alpha: tuple[int, ...], seq: tuple[int, ...], first: int) -> bool:

@@ -2,12 +2,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coverpack.ideals
 import coverpack.lpdual
-from conftest import random_square_free_ideal
+from conftest import random_square_free_ideal, square_free_ideals
 from oracles import (cycle_incidence_formula, gap_search_unpruned, minimal_solutions,
                      path_incidence_formula, tau_enum)
+from coverpack.canon import canonical_form
 from coverpack.classify import connected_graphs, verify_theorem
 from coverpack.duality import alexander_dual, simis_check
 from coverpack.graphs import Graph, cycle, parse_graph6, path, star
@@ -240,21 +242,58 @@ def test_gap_search_matches_unpruned_oracle_paths_cycles():
                             (g, t, bound)
 
 
+def test_gap_search_matches_unpruned_oracle_on_connected_classes():
+    # one labelled graph per isomorphism class: the tau argument that skips
+    # the packing search holds on every graph, not only on paths and cycles
+    reps = {}
+    for n in range(2, 6):
+        for _code, g in connected_graphs(n):
+            reps.setdefault(canonical_form(g)[0], g)
+    assert len(reps) == 1 + 2 + 6 + 21      # OEIS A001349, n = 2..5
+    for g in reps.values():
+        for t in range(2, g.n + 1):
+            for bound in (1, 2):
+                assert duality_gap_search(g, t, bound) == gap_search_unpruned(g, t, bound), \
+                    (g, t, bound)
+
+
+@given(square_free_ideals(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_tau_nu_rise_by_at_most_one_per_unit_of_capacity(j, data):
+    # the gap search's argument: raising alpha_i by 1 raises tau and nu by 0
+    # or 1, and where tau(alpha) = tau(alpha + e_i) = nu(alpha), nu(alpha +
+    # e_i) is squeezed between nu(alpha) and tau(alpha + e_i)
+    alpha = tuple(data.draw(st.lists(st.integers(0, 3), min_size=j.n, max_size=j.n)))
+    i = data.draw(st.integers(0, j.n - 1))
+    up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+    t0, t1, n0, n1 = tau(j, alpha), tau(j, up), nu(j, alpha), nu(j, up)
+    assert t0 <= t1 <= t0 + 1
+    assert n0 <= n1 <= n0 + 1
+    if t0 == t1 == n0:
+        assert n1 == t1
+
+
 def _relabel(g, perm):
     return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
 
 
 def _count_evaluations(monkeypatch):
-    # nu is one max_packing call per evaluated alpha
-    calls = []
-    search = coverpack.lpdual.max_packing
+    """(orbit evaluations, packing searches): the alpha at which the gap
+    search computes tau, and the subset of those at which it runs nu."""
+    taus, packings = [], []
+    lightest, search = coverpack.lpdual._lightest, coverpack.lpdual.max_packing
 
-    def counted(rows, alpha, *args):
-        calls.append(alpha)
+    def counted_tau(getters, masks, alpha):
+        taus.append(alpha)
+        return lightest(getters, masks, alpha)
+
+    def counted_nu(rows, alpha, *args):
+        packings.append(alpha)
         return search(rows, alpha, *args)
 
-    monkeypatch.setattr(coverpack.lpdual, "max_packing", counted)
-    return calls
+    monkeypatch.setattr(coverpack.lpdual, "_lightest", counted_tau)
+    monkeypatch.setattr(coverpack.lpdual, "max_packing", counted_nu)
+    return taus, packings
 
 
 def test_gap_search_matches_unpruned_oracle_without_pruning(monkeypatch):
@@ -263,14 +302,16 @@ def test_gap_search_matches_unpruned_oracle_without_pruning(monkeypatch):
     perm = (3, 6, 1, 7, 2, 5, 4)
     graphs = [star(5), _relabel(cycle(7), perm), _relabel(path(7), perm)]
     assert graphs[1] != cycle(7) and graphs[2] != path(7)
-    calls = _count_evaluations(monkeypatch)
+    taus, packings = _count_evaluations(monkeypatch)
     for g in graphs:
         for t in range(2, g.n + 1):
             for bound in (1, 2):
                 if (bound + 1) ** g.n <= 20_000:
-                    calls.clear()
+                    taus.clear()
+                    packings.clear()
                     res = duality_gap_search(g, t, bound)
-                    assert len(calls) == res.scanned, (g, t, bound)
+                    assert len(taus) == res.scanned, (g, t, bound)
+                    assert set(packings) <= set(taus), (g, t, bound)
                     assert res == gap_search_unpruned(g, t, bound), (g, t, bound)
     # the relabelled C_7 counts all 102 alpha up to its first gap, the
     # standard one only the 18 rotation classes up to its own
@@ -285,21 +326,25 @@ def test_vectors_by_sum_is_sorted_product_order():
             assert list(_vectors_by_sum(n, b)) == want, (n, b)
 
 
-@pytest.mark.parametrize("g, witness, tau_value, nu_value, scanned, evaluated", [
-    (cycle(12), (0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1), 2, 1, 8436, 4401),
-    (path(9), None, None, None, 19683, 9963),
-    (cycle(9), None, None, None, 2195, 1219),
-    (cycle(10), (0, 1, 1, 0, 1, 1, 0, 1, 1, 1), 2, 1, 1000, 556),
+@pytest.mark.parametrize("g, witness, tau_value, nu_value, scanned, evaluated, packed", [
+    (cycle(12), (0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1), 2, 1, 8436, 4401, 17),
+    (path(9), None, None, None, 19683, 9963, 174),
+    (cycle(9), None, None, None, 2195, 1219, 37),
+    (cycle(10), (0, 1, 1, 0, 1, 1, 0, 1, 1, 1), 2, 1, 1000, 556, 6),
 ], ids=["cycle:12", "path:9", "cycle:9", "cycle:10"])
 def test_dual_lp_gap_searches_pinned(monkeypatch, g, witness, tau_value, nu_value, scanned,
-                                     evaluated):
+                                     evaluated, packed):
     # the four gap searches of the dual_lp benchmark workload, t = 3, bound 2;
-    # tau and nu run once per orbit: (3^9 + 3^5)/2 = 9963 reversal classes on
-    # P_9, and the 1219 ternary bracelets of length 9 on C_9
-    calls = _count_evaluations(monkeypatch)
+    # tau runs once per orbit: (3^9 + 3^5)/2 = 9963 reversal classes on P_9,
+    # and the 1219 ternary bracelets of length 9 on C_9; the packing search
+    # runs only where every variable of alpha's support lies in a lightest
+    # prime, and always at the witness
+    taus, packings = _count_evaluations(monkeypatch)
     res = duality_gap_search(g, 3, 2)
     assert (res.witness, res.tau, res.nu, res.scanned) == (witness, tau_value, nu_value, scanned)
-    assert len(calls) == evaluated
+    assert len(taus) == evaluated
+    assert len(packings) == packed
+    assert witness is None or packings[-1] == witness
 
 
 def test_gap_search_none_on_packed_instance():
