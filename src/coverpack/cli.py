@@ -2,15 +2,18 @@
 
 Subcommands: gens, simis, konig, packing, lp, gap-search, verify-theorem.
 Graphs are given as path:N, cycle:N, star:N, complete:N, file:PATH (graph6
-file) or a literal graph6 string.  Every command emits one schema-validated
-JSON report; identical configurations produce byte-identical reports.
+file) or a literal graph6 string.  Every command emits one JSON report,
+checked against the published `REPORT_SCHEMA` before it is written;
+identical configurations produce byte-identical reports.  The check
+enforces exactly what the schema says, in a few lines of this module, so
+no schema library is loaded.
 
 Exit codes: 0 success, 1 harness disagreement or failed self-check (a
-closed-form generator list or weak duality in the gap search), 2 usage or
-schema error, 3 resource-guard abort.  The COVERPACK_GEN_CAP and
-COVERPACK_SCAN_CAP environment variables override the generator-count cap
-and the scan cap (the alpha space of gap-search, the memoised minors of
-packing).
+closed-form generator list or weak duality in the gap search), 2 usage
+error or a report the schema rejects, 3 resource-guard abort.  The
+COVERPACK_GEN_CAP and COVERPACK_SCAN_CAP environment variables override
+the generator-count cap and the scan cap (the alpha space of gap-search,
+the memoised minors of packing).
 """
 
 from __future__ import annotations
@@ -23,23 +26,31 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import jsonschema
-
 from .classify import verify_theorem
 from .duality import simis_check
 from .graphs import Graph, Graph6ParseError, classify_shape, complete, cycle, parse_graph6, path, star
 from .ideals import DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, SizeLimitError
 from .lpdual import duality_gap_search, nu, tau
 from .packing import is_konig, is_packed, VerificationError
-from .tconn import GenerationError, brute_cover_ideal, cover_ideal, cycle_cover_gens, path_cover_gens
+from .tconn import GenerationError, cover_ideal, cycle_cover_gens, path_cover_gens
+
+# the keys each command's result must carry: the schema's command enum and
+# its per-command clauses are both built from this table
+RESULT_KEYS = {
+    "gens": ["n", "t", "generators"],
+    "simis": ["s_max", "verdict"],
+    "konig": ["konig", "height"],
+    "packing": ["packed", "witness"],
+    "lp": ["tau", "nu", "alpha", "equal"],
+    "gap-search": ["witness", "scanned"],
+    "verify-theorem": ["rows", "summary", "disagreements"],
+}
 
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["command", "config", "result"],
     "properties": {
-        "command": {"type": "string",
-                    "enum": ["gens", "simis", "konig", "packing", "lp",
-                             "gap-search", "verify-theorem"]},
+        "command": {"type": "string", "enum": list(RESULT_KEYS)},
         "config": {"type": "object"},
         "result": {"type": "object"},
     },
@@ -48,20 +59,33 @@ REPORT_SCHEMA = {
     "allOf": [
         {"if": {"properties": {"command": {"const": command}}},
          "then": {"properties": {"result": {"required": keys}}}}
-        for command, keys in [
-            ("gens", ["n", "t", "generators"]),
-            ("simis", ["s_max", "verdict"]),
-            ("konig", ["konig", "height"]),
-            ("packing", ["packed", "witness"]),
-            ("lp", ["tau", "nu", "alpha", "equal"]),
-            ("gap-search", ["witness", "scanned"]),
-            ("verify-theorem", ["rows", "summary", "disagreements"]),
-        ]
+        for command, keys in RESULT_KEYS.items()
     ],
 }
 
-# built once: jsonschema.validate would re-check the schema itself on every call
-_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+
+class SchemaError(ValueError):
+    """A report payload that `REPORT_SCHEMA` rejects."""
+
+
+def _check_report(payload) -> None:
+    """Raise SchemaError unless `payload` satisfies `REPORT_SCHEMA`: a dict
+    with exactly the keys command, config and result, a command from
+    `RESULT_KEYS`, object config and result, and every result key the
+    table lists for that command."""
+    if not isinstance(payload, dict):
+        raise SchemaError("report is not an object")
+    if set(payload) != set(REPORT_SCHEMA["required"]):
+        raise SchemaError("report keys must be exactly command, config and result")
+    command = payload["command"]
+    if not isinstance(command, str) or command not in RESULT_KEYS:
+        raise SchemaError(f"{command!r} is not a known command")
+    for key in ("config", "result"):
+        if not isinstance(payload[key], dict):
+            raise SchemaError(f"{key} is not an object")
+    missing = [k for k in RESULT_KEYS[command] if k not in payload["result"]]
+    if missing:
+        raise SchemaError(f"{command} result lacks {missing}")
 
 
 class UsageError(ValueError):
@@ -96,8 +120,8 @@ def parse_graph_spec(spec: str) -> Graph:
 
 
 def emit_report(payload: dict, pretty: bool = False, out: Optional[str] = None) -> str:
-    """Validate against the report schema and serialise deterministically."""
-    _REPORT_VALIDATOR.validate(payload)
+    """Check against the report schema and serialise deterministically."""
+    _check_report(payload)
     if pretty:
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -133,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--closed-form", action="store_true",
                    help="use the path/cycle closed form (canonical labellings only)")
-    p.add_argument("--brute-force", action="store_true",
-                   help="scan all 2^n vertex subsets (n <= 20) instead of the transversal search")
 
     p = sub.add_parser("simis", help="bounded symbolic vs ordinary power comparison for J_t(G)")
     _add_common(p)
@@ -167,11 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _gens_payload(args, gen_cap: int) -> dict:
+def _gens_payload(args, gen_cap: int, scan_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
     t = args.t
-    if args.closed_form and args.brute_force:
-        raise UsageError("--closed-form and --brute-force are mutually exclusive")
     if args.closed_form:
         route = "closed-form"
         shape = classify_shape(g)
@@ -181,9 +201,6 @@ def _gens_payload(args, gen_cap: int) -> dict:
             ideal = cycle_cover_gens(g.n, t)
         else:
             raise UsageError("--closed-form needs a canonical path:N or cycle:N graph")
-    elif args.brute_force:
-        route = "brute-force"
-        ideal = brute_cover_ideal(g, t)
     else:
         route = "transversal"
         ideal = cover_ideal(g, t, cap=gen_cap)
@@ -195,7 +212,7 @@ def _gens_payload(args, gen_cap: int) -> dict:
     }
 
 
-def _simis_payload(args, gen_cap: int) -> dict:
+def _simis_payload(args, gen_cap: int, scan_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
     s_max = args.smax if args.smax is not None else args.t
     ideal = cover_ideal(g, args.t, cap=gen_cap)
@@ -207,7 +224,7 @@ def _simis_payload(args, gen_cap: int) -> dict:
     }
 
 
-def _konig_payload(args, gen_cap: int) -> dict:
+def _konig_payload(args, gen_cap: int, scan_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
     res = is_konig(cover_ideal(g, args.t, cap=gen_cap))
     return {
@@ -227,7 +244,7 @@ def _packing_payload(args, gen_cap: int, scan_cap: int) -> dict:
     }
 
 
-def _lp_payload(args, gen_cap: int) -> dict:
+def _lp_payload(args, gen_cap: int, scan_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
     j = cover_ideal(g, args.t, cap=gen_cap)
     if args.alpha:
@@ -259,7 +276,7 @@ def _gap_payload(args, gen_cap: int, scan_cap: int) -> dict:
     }
 
 
-def _verify_payload(args, gen_cap: int) -> tuple[dict, int]:
+def _verify_payload(args, gen_cap: int, scan_cap: int) -> dict:
     if args.paths_cycles is not None:
         fams = []
         for n in range(3, args.paths_cycles + 1):
@@ -273,13 +290,25 @@ def _verify_payload(args, gen_cap: int) -> tuple[dict, int]:
     body = report.to_json()
     if not args.rows:
         body["rows"] = []
-    payload = {
+    return {
         "command": "verify-theorem",
         "config": {"nmax": args.nmax, "tmin": args.tmin, "tmax": args.tmax,
                    "smax": args.smax, "paths_cycles": args.paths_cycles},
         "result": body,
     }
-    return payload, (1 if report.disagreements else 0)
+
+
+# every builder takes (args, gen_cap, scan_cap) and calls the layers through
+# this module's globals, so rebinding one of them here reaches every command
+_PAYLOADS = {
+    "gens": _gens_payload,
+    "simis": _simis_payload,
+    "konig": _konig_payload,
+    "packing": _packing_payload,
+    "lp": _lp_payload,
+    "gap-search": _gap_payload,
+    "verify-theorem": _verify_payload,
+}
 
 
 def _env_int(name: str, default: int) -> int:
@@ -301,38 +330,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    code = 0
     try:
         gen_cap = _env_int("COVERPACK_GEN_CAP", DEFAULT_GEN_CAP)
         scan_cap = _env_int("COVERPACK_SCAN_CAP", DEFAULT_SCAN_CAP)
-        if args.command == "gens":
-            payload = _gens_payload(args, gen_cap)
-        elif args.command == "simis":
-            payload = _simis_payload(args, gen_cap)
-        elif args.command == "konig":
-            payload = _konig_payload(args, gen_cap)
-        elif args.command == "packing":
-            payload = _packing_payload(args, gen_cap, scan_cap)
-        elif args.command == "lp":
-            payload = _lp_payload(args, gen_cap)
-        elif args.command == "gap-search":
-            payload = _gap_payload(args, gen_cap, scan_cap)
-        else:
-            payload, code = _verify_payload(args, gen_cap)
+        payload = _PAYLOADS[args.command](args, gen_cap, scan_cap)
         emit_report(payload, pretty=args.pretty, out=args.out)
-        return code
+        # only the harness reports disagreements; any is exit code 1
+        return 1 if payload["result"].get("disagreements") else 0
     except SizeLimitError as e:
         print(f"resource guard: {e}", file=sys.stderr)
         return 3
+    except SchemaError as e:
+        print(f"schema violation: {e}", file=sys.stderr)
+        return 2
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (VerificationError, GenerationError) as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1
-    except jsonschema.ValidationError as e:
-        print(f"schema violation: {e.message}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -87,6 +87,7 @@ from .ideals import (
     _ones,
     field_shift,
     from_antichain_masks,
+    mask_vars,
     max_packing,
     monomial_str,
     unpack,
@@ -115,8 +116,7 @@ def alexander_dual(a: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> MonomialIdea
 def minimal_primes(a: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """Supports of the minimal primes, as sorted 1-based variable tuples."""
     _require_square_free_proper(a, "minimal_primes")
-    return tuple(tuple(i + 1 for i in range(a.n) if m >> i & 1)
-                 for m in a.transversal_masks())
+    return tuple(tuple(i + 1 for i in mask_vars(m)) for m in a.transversal_masks())
 
 
 @lru_cache(maxsize=512)

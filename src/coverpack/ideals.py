@@ -106,6 +106,13 @@ def is_square_free_monomial(m: Monomial) -> bool:
     return all(e <= 1 for e in m)
 
 
+@lru_cache(maxsize=1 << 12)
+def mask_vars(mask: int) -> tuple[int, ...]:
+    """The 0-based variables of a support mask, ascending: a `max_packing`
+    column, or a minimal prime's variables."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def mask_to_monomial(mask: int, n: int) -> Monomial:
     return tuple(1 if mask >> i & 1 else 0 for i in range(n))
 
@@ -187,8 +194,7 @@ class MonomialIdeal:
         supports first (a stable sort): the columns `max_packing` takes,
         built once."""
         if self._rows is None:
-            self._rows = tuple(sorted(
-                (tuple(i for i, e in enumerate(g) if e) for g in self.gens), key=len))
+            self._rows = tuple(sorted(map(mask_vars, self.support_masks()), key=len))
         return self._rows
 
     def transversal_masks(self, cap: int = DEFAULT_GEN_CAP) -> tuple[int, ...]:
@@ -231,6 +237,8 @@ def _minimalize_list(n: int, cands: Iterable[Monomial]) -> tuple[Monomial, ...]:
     accepted: list[Monomial] = []
     accepted_packed: list[int] = []
     for m in uniq:
+        if len(m) != n:
+            raise ValueError(f"monomial {m} has length {len(m)}, universe is {n}")
         pm = pack(m)
         # only earlier (lower-degree-or-equal) accepted gens can divide m
         for ap in accepted_packed:
@@ -244,11 +252,7 @@ def _minimalize_list(n: int, cands: Iterable[Monomial]) -> tuple[Monomial, ...]:
 
 def minimalize(n: int, monomials: Iterable[Monomial]) -> MonomialIdeal:
     """Ideal generated by the given monomials, reduced to minimal generators."""
-    gens = _minimalize_list(n, monomials)
-    for g in gens:
-        if len(g) != n:
-            raise ValueError(f"monomial {g} has length {len(g)}, universe is {n}")
-    return MonomialIdeal(n, gens, _trusted=True)
+    return MonomialIdeal(n, _minimalize_list(n, monomials), _trusted=True)
 
 
 def zero_ideal(n: int) -> MonomialIdeal:
@@ -405,13 +409,3 @@ def height(a: MonomialIdeal) -> int:
         raise ValueError("height implemented for square-free ideals only")
     return a.transversal_masks()[0].bit_count()
 
-
-def brute_minimal_transversals(edge_masks: Sequence[int], n: int) -> list[int]:
-    """Oracle: scan all 2^n subsets by ascending popcount, keep minimal hitters."""
-    hits: list[int] = []
-    subsets = sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
-    for s in subsets:
-        if all(s & e for e in edge_masks):
-            if not any(s & t == t for t in hits):
-                hits.append(s)
-    return hits

@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 from .duality import _require_square_free_proper
 from .graphs import Graph, cycle, path
 from .ideals import (DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, MonomialIdeal, SizeLimitError,
-                     max_packing)
+                     mask_vars, max_packing)
 from .packing import VerificationError
 from .tconn import cover_ideal
 
@@ -62,7 +62,7 @@ def _check_program(j: MonomialIdeal, alpha: Sequence[int], what: str):
 
 def _prime_rows(j: MonomialIdeal) -> list[tuple[int, ...]]:
     """The 0-based variables of each minimal prime of J."""
-    return [tuple(i for i in range(j.n) if m >> i & 1) for m in j.transversal_masks()]
+    return [mask_vars(m) for m in j.transversal_masks()]
 
 
 def tau(j: MonomialIdeal, alpha: Sequence[int]) -> int:

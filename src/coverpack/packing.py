@@ -54,7 +54,6 @@ reflection of the surviving cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .ideals import (
@@ -62,6 +61,7 @@ from .ideals import (
     Monomial,
     MonomialIdeal,
     SizeLimitError,
+    mask_vars,
     max_packing,
     minimalize,
     monomial_str,
@@ -129,19 +129,13 @@ def minor_from_code(code: int, n: int) -> Minor:
     return Minor(tuple(zeros), tuple(ones))
 
 
-@lru_cache(maxsize=1 << 12)
-def _mask_row(mask: int) -> tuple[int, ...]:
-    """The 0-based variables of a support mask, as a `max_packing` column."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _konig_masks(masks: Iterable[int], blocker: Iterable[int],
                  n: int) -> tuple[bool, int, int, list[tuple[int, ...]]]:
     # returns (konig, height, max_disjoint, certificate columns), the height
     # read off the blocker; when the packing search misses the height it has
     # explored everything, so the count it reports is the exact maximum
     h = min(t.bit_count() for t in blocker)
-    rows = [_mask_row(m) for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
+    rows = [mask_vars(m) for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
     count, cols = max_packing(rows, (1,) * n, need=h)
     return count >= h, h, count, cols
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from .duality import alexander_dual
 from .graphs import Graph, connected_induced_subsets, is_connected
-from .ideals import (DEFAULT_GEN_CAP, MonomialIdeal, brute_minimal_transversals,
-                     from_antichain_masks, from_masks, minimalize)
+from .ideals import DEFAULT_GEN_CAP, MonomialIdeal, from_antichain_masks, minimalize
 
 
 class GenerationError(RuntimeError):
@@ -78,11 +77,28 @@ def _tuples_to_ideal(n: int, tuples: list[tuple[int, ...]]) -> MonomialIdeal:
     return ideal
 
 
+def _gap_tuples(n: int, t: int, i0: int, accept) -> list[tuple[int, ...]]:
+    """Every i_1 < ... < i_r in 1..n with i_1 <= t, consecutive gaps <= t and
+    double gaps >= t+1 (the first one from a virtual i_0 = `i0`) that
+    `accept` keeps, depth first in lexicographic order."""
+    out: list[tuple[int, ...]] = []
+
+    def extend(tup: tuple[int, ...], prev: int):
+        if accept(tup):
+            out.append(tup)
+        last = tup[-1]
+        for j in range(max(last + 1, prev + t + 1), min(last + t, n) + 1):
+            extend(tup + (j,), last)
+
+    for i1 in range(1, t + 1):
+        extend((i1,), i0)
+    return out
+
+
 def path_cover_gens(n: int, t: int) -> MonomialIdeal:
     """Closed-form minimal generators of J_t(P_n)."""
     if not (2 <= t <= n):
         raise ValueError(f"need 2 <= t <= n, got t={t}, n={n}")
-    out: list[tuple[int, ...]] = []
 
     def accept(tup: tuple[int, ...]) -> bool:
         if tup[-1] < n - t + 1:
@@ -91,21 +107,7 @@ def path_cover_gens(n: int, t: int) -> MonomialIdeal:
             return False
         return True
 
-    def extend(tup: tuple[int, ...]):
-        if accept(tup):
-            out.append(tup)
-        last = tup[-1]
-        lo = last + 1
-        if len(tup) == 1:
-            lo = max(lo, t + 1)          # i_2 >= t+1
-        else:
-            lo = max(lo, tup[-2] + t + 1)  # double gap
-        for j in range(lo, min(last + t, n) + 1):
-            extend(tup + (j,))
-
-    for i1 in range(1, t + 1):
-        extend((i1,))
-
+    out = _gap_tuples(n, t, 0, accept)      # i_2 >= t+1 is the double gap from 0
     floor_bound = n // t
     for tup in out:
         if len(tup) < floor_bound:
@@ -118,7 +120,6 @@ def cycle_cover_gens(n: int, t: int) -> MonomialIdeal:
     """Closed-form minimal generators of J_t(C_n)."""
     if not (2 <= t <= n) or n < 3:
         raise ValueError(f"need n >= 3 and 2 <= t <= n, got t={t}, n={n}")
-    out: list[tuple[int, ...]] = []
 
     def accept(tup: tuple[int, ...]) -> bool:
         r = len(tup)
@@ -131,32 +132,10 @@ def cycle_cover_gens(n: int, t: int) -> MonomialIdeal:
                 return False
         return True
 
-    def extend(tup: tuple[int, ...]):
-        if accept(tup):
-            out.append(tup)
-        last = tup[-1]
-        lo = last + 1
-        if len(tup) >= 2:
-            lo = max(lo, tup[-2] + t + 1)  # double gap
-        for j in range(lo, min(last + t, n) + 1):
-            extend(tup + (j,))
-
-    for i1 in range(1, t + 1):
-        extend((i1,))
-
+    out = _gap_tuples(n, t, -t, accept)     # no double gap before i_2
     ceil_bound = -(-n // t)
     for tup in out:
         if len(tup) < ceil_bound:
             raise GenerationError(
                 f"cycle cover {tup} shorter than ceil(n/t)={ceil_bound}")
     return _tuples_to_ideal(n, out)
-
-
-def brute_cover_ideal(g: Graph, t: int) -> MonomialIdeal:
-    """Oracle route: minimal covers by scanning all 2^n subsets (small n only)."""
-    ideal = t_connected_ideal(g, t)
-    if ideal.is_zero:
-        raise ValueError("graph has no connected t-subsets")
-    if g.n > 20:
-        raise ValueError("brute-force cover enumeration capped at n <= 20")
-    return from_masks(g.n, brute_minimal_transversals(ideal.support_masks(), g.n))

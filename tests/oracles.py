@@ -31,8 +31,13 @@ the library's faster route replaced:
   tables.
 - `filtered_minimal_transversals`: the enumerate-then-filter recursion that
   the MMCS search in `coverpack.ideals.minimal_transversals` replaced.
-  Together with `coverpack.ideals.brute_minimal_transversals` (a scan of
-  all 2^n subsets) it is the second oracle for that search.
+  Together with `brute_minimal_transversals` (a scan of all 2^n subsets)
+  it is the second oracle for that search.
+- `brute_cover_ideal`: J_t(G) from `brute_minimal_transversals` over the
+  I_t(G) supports, the reference for `coverpack.tconn.cover_ideal` and the
+  closed forms.  The two brute-force routes used to ship in the library
+  behind `coverpack gens --brute-force`; they live here now, and the CLI
+  has no such flag.
 - `flat_is_packed`: the odometer scan that the memoised depth-first scan in
   `coverpack.packing.is_packed` replaced.  It restricts the supports to
   every one of the 3^n minors in ternary-code order and runs the Konig
@@ -63,10 +68,10 @@ from coverpack.duality import minimal_primes
 from coverpack.graphs import (Graph, connected_induced_subsets, cycle, is_connected,
                               is_connected_subset)
 from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, _high_mask,
-                              minimalize, pack, unit_ideal, zero_ideal)
+                              from_masks, minimalize, pack, unit_ideal, zero_ideal)
 from coverpack.lpdual import GapSearchResult, nu
 from coverpack.packing import Minor, PackingReport, PackingWitness, minor_from_code, restrict
-from coverpack.tconn import GenerationError, cover_ideal
+from coverpack.tconn import GenerationError, cover_ideal, t_connected_ideal
 
 
 def prime_power_weight(m: Monomial, prime_vars: Sequence[int]) -> int:
@@ -323,6 +328,27 @@ def filtered_minimal_transversals(edge_masks: Sequence[int], n: int) -> list[int
         if not any(t & s == s for s in minimal):
             minimal.append(t)
     return minimal
+
+
+def brute_minimal_transversals(edge_masks: Sequence[int], n: int) -> list[int]:
+    """Oracle: scan all 2^n subsets by ascending popcount, keep minimal hitters."""
+    hits: list[int] = []
+    subsets = sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
+    for s in subsets:
+        if all(s & e for e in edge_masks):
+            if not any(s & t == t for t in hits):
+                hits.append(s)
+    return hits
+
+
+def brute_cover_ideal(g: Graph, t: int) -> MonomialIdeal:
+    """Oracle route: minimal covers by scanning all 2^n subsets (small n only)."""
+    ideal = t_connected_ideal(g, t)
+    if ideal.is_zero:
+        raise ValueError("graph has no connected t-subsets")
+    if g.n > 20:
+        raise ValueError("brute-force cover enumeration capped at n <= 20")
+    return from_masks(g.n, brute_minimal_transversals(ideal.support_masks(), g.n))
 
 
 def _ternary_minor_masks(n: int) -> Iterator[tuple[int, int, int]]:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,8 +8,10 @@ import sys
 import pytest
 
 import coverpack
-from coverpack.cli import REPORT_SCHEMA, build_parser, emit_report, main, parse_graph_spec
+from coverpack.cli import (REPORT_SCHEMA, RESULT_KEYS, SchemaError, build_parser, emit_report,
+                           main, parse_graph_spec)
 from coverpack.graphs import complete, cycle, encode_graph6, path, star
+from oracles import brute_cover_ideal
 
 
 def run_cli(capsys, *argv):
@@ -50,23 +54,23 @@ def test_gens_command(capsys):
 
 
 def test_gens_routes_agree(capsys):
-    _, out1, _ = run_cli(capsys, "gens", "--graph", "cycle:9", "--t", "3")
-    _, out2, _ = run_cli(capsys, "gens", "--graph", "cycle:9", "--t", "3", "--closed-form")
-    _, out3, _ = run_cli(capsys, "gens", "--graph", "cycle:9", "--t", "3", "--brute-force")
-    gens1 = json.loads(out1)["result"]["generators"]
-    assert gens1 == json.loads(out2)["result"]["generators"]
-    assert gens1 == json.loads(out3)["result"]["generators"]
+    # both CLI routes against the subset-scan oracle
+    expect = brute_cover_ideal(cycle(9), 3).to_json()
+    for extra, route in [((), "transversal"), (("--closed-form",), "closed-form")]:
+        code, out, _ = run_cli(capsys, "gens", "--graph", "cycle:9", "--t", "3", *extra)
+        payload = json.loads(out)
+        assert code == 0 and payload["config"]["route"] == route
+        assert payload["result"]["generators"] == expect
+
+
+def test_gens_brute_force_flag_gone(capsys):
+    code, out, err = run_cli(capsys, "gens", "--graph", "path:5", "--t", "3", "--brute-force")
+    assert code == 2 and out == "" and "--brute-force" in err
 
 
 def test_gens_closed_form_requires_canonical(capsys):
     code, _, err = run_cli(capsys, "gens", "--graph", "star:4", "--t", "3", "--closed-form")
     assert code == 2 and "closed-form" in err
-
-
-def test_gens_flag_conflict(capsys):
-    code, _, _ = run_cli(capsys, "gens", "--graph", "path:5", "--t", "3",
-                         "--closed-form", "--brute-force")
-    assert code == 2
 
 
 def test_simis_command(capsys):
@@ -335,34 +339,105 @@ def test_generation_error_exit(capsys, monkeypatch):
 
 
 def test_numpy_not_imported():
-    # numpy is no dependency: neither the package nor the covering commands load it
+    # neither numpy nor jsonschema is a dependency: importing the CLI and
+    # running every subcommand loads neither
     src = os.path.dirname(os.path.dirname(coverpack.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import sys, coverpack\n"
         "from coverpack.cli import main\n"
-        "seen = ['numpy' in sys.modules]\n"
-        "main(['lp', '--graph', 'cycle:7', '--t', '3'])\n"
-        "seen.append('numpy' in sys.modules)\n"
-        "main(['gap-search', '--graph', 'cycle:7', '--t', '3', '--entry-bound', '1'])\n"
-        "seen.append('numpy' in sys.modules)\n"
+        "def loaded():\n"
+        "    return [m for m in ('numpy', 'jsonschema') if m in sys.modules]\n"
+        "seen = [loaded()]\n"
+        "g = ['--graph', 'cycle:7', '--t', '3']\n"
+        "for argv in (['gens', *g], ['gens', *g, '--closed-form'], ['simis', *g],\n"
+        "             ['konig', *g], ['packing', *g], ['lp', *g],\n"
+        "             ['gap-search', *g, '--entry-bound', '1'],\n"
+        "             ['verify-theorem', '--nmax', '4']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    seen.append(loaded())\n"
         "print(seen, file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "[False, False, False]"
+    assert proc.stderr.strip() == str([[]] * 9)
+
+
+def _real_reports():
+    # one report per command, as the CLI emits it
+    g = ["--graph", "cycle:6", "--t", "3"]
+    argvs = [["gens", *g], ["simis", *g], ["konig", *g], ["packing", *g], ["lp", *g],
+             ["gap-search", *g, "--entry-bound", "1"], ["verify-theorem", "--nmax", "3"]]
+    reports = []
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        reports.append(json.loads(out.getvalue()))
+    assert [r["command"] for r in reports] == list(RESULT_KEYS)
+    return reports
+
+
+def _broken_reports(report):
+    # every way a report can break the schema, one at a time
+    for key in ("command", "config", "result"):
+        yield {k: v for k, v in report.items() if k != key}
+    yield {**report, "extra": 1}
+    yield {**report, "command": "bogus"}
+    yield {**report, "command": ["gens"]}
+    for key in ("config", "result"):
+        yield {**report, key: []}
+        yield {**report, key: "x"}
+    for key in RESULT_KEYS[report["command"]]:
+        yield {**report, "result": {k: v for k, v in report["result"].items() if k != key}}
+
+
+def _accepts(payload) -> bool:
+    try:
+        emit_report(payload, out=os.devnull)
+    except SchemaError:
+        return False
+    return True
+
+
+def test_emit_report_agrees_with_jsonschema():
+    # the built-in check rejects exactly what a full validator of the
+    # published schema rejects
+    import jsonschema
+    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+    validator = jsonschema.Draft202012Validator(REPORT_SCHEMA)
+    corpus = [[], "report", None]
+    for report in _real_reports():
+        corpus.append(report)
+        corpus.extend(_broken_reports(report))
+    rejected = 0
+    for payload in corpus:
+        assert _accepts(payload) == validator.is_valid(payload), payload
+        rejected += not validator.is_valid(payload)
+    assert rejected == len(corpus) - len(RESULT_KEYS)
 
 
 def test_emit_report_validates():
-    import jsonschema
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SchemaError):
         emit_report({"command": "gens", "config": {}, "result": {}},
                     out="/dev/null")
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SchemaError):
         emit_report({"command": "bogus", "config": {}, "result": {}},
                     out="/dev/null")
+
+
+def test_schema_violation_exit(capsys, monkeypatch):
+    # a result missing its keys is reported, not written, and exits 2
+    import coverpack.cli
+    from coverpack.packing import KonigResult
+    monkeypatch.setattr(KonigResult, "to_json", lambda self: {"height": self.height})
+    code, out, err = run_cli(capsys, "konig", "--graph", "cycle:6", "--t", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("schema violation:") and "konig" in err
+    assert "Traceback" not in err
+    assert issubclass(coverpack.cli.SchemaError, ValueError)
 
 
 def test_report_round_trip(capsys):
@@ -377,10 +452,12 @@ def test_parser_subcommand_required(capsys):
 
 
 def test_schema_requires_result_keys():
-    import jsonschema
-    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+    # the published schema is built from the one key table
+    assert REPORT_SCHEMA["properties"]["command"]["enum"] == list(RESULT_KEYS)
+    assert [c["then"]["properties"]["result"]["required"] for c in REPORT_SCHEMA["allOf"]] \
+        == list(RESULT_KEYS.values())
     for command in REPORT_SCHEMA["properties"]["command"]["enum"]:
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(SchemaError):
             emit_report({"command": command, "config": {}, "result": {}},
                         out="/dev/null")
 

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monomials, random_square_free_ideal, square_free_ideals
-from oracles import (divides, equal, filtered_minimal_transversals, intersect, lcm, member,
-                     member_power, mul, power, product)
+from oracles import (brute_minimal_transversals, divides, equal, filtered_minimal_transversals,
+                     intersect, lcm, member, member_power, mul, power, product)
+from coverpack.duality import minimal_primes
 from coverpack.ideals import (
     MonomialIdeal,
     SizeLimitError,
-    brute_minimal_transversals,
     divides_packed,
     from_antichain_masks,
     from_masks,
     height,
     mask_to_monomial,
+    mask_vars,
     max_packing,
     minimal_transversals,
     minimalize,
@@ -105,6 +106,18 @@ def test_zero_and_unit():
     assert z.is_zero and not z.is_unit
     assert u.is_unit and not u.is_zero
     assert minimalize(3, [(0, 0, 0), (1, 0, 0)]) == u
+
+
+def test_generator_length_checked_on_every_path():
+    # the constructor and minimalize share one length check, and it sees
+    # every candidate, also one that the unit generator would absorb
+    bad = [[(1, 0)], [(1, 0, 0), (0, 1)], [(0, 0, 0), (1, 0)], [(1, 0, 0, 0)]]
+    for gens in bad:
+        with pytest.raises(ValueError, match="universe is 3"):
+            MonomialIdeal(3, gens)
+        with pytest.raises(ValueError, match="universe is 3"):
+            minimalize(3, gens)
+    assert MonomialIdeal(3, []).is_zero
 
 
 @given(square_free_ideals())
@@ -207,6 +220,18 @@ def test_support_rows_built_once_in_size_order():
     b = minimalize(3, [(0, 1, 1), (3, 0, 0)])
     assert b.gens == ((0, 1, 1), (3, 0, 0))
     assert b.support_rows() == ((0,), (1, 2))
+
+
+def test_mask_vars():
+    # ascending 0-based variables; the minimal primes print them 1-based
+    assert mask_vars(0) == ()
+    assert mask_vars(0b1) == (0,)
+    assert mask_vars(0b101101) == (0, 2, 3, 5)
+    assert mask_vars(1 << 19 | 1 << 4) == (4, 19)
+    a = minimalize(4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
+    assert minimal_primes(a) == tuple(tuple(i + 1 for i in mask_vars(m))
+                                      for m in a.transversal_masks())
+    assert minimal_primes(a) == ((1, 3), (2, 3), (2, 4))
 
 
 def test_max_packing_need_stops_early():

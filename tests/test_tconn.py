@@ -4,19 +4,18 @@ import random
 
 import pytest
 
-from oracles import cycle_konig_sequence, filtered_minimal_transversals
+from oracles import (brute_cover_ideal, brute_minimal_transversals, cycle_konig_sequence,
+                     filtered_minimal_transversals)
 from coverpack.graphs import Graph, complete, cycle, path, star
 from coverpack.classify import connected_graphs
 from coverpack.ideals import (
     SizeLimitError,
-    brute_minimal_transversals,
     from_masks,
     minimal_transversals,
     minimalize,
     support_mask,
 )
 from coverpack.tconn import (
-    brute_cover_ideal,
     cover_ideal,
     cycle_cover_gens,
     path_cover_gens,
