@@ -214,10 +214,10 @@ def _row_violations(row: HarnessRow) -> bool:
 @dataclass
 class _ClassEntry:
     """Cached outcome for one (isomorphism class, t): the first labelling's
-    row, that labelling and its canonical relabelling."""
+    row and, per canonical label c, the 0-based vertex of that labelling
+    carrying label c + 1."""
     row: HarnessRow
-    graph: Graph
-    perm: tuple[int, ...]
+    first_of: tuple[int, ...]
     # whether every labelling is computed; decided at the second labelling
     direct: Optional[bool] = None
 
@@ -234,7 +234,8 @@ def _antichain_width(n: int, s: int) -> int:
 
 def _needs_direct(row: HarnessRow, g: Graph, s_max: Optional[int], cap: int) -> bool:
     """Whether some labelling of the class of (g, row.t) could abort where
-    g did not, so that every labelling has to be computed."""
+    the one of `row` did not, so that every labelling has to be computed.
+    `g` is any labelling of the class: only class invariants are read."""
     n, t = row.n, row.t
     if row.simis_verdict == "aborted":
         return True
@@ -260,8 +261,7 @@ def _cached_row(entry: _ClassEntry, g: Graph, perm: tuple[int, ...]) -> HarnessR
     row = entry.row
     # vertex v of g is the vertex of the first labelling with the same
     # canonical label
-    first_of = sorted(range(g.n), key=entry.perm.__getitem__)
-    relabel = itemgetter(*[first_of[c - 1] for c in perm])
+    relabel = itemgetter(*[entry.first_of[c - 1] for c in perm])
     # one degree, so exponent-tuple order is canonical order
     failures = tuple(sorted(map(relabel, row.failures)))
     wit = monomial_str(failures[0]) if failures else None
@@ -295,12 +295,13 @@ def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
         for t in ts:
             entry = classes.get((g.n, edges, t))
             if entry is not None and entry.direct is None:
-                entry.direct = _needs_direct(entry.row, entry.graph, s_max, cap)
+                entry.direct = _needs_direct(entry.row, g, s_max, cap)
             if entry is None or entry.direct:
                 row = check_instance(g, t, s_max=s_max, cap=cap)
                 report.computed += 1
                 if entry is None:
-                    classes[g.n, edges, t] = _ClassEntry(row, g, perm)
+                    first_of = tuple(sorted(range(g.n), key=perm.__getitem__))
+                    classes[g.n, edges, t] = _ClassEntry(row, first_of)
             else:
                 row = _cached_row(entry, g, perm)
             report.rows.append(row)

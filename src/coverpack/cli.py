@@ -6,14 +6,14 @@ file) or a literal graph6 string.  Every command emits one JSON report,
 checked against the published `REPORT_SCHEMA` before it is written;
 identical configurations produce byte-identical reports.  The check
 enforces exactly what the schema says, in a few lines of this module, so
-no schema library is loaded.
+no schema library is loaded.  Each command has one route; `gens` reports
+its minimal-transversal dualization as "route": "transversal".
 
-Exit codes: 0 success, 1 harness disagreement or failed self-check (a
-closed-form generator list or weak duality in the gap search), 2 usage
-error or a report the schema rejects, 3 resource-guard abort.  The
-COVERPACK_GEN_CAP and COVERPACK_SCAN_CAP environment variables override
-the generator-count cap and the scan cap (the alpha space of gap-search,
-the memoised minors of packing).
+Exit codes: 0 success, 1 harness disagreement or failed self-check (weak
+duality in the gap search), 2 usage error or a report the schema rejects,
+3 resource-guard abort.  The COVERPACK_GEN_CAP and COVERPACK_SCAN_CAP
+environment variables override the generator-count cap and the scan cap
+(the alpha space of gap-search, the memoised minors of packing).
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from typing import Optional, Sequence
 
 from .classify import verify_theorem
 from .duality import simis_check
-from .graphs import Graph, Graph6ParseError, classify_shape, complete, cycle, parse_graph6, path, star
+from .graphs import Graph, Graph6ParseError, complete, cycle, parse_graph6, path, star
 from .ideals import DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, SizeLimitError
 from .lpdual import duality_gap_search, nu, tau
 from .packing import is_konig, is_packed, VerificationError
-from .tconn import GenerationError, cover_ideal, cycle_cover_gens, path_cover_gens
+from .tconn import cover_ideal
 
 # the keys each command's result must carry: the schema's command enum and
 # its per-command clauses are both built from this table
@@ -155,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gens", help="generators of J_t(G)")
     _add_common(p)
-    p.add_argument("--closed-form", action="store_true",
-                   help="use the path/cycle closed form (canonical labellings only)")
 
     p = sub.add_parser("simis", help="bounded symbolic vs ordinary power comparison for J_t(G)")
     _add_common(p)
@@ -192,21 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _gens_payload(args, gen_cap: int, scan_cap: int) -> dict:
     g = parse_graph_spec(args.graph)
     t = args.t
-    if args.closed_form:
-        route = "closed-form"
-        shape = classify_shape(g)
-        if shape == "path" and g == path(g.n):
-            ideal = path_cover_gens(g.n, t)
-        elif shape == "cycle" and g == cycle(g.n):
-            ideal = cycle_cover_gens(g.n, t)
-        else:
-            raise UsageError("--closed-form needs a canonical path:N or cycle:N graph")
-    else:
-        route = "transversal"
-        ideal = cover_ideal(g, t, cap=gen_cap)
+    ideal = cover_ideal(g, t, cap=gen_cap)
     return {
         "command": "gens",
-        "config": {"graph": args.graph, "t": t, "route": route},
+        "config": {"graph": args.graph, "t": t, "route": "transversal"},
         "result": {"n": g.n, "t": t, "count": len(ideal.gens),
                    "generators": ideal.to_json()},
     }
@@ -346,7 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (VerificationError, GenerationError) as e:
+    except VerificationError as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1
 

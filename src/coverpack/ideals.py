@@ -90,10 +90,6 @@ def divides_packed(a: int, b: int, high: int) -> bool:
     return not (b - a) & high
 
 
-def degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def support_mask(m: Monomial) -> int:
     mask = 0
     for i, e in enumerate(m):
@@ -291,6 +287,12 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
     Returns (count, columns): the columns of the packing that reached
     `need`, each repeated by its multiplicity in column order, or [] when
     the count stays below `need` or no `need` is given.
+
+    Skipping a column is a step of the search's loop, not a call, so the
+    recursion nests one level per distinct column in the current packing.
+    Under unit capacity that is at most n levels, but a capacity large
+    enough to pack about a thousand distinct columns at once still reaches
+    Python's recursion limit.
     """
     zero = {i for i, x in enumerate(capacity) if not x}
     cols = [c for c in rows if zero.isdisjoint(c)] if zero else rows
@@ -304,27 +306,26 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
 
     def dfs(i: int, count: int, left: int) -> bool:
         nonlocal best
-        if i == ncols:
-            return False
-        c = cols[i]
-        size = len(c)
-        if count + left // size <= best:
-            return False
-        for z in range(min(map(get, c)), 0, -1):
-            if count + z > best:
-                best = count + z
-                if best >= goal:
+        for i in range(i, ncols):
+            c = cols[i]
+            size = len(c)
+            if count + left // size <= best:
+                return False
+            for z in range(min(map(get, c)), 0, -1):
+                if count + z > best:
+                    best = count + z
+                    if best >= goal:
+                        chosen.extend([c] * z)
+                        return True
+                for r in c:
+                    residual[r] -= z
+                done = dfs(i + 1, count + z, left - z * size)
+                for r in c:
+                    residual[r] += z
+                if done:
                     chosen.extend([c] * z)
                     return True
-            for r in c:
-                residual[r] -= z
-            done = dfs(i + 1, count + z, left - z * size)
-            for r in c:
-                residual[r] += z
-            if done:
-                chosen.extend([c] * z)
-                return True
-        return dfs(i + 1, count, left)
+        return False
 
     dfs(0, 0, total)
     chosen.reverse()

@@ -43,12 +43,17 @@ contracts it in the blocker (`_delete_bit`), and setting v to one
 contracts it in the clutter and drops the transversals through v.  The
 blocker is a function of the antichain, so the memo key stays as it is.
 
+`restrict` applies a minor with the scan's own two steps, so minors have
+one implementation; the witness minor is rebuilt with it.
+
 For cycles with t | n, `cycle_nonpacking_minor` builds the explicit
 zero-sets that collapse J_t(C_n) onto the cover ideal of a smaller odd
 cycle (t = 3), onto J_{t-1} of a shorter cycle (t >= 4), or onto one of
-the two sporadic small targets; the construction is then verified by
-comparing the restricted ideal against the target under some rotation or
-reflection of the surviving cycle.
+the two sporadic small targets, and verifies each construction by testing
+the restricted ideal, over the survivors in ascending order, for equality
+with the target J_{t'}(C_{n'}).  That target is invariant under every
+rotation and reflection of C_{n'}, so the restriction matches it under
+some dihedral relabelling exactly when it equals it outright.
 """
 
 from __future__ import annotations
@@ -61,9 +66,9 @@ from .ideals import (
     Monomial,
     MonomialIdeal,
     SizeLimitError,
+    from_antichain_masks,
     mask_vars,
     max_packing,
-    minimalize,
     monomial_str,
 )
 from .tconn import cycle_cover_gens
@@ -97,24 +102,23 @@ class Restriction:
 
 
 def restrict(a: MonomialIdeal, minor: Minor) -> Restriction:
-    """Apply a minor; generators meeting a zero die, ones are deleted."""
+    """Apply a minor to the supports, as the scan does: a zero drops every
+    support through its variable and a one is `_delete_bit`; the survivors'
+    bits are then compacted onto 1..m in ascending order."""
     for v in minor.zeros + minor.ones:
         if not (1 <= v <= a.n):
             raise ValueError(f"minor touches variable {v} outside 1..{a.n}")
-    zset = set(minor.zeros)
-    oset = set(minor.ones)
-    survivors = tuple(v for v in range(1, a.n + 1) if v not in zset and v not in oset)
-    pos = {v: i for i, v in enumerate(survivors)}
-    m = len(survivors)
-    new_gens = []
-    for g in a.gens:
-        if any(g[v - 1] for v in zset):
-            continue
-        gg = [0] * m
-        for v in survivors:
-            gg[pos[v]] = g[v - 1]
-        new_gens.append(tuple(gg))
-    return Restriction(minimalize(m, new_gens), survivors)
+    if not a.is_square_free:
+        raise ValueError("minors are set up for square-free ideals")
+    zmask = sum(1 << (v - 1) for v in minor.zeros)
+    clutter = frozenset(m for m in a.support_masks() if not m & zmask)
+    for v in minor.ones:
+        clutter = _delete_bit(clutter, 1 << (v - 1))
+    survivors = tuple(v for v in range(1, a.n + 1)
+                      if v not in minor.zeros and v not in minor.ones)
+    masks = [sum(1 << i for i, v in enumerate(survivors) if m >> (v - 1) & 1)
+             for m in clutter]
+    return Restriction(from_antichain_masks(len(survivors), masks), survivors)
 
 
 def minor_from_code(code: int, n: int) -> Minor:
@@ -181,13 +185,8 @@ class PackingWitness:
     max_disjoint: int
 
     def gens_original_labels(self) -> list[str]:
-        names = self.survivors
-        out = []
-        for g in self.restricted.gens:
-            parts = [f"x{names[i]}" + (f"^{e}" if e > 1 else "")
-                     for i, e in enumerate(g) if e]
-            out.append("*".join(parts) if parts else "1")
-        return out
+        return ["*".join(f"x{self.survivors[i]}" for i in mask_vars(m)) or "1"
+                for m in self.restricted.support_masks()]
 
     def to_json(self) -> dict:
         return {
@@ -347,57 +346,27 @@ def _cycle_zero_set(n: int, t: int) -> tuple[tuple[int, ...], tuple[int, int]]:
     return tuple(t * m for m in range(1, ell + 1)), ((t - 1) * ell, t - 1)
 
 
-def _dihedral_match(rest: Restriction, target: MonomialIdeal) -> bool:
-    """Restricted ideal equals the target cycle cover ideal under some
-    rotation/reflection of the surviving cyclic order."""
-    n2 = target.n
-    if len(rest.survivors) != n2:
-        return False
-    gens_pos = {frozenset(i + 1 for i, e in enumerate(g) if e) for g in rest.ideal.gens}
-    tgens = [frozenset(i + 1 for i, e in enumerate(g) if e) for g in target.gens]
-    if len(gens_pos) != len(tgens):
-        return False
-    for r in range(n2):
-        for flip in (False, True):
-            if flip:
-                mapped = {frozenset((r - (p - 1)) % n2 + 1 for p in g) for g in tgens}
-            else:
-                mapped = {frozenset((p - 1 + r) % n2 + 1 for p in g) for g in tgens}
-            if mapped == gens_pos:
-                return True
-    return False
-
-
-def cycle_nonpacking_minor(n: int, t: int, verify: bool = True) -> CycleMinorResult:
+def cycle_nonpacking_minor(n: int, t: int) -> CycleMinorResult:
     """Witness against packing for J_t(C_n), n > t >= 3, outside the packed list.
 
     When t does not divide n the ideal itself is not Konig (empty minor).
     Otherwise returns the explicit zero-set minor whose restriction is the
-    cover ideal of a smaller non-Konig cycle instance, verified by matching
-    the restriction against the target under the dihedral action.
+    cover ideal of a smaller non-Konig cycle instance.  Either claim is
+    checked before returning; a failed check raises VerificationError.
     """
     if not (3 <= t < n):
         raise ValueError(f"need 3 <= t < n, got t={t}, n={n}")
     if (n, t) in PACKED_CYCLES:
         raise ValueError(f"J_{t}(C_{n}) is packed; no witness exists")
     if n % t:
-        verified = False
-        if verify:
-            res = is_konig(cycle_cover_gens(n, t))
-            if res.konig:
-                raise VerificationError(
-                    f"J_{t}(C_{n}) unexpectedly Konig despite t not dividing n")
-            verified = True
-        return CycleMinorResult(n, t, "not_konig", Minor(), None, verified)
+        if is_konig(cycle_cover_gens(n, t)).konig:
+            raise VerificationError(
+                f"J_{t}(C_{n}) unexpectedly Konig despite t not dividing n")
+        return CycleMinorResult(n, t, "not_konig", Minor(), None, True)
     zeros, target = _cycle_zero_set(n, t)
     minor = Minor(zeros=zeros)
-    verified = False
-    if verify:
-        rest = restrict(cycle_cover_gens(n, t), minor)
-        tgt = cycle_cover_gens(*target)
-        if not _dihedral_match(rest, tgt):
-            raise VerificationError(
-                f"restriction of J_{t}(C_{n}) by zeros {zeros} does not match "
-                f"J_{target[1]}(C_{target[0]}) under the dihedral action")
-        verified = True
-    return CycleMinorResult(n, t, "minor", minor, target, verified)
+    if restrict(cycle_cover_gens(n, t), minor).ideal != cycle_cover_gens(*target):
+        raise VerificationError(
+            f"restriction of J_{t}(C_{n}) by zeros {zeros} is not "
+            f"J_{target[1]}(C_{target[0]})")
+    return CycleMinorResult(n, t, "minor", minor, target, True)

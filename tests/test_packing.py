@@ -47,6 +47,15 @@ def test_minor_code_convention():
     assert m.zeros == (2,) and m.ones == (1,)
 
 
+def _tuple_restriction(a, minor):
+    # the minor on exponent tuples: drop the generators through a zero, delete
+    # the zeros and ones from the rest, and minimalise
+    surv = [v for v in range(1, a.n + 1) if v not in minor.zeros and v not in minor.ones]
+    gens = [tuple(g[v - 1] for v in surv) for g in a.gens
+            if not any(g[v - 1] for v in minor.zeros)]
+    return tuple(surv), minimalize(len(surv), gens)
+
+
 def test_restrict_hand_case():
     a = minimalize(3, [(1, 1, 0), (0, 1, 1)])
     r = restrict(a, Minor(zeros=(1,), ones=()))
@@ -73,19 +82,27 @@ def test_restrict_random_consistency():
         labels = list(range(1, n + 1))
         zs = tuple(v for v in labels if rng.random() < 0.3)
         os_ = tuple(v for v in labels if v not in zs and rng.random() < 0.3)
-        rest = restrict(a, Minor(zeros=zs, ones=os_))
-        surv = [v for v in labels if v not in zs and v not in os_]
-        pos = {v: i for i, v in enumerate(surv)}
-        exp = []
-        for g in a.gens:
-            if any(g[v - 1] for v in zs):
-                continue
-            t2 = [0] * len(surv)
-            for v in surv:
-                t2[pos[v]] = g[v - 1]
-            exp.append(tuple(t2))
-        assert rest.survivors == tuple(surv)
-        assert rest.ideal == minimalize(len(surv), exp)
+        minor = Minor(zeros=zs, ones=os_)
+        rest = restrict(a, minor)
+        assert (rest.survivors, rest.ideal) == _tuple_restriction(a, minor)
+
+
+def test_restrict_every_minor_of_small_cover_ideals():
+    # every minor of J_t(G), G connected on at most 4 vertices
+    for n in range(2, 5):
+        for _code, g in connected_graphs(n):
+            for t in range(2, n + 1):
+                a = cover_ideal(g, t)
+                for code in range(3 ** n):
+                    minor = minor_from_code(code, n)
+                    rest = restrict(a, minor)
+                    assert (rest.survivors, rest.ideal) == _tuple_restriction(a, minor), \
+                        (g, t, code)
+
+
+def test_restrict_rejects_non_square_free():
+    with pytest.raises(ValueError, match="square-free"):
+        restrict(minimalize(2, [(2, 0), (0, 1)]), Minor(zeros=(2,)))
 
 
 # -- Konig ------------------------------------------------------------------
@@ -331,9 +348,12 @@ def test_cycle_minor_divisible_grid():
                 assert not is_konig(rest.ideal).konig, (n, t)
 
 
-def test_cycle_minor_verify_flag():
-    r = cycle_nonpacking_minor(12, 3, verify=False)
-    assert not r.verified and r.kind == "minor"
+def test_cycle_minor_wrong_zero_set_fails_verification(monkeypatch):
+    # killing 1, 2, 3 kills every cover of J_3(C_12), so the zero ideal is
+    # not the claimed J_2(C_9)
+    monkeypatch.setattr(coverpack.packing, "_cycle_zero_set", lambda n, t: ((1, 2, 3), (9, 2)))
+    with pytest.raises(VerificationError, match="J_2\\(C_9\\)"):
+        cycle_nonpacking_minor(12, 3)
 
 
 def test_cycle_minor_json():

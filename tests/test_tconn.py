@@ -15,7 +15,9 @@ from coverpack.ideals import (
     minimalize,
     support_mask,
 )
+import coverpack.tconn
 from coverpack.tconn import (
+    GenerationError,
     cover_ideal,
     cycle_cover_gens,
     path_cover_gens,
@@ -209,6 +211,15 @@ def test_closed_forms_square_free_antichains():
             if n >= 3:
                 a = cycle_cover_gens(n, t)
                 assert a.is_square_free and not a.is_zero
+
+
+def test_closed_form_losing_a_generator_is_rejected(monkeypatch):
+    # a closed form that loses a generator in canonicalisation is not an antichain
+    real = coverpack.tconn.minimalize
+    monkeypatch.setattr(coverpack.tconn, "minimalize",
+                        lambda n, gens: real(n, list(gens)[1:]))
+    with pytest.raises(GenerationError, match="antichain"):
+        cycle_cover_gens(9, 3)
 
 
 def test_minimum_cover_sizes():
