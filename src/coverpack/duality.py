@@ -108,9 +108,11 @@ def alexander_dual(a: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> MonomialIdea
 
     The minimal transversals form an antichain, so they are only sorted into
     canonical order, not minimalised; more than `cap` raise SizeLimitError.
+    The blocker of the blocker is the clutter, so the dual's own minimal
+    transversals are the supports of `a`, and the dual is given them.
     """
     _require_square_free_proper(a, "alexander_dual")
-    return from_antichain_masks(a.n, a.transversal_masks(cap))
+    return from_antichain_masks(a.n, a.transversal_masks(cap), a.support_masks())
 
 
 def minimal_primes(a: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
@@ -149,7 +151,7 @@ def symbolic_power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> Mono
         raise ValueError("symbolic_power needs s >= 1")
     if s == 1:
         return a
-    primes = sorted(minimal_primes(a), key=lambda p: (len(p), p))
+    primes = sorted(map(mask_vars, a.transversal_masks()), key=lambda p: (len(p), p))
     if s * len(primes[-1]) > FIELD_MAX:
         raise ValueError(
             f"symbolic power s={s} over a prime on {len(primes[-1])} variables "
@@ -162,7 +164,7 @@ def symbolic_power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> Mono
     current = [(0, 0)]
     folded: list[tuple[int, int]] = []    # (field mask, support) per folded prime
     for p in primes:
-        shifts = tuple(field_shift(v - 1, n) for v in p)
+        shifts = tuple(field_shift(v, n) for v in p)
         pmask = sum(FIELD_MAX << x for x in shifts)
         psupp = sum((FIELD_MAX + 1) << x for x in shifts)
         needs = [s - (((g & pmask) * ones >> top) & FIELD_MAX) for _d, g in current]

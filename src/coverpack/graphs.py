@@ -55,13 +55,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
-    def degree(self, v: int) -> int:
-        return bin(self.adj[v - 1]).count("1")
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        m = self.adj[v - 1]
-        return tuple(i + 1 for i in range(self.n) if m >> i & 1)
-
 
 # ---------------------------------------------------------------------------
 # standard families

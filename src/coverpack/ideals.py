@@ -5,18 +5,26 @@ an ideal is its canonical minimal generating set, kept sorted by
 (total degree, exponent tuple).  Square-free monomials double as support
 bitmasks, which the combinatorial layers use directly.
 
-Packed form.  The inner loops (minimalisation and the symbolic-power
-fold in `coverpack.duality`) work on one integer per monomial: 16 bits per variable, x1 in the most significant field and x_n in
-the least, so for equal n integer order is lexicographic order on exponent
-tuples and sorting (degree, packed) pairs reproduces the canonical order.
+Packed form.  The symbolic-power fold in `coverpack.duality` and
+minimalisation work on one integer per monomial: 16 bits per variable, x1
+in the most significant field and x_n in the least, so for equal n integer
+order is lexicographic order on exponent tuples and sorting (degree,
+packed) pairs reproduces the canonical order.
 With every field below 2^15, b - a has a field's top bit set exactly when
 that field of a exceeds the one of b (the lowest such field sees no borrow
 from below), so a | b is `(b - a) & high == 0` for the mask of top bits.
 
 Exponent limit.  Packing checks every exponent against the 15-bit capacity
 (`FIELD_MAX` = 32767) and raises ValueError beyond it or below 0, so packed
-arithmetic never wraps silently; `parse_monomial` rejects a negative
-exponent too.
+arithmetic never wraps silently.
+
+Minimalisation is not an inner loop: the classification harness and the
+CLI's commands build their ideals from antichains (`from_antichain_masks`)
+or by the fold, so `minimalize` serves the closed forms (and the cycle
+minor checks built on them) and callers with arbitrary generators.
+Generators therefore stay exponent tuples; packed generators would only
+move the fold's final unpack into `simis_check`, which reads each
+generator as a packing capacity.
 
 Packing search.  `max_packing` is the library's one integer packing search,
 always over the supports of a square-free ideal: `coverpack.lpdual.nu` runs
@@ -26,10 +34,12 @@ Konig test.  It returns the count and the columns of the packing that
 reached `need`, the Konig certificate.
 
 Covering.  The minimal transversals cached on an ideal
-(`MonomialIdeal.transversal_masks`, enumerated once by MMCS unless
-`cover_ideal` seeds them) are the library's one covering route: `height`
-is the size of the smallest, and `coverpack.lpdual.tau` and the Konig test
-read them too.
+(`MonomialIdeal.transversal_masks`) are the library's one covering route:
+the minimal primes in `coverpack.duality`, `coverpack.lpdual.tau` and the
+Konig test all read them.  They are enumerated once by MMCS, except on an
+Alexander dual, which `from_antichain_masks` gives the input's supports:
+the blocker of the blocker is the clutter.  Only this module fills an
+ideal's caches.
 """
 
 from __future__ import annotations
@@ -124,30 +134,6 @@ def monomial_str(m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def parse_monomial(text: str, n: int) -> Monomial:
-    """Inverse of monomial_str for variables x1..xn."""
-    text = text.strip()
-    exps = [0] * n
-    if text in ("1", ""):
-        return tuple(exps)
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            var, _, p = factor.partition("^")
-            e = int(p)
-            if e < 0:
-                raise ValueError(f"negative exponent in {factor!r}")
-        else:
-            var, e = factor, 1
-        if not var.startswith("x"):
-            raise ValueError(f"bad factor {factor!r}")
-        idx = int(var[1:])
-        if not (1 <= idx <= n):
-            raise ValueError(f"variable {var} out of range for n={n}")
-        exps[idx - 1] += e
-    return tuple(exps)
-
-
 class MonomialIdeal:
     """Canonically minimally generated monomial ideal; () means the zero ideal."""
 
@@ -216,13 +202,14 @@ class MonomialIdeal:
     def to_json(self) -> list[str]:
         return [monomial_str(g) for g in self.gens]
 
-    @classmethod
-    def from_json(cls, n: int, gens: Iterable[str]) -> "MonomialIdeal":
-        return minimalize(n, [parse_monomial(s, n) for s in gens])
-
 
 def _sort_key(m: Monomial):
     return (sum(m), m)
+
+
+def _by_size(mask: int) -> tuple[int, int]:
+    """The order of minimal transversals: by size, then by mask."""
+    return mask.bit_count(), mask
 
 
 def _minimalize_list(n: int, cands: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -251,27 +238,24 @@ def minimalize(n: int, monomials: Iterable[Monomial]) -> MonomialIdeal:
     return MonomialIdeal(n, _minimalize_list(n, monomials), _trusted=True)
 
 
-def zero_ideal(n: int) -> MonomialIdeal:
-    return MonomialIdeal(n, (), _trusted=True)
-
-
-def unit_ideal(n: int) -> MonomialIdeal:
-    return MonomialIdeal(n, ((0,) * n,), _trusted=True)
-
-
-def from_masks(n: int, masks: Iterable[int]) -> MonomialIdeal:
-    """Square-free ideal from support bitmasks (minimalised)."""
-    return minimalize(n, [mask_to_monomial(m, n) for m in masks])
-
-
-def from_antichain_masks(n: int, masks: Iterable[int]) -> MonomialIdeal:
+def from_antichain_masks(n: int, masks: Iterable[int],
+                         transversals: Optional[Iterable[int]] = None) -> MonomialIdeal:
     """Square-free ideal from support bitmasks that already form an antichain.
 
     No minimalisation, only the canonical (degree, exponent tuple) sort; mask
-    order is not tuple order, since bit 0 is x1.
+    order is not tuple order, since bit 0 is x1.  Each mask becomes a tuple
+    once, and the masks are kept, in generator order, as `support_masks()`.
+    `transversals`, when given, must be the minimal transversals of the
+    masks; they are kept in `minimal_transversals` order as
+    `transversal_masks()`, so no search runs for them.
     """
-    gens = sorted({mask_to_monomial(m, n) for m in masks}, key=_sort_key)
-    return MonomialIdeal(n, gens, _trusted=True)
+    pairs = sorted(((mask_to_monomial(m, n), m) for m in set(masks)),
+                   key=lambda p: (p[1].bit_count(), p[0]))
+    ideal = MonomialIdeal(n, [g for g, _ in pairs], _trusted=True)
+    ideal._masks = tuple(m for _, m in pairs)
+    if transversals is not None:
+        ideal._transversals = tuple(sorted(transversals, key=_by_size))
+    return ideal
 
 
 def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
@@ -333,7 +317,7 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# minimal transversals of a set system (used by duality, packing and height)
+# minimal transversals of a set system (used by duality, packing and lpdual)
 
 def minimal_transversals(edge_masks: Sequence[int], n: int,
                          cap: int = DEFAULT_GEN_CAP) -> list[int]:
@@ -394,19 +378,6 @@ def minimal_transversals(edge_masks: Sequence[int], n: int,
             cand |= v
 
     rec(0, [], sum(inc), (1 << len(edges)) - 1)
-    out.sort(key=lambda t: (t.bit_count(), t))
+    out.sort(key=_by_size)
     return out
-
-
-def height(a: MonomialIdeal) -> int:
-    """Height of a proper nonzero square-free monomial ideal: the size of its
-    smallest minimal transversal, read off the cached ones (so more than
-    `DEFAULT_GEN_CAP` of them raise SizeLimitError)."""
-    if a.is_zero:
-        raise ValueError("height of the zero ideal is undefined here")
-    if a.is_unit:
-        raise ValueError("height needs a proper ideal")
-    if not a.is_square_free:
-        raise ValueError("height implemented for square-free ideals only")
-    return a.transversal_masks()[0].bit_count()
 

@@ -13,9 +13,9 @@ every covering constraint satisfied, since B has 0/1 entries, and never
 raises the cost), and since alpha >= 0 it can be taken inclusion-minimal.
 So tau is the least alpha-weight of a minimal transversal of the supports,
 that is of a minimal prime of J: `MonomialIdeal.transversal_masks`, which
-`cover_ideal` seeds with the I_t(G) supports (J_t(G) is their Alexander
-dual), so no transversal search runs for it.  nu is the library's one
-packing search, `coverpack.ideals.max_packing`, over `J.support_rows()`.
+on J_t(G) are the I_t(G) supports (`alexander_dual` hands them over), so
+no transversal search runs for it.  nu is the library's one packing
+search, `coverpack.ideals.max_packing`, over `J.support_rows()`.
 Neither value changes when B has duplicate or non-minimal columns (a
 superset column's covering row is implied by its subset's, and in a
 packing it can be swapped for its subset), so J's minimal generators
@@ -31,9 +31,7 @@ alpha that is least in its orbit under the rotations and reflections of
 cycle(n) or the reversal of path(n): tau and nu are constant on an orbit,
 so the rest cannot hold the first gap.  It runs the packing search for nu
 only where tau does not already decide it: nu(alpha) = tau(alpha) whenever
-some variable with alpha_i > 0 lies in no prime of weight tau(alpha),
-because nu(alpha - e_i) = tau(alpha - e_i) was settled earlier in the scan
-(see `duality_gap_search`).
+the primes of weight tau(alpha) miss a vertex (see `duality_gap_search`).
 """
 
 from __future__ import annotations
@@ -154,6 +152,18 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
         then nu(alpha) >= nu(alpha - e_i) = tau(alpha - e_i) = tau(alpha),
         and weak duality gives nu(alpha) = tau(alpha): no gap.
 
+    On a connected graph, the only kind `cover_ideal` accepts, that holds
+    exactly when the primes of weight tau(alpha) miss some vertex, which is
+    the test the loop makes.  The minimal primes of J_t(G) are the connected
+    t-sets.  Suppose the lightest ones cover every i with alpha_i > 0 but
+    miss a vertex u, so alpha_u = 0.  Take a lightest prime P nearest to u,
+    and v the vertex after P on a shortest path from P to u.  If alpha_v > 0,
+    v lies in a lightest prime, which is nearer to u than P.  If alpha_v = 0,
+    the connected set P + v has a spanning tree with a leaf w other than v,
+    and P + v - w is a connected t-set of weight at most tau(alpha): a
+    lightest prime through v, so through u or nearer to it than P.  Either
+    way the choice of P is contradicted.
+
     Otherwise `max_packing` computes nu(alpha) exactly, as `nu` does, and a
     weak-duality violation raises `VerificationError`.  The first gap is
     never settled by tau, so its nu is computed.  The argument holds on every
@@ -172,7 +182,7 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
     # t >= 2, so every getter returns a tuple
     getters = [itemgetter(*p) for p in _prime_rows(j)]
     masks = j.transversal_masks()
-    bits = [1 << i for i in range(n)]
+    every = (1 << n) - 1
     rows = j.support_rows()
     is_cycle = n >= 3 and g == cycle(n)
     is_path = not is_cycle and g == path(n)
@@ -190,7 +200,7 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
             if is_path and alpha[::-1] < alpha:
                 continue
         tv, tight = _lightest(getters, masks, alpha)
-        if sum(compress(bits, alpha)) & ~tight:
+        if tight != every:
             continue                                     # nu(alpha) = tau(alpha)
         nv = max_packing(rows, alpha)[0]                 # nu(j, alpha)
         if nv > tv:

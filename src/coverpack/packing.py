@@ -36,8 +36,8 @@ three children are equal.
 
 Each node also carries the blocker of its antichain, so no leaf searches
 for a cover.  The root takes the ideal's cached minimal transversals,
-which `cover_ideal` seeds, so a cover ideal runs no transversal search at
-all.  The children follow the blocker identities b(C \\ v) = b(C) / v and
+which `alexander_dual` hands over, so a cover ideal runs no transversal
+search at all.  The children follow the blocker identities b(C \\ v) = b(C) / v and
 b(C / v) = b(C) \\ v: setting v to zero deletes v from the clutter and
 contracts it in the blocker (`_delete_bit`), and setting v to one
 contracts it in the clutter and drops the transversals through v.  The

@@ -50,17 +50,11 @@ def t_connected_ideal(g: Graph, t: int) -> MonomialIdeal:
 def cover_ideal(g: Graph, t: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
     """J_t(G) = I_t(G)^v, generated by the minimal covers of the t-subsets.
 
-    More than `cap` minimal covers raise SizeLimitError.
+    More than `cap` minimal covers raise SizeLimitError.  The minimal
+    transversals of J_t(G) are the I_t(G) supports, which `alexander_dual`
+    hands over, so no search runs for them.
     """
-    ideal = t_connected_ideal(g, t)
-    if ideal.is_zero:
-        raise ValueError("graph has no connected t-subsets")
-    dual = alexander_dual(ideal, cap=cap)
-    # dualizing twice returns I_t(G), so the minimal transversals of J_t(G)
-    # are the I_t(G) supports; seed the cache in minimal_transversals' order
-    dual._transversals = tuple(
-        sorted(ideal.support_masks(), key=lambda m: (m.bit_count(), m)))
-    return dual
+    return alexander_dual(t_connected_ideal(g, t), cap)
 
 
 def _tuples_to_ideal(n: int, tuples: list[tuple[int, ...]]) -> MonomialIdeal:

@@ -19,6 +19,10 @@ the library's faster route replaced:
   nu(B_J, g) >= s with `coverpack.ideals.max_packing`; this is the other
   route, valid for any monomial ideal, not only square-free ones.
 - `equal`: ideal equality by canonical generator comparison.
+- `from_masks` and `parse_monomial`: a square-free ideal from any support
+  masks, minimalised, and the inverse of `coverpack.ideals.monomial_str`.
+  The library builds square-free ideals only from antichains
+  (`from_antichain_masks`) and never reads a monomial back.
 - `divides` and `member`: divisibility and ideal membership on exponent
   tuples, the plain route beside the packed `divides_packed`.
 - `tau_enum` and `minimal_solutions`: scans of all 2^n 0/1 vectors over
@@ -68,7 +72,7 @@ from coverpack.duality import minimal_primes
 from coverpack.graphs import (Graph, connected_induced_subsets, cycle, is_connected,
                               is_connected_subset)
 from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, _high_mask,
-                              from_masks, minimalize, pack, unit_ideal, zero_ideal)
+                              mask_to_monomial, minimalize, pack)
 from coverpack.lpdual import GapSearchResult, nu
 from coverpack.packing import Minor, PackingReport, PackingWitness, minor_from_code, restrict
 from coverpack.tconn import GenerationError, cover_ideal, t_connected_ideal
@@ -117,7 +121,7 @@ def product(a: MonomialIdeal, b: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> M
     """Ideal product AB."""
     _check_same_universe(a, b)
     if a.is_zero or b.is_zero:
-        return zero_ideal(a.n)
+        return MonomialIdeal(a.n, [])
     if len(a.gens) * len(b.gens) > cap:
         raise SizeLimitError(f"product candidate count {len(a.gens) * len(b.gens)} exceeds cap {cap}")
     cands = [mul(g, h) for g in a.gens for h in b.gens]
@@ -129,7 +133,7 @@ def power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal
     if s < 0:
         raise ValueError("power needs s >= 0")
     if s == 0:
-        return unit_ideal(a.n)
+        return MonomialIdeal(a.n, [(0,) * a.n])
     acc = a
     for _ in range(s - 1):
         acc = product(acc, a, cap=cap)
@@ -172,7 +176,7 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) ->
     """Ideal intersection via pairwise lcms."""
     _check_same_universe(a, b)
     if a.is_zero or b.is_zero:
-        return zero_ideal(a.n)
+        return MonomialIdeal(a.n, [])
     if len(a.gens) * len(b.gens) > cap:
         raise SizeLimitError(f"intersection candidate count {len(a.gens) * len(b.gens)} exceeds cap {cap}")
     cands = [lcm(g, h) for g in a.gens for h in b.gens]
@@ -195,6 +199,35 @@ def equal(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     if a.n != b.n:
         raise ValueError(f"universe mismatch: {a.n} vs {b.n}")
     return a.gens == b.gens
+
+
+def from_masks(n: int, masks) -> MonomialIdeal:
+    """Square-free ideal from support bitmasks (minimalised)."""
+    return minimalize(n, [mask_to_monomial(m, n) for m in masks])
+
+
+def parse_monomial(text: str, n: int) -> Monomial:
+    """Inverse of `coverpack.ideals.monomial_str` for variables x1..xn."""
+    text = text.strip()
+    exps = [0] * n
+    if text in ("1", ""):
+        return tuple(exps)
+    for factor in text.split("*"):
+        factor = factor.strip()
+        if "^" in factor:
+            var, _, p = factor.partition("^")
+            e = int(p)
+            if e < 0:
+                raise ValueError(f"negative exponent in {factor!r}")
+        else:
+            var, e = factor, 1
+        if not var.startswith("x"):
+            raise ValueError(f"bad factor {factor!r}")
+        idx = int(var[1:])
+        if not (1 <= idx <= n):
+            raise ValueError(f"variable {var} out of range for n={n}")
+        exps[idx - 1] += e
+    return tuple(exps)
 
 
 def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:

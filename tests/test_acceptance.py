@@ -38,7 +38,7 @@ def criterion(num: int, name: str, budget: float):
 
 
 def _gens(strs, n):
-    from coverpack.ideals import parse_monomial
+    from oracles import parse_monomial
     return MonomialIdeal(n, [parse_monomial(s, n) for s in strs])
 
 
@@ -174,8 +174,8 @@ def test_criterion_09_lp_duality():
 
 def test_criterion_10_invariant_suite():
     from coverpack.duality import alexander_dual
-    from coverpack.ideals import from_masks, mask_to_monomial, minimalize
-    from oracles import tau_enum
+    from coverpack.ideals import mask_to_monomial, minimalize
+    from oracles import from_masks, tau_enum
 
     with criterion(10, "structural-invariants", 600.0):
         rng = random.Random(1010)

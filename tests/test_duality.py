@@ -16,16 +16,17 @@ from coverpack.duality import (
 from coverpack.graphs import cycle, path, star
 from coverpack.ideals import (
     FIELD_MAX,
+    MonomialIdeal,
     SizeLimitError,
     max_packing,
+    minimal_transversals,
     minimalize,
     pack,
-    unit_ideal,
-    zero_ideal,
 )
 from coverpack.tconn import cover_ideal, t_connected_ideal
-from oracles import (in_symbolic_shortcut, intersect, member, member_power, power,
-                     prime_power_gens, prime_power_weight, symbolic_power_tuples)
+from oracles import (filtered_minimal_transversals, in_symbolic_shortcut, intersect, member,
+                     member_power, power, prime_power_gens, prime_power_weight,
+                     symbolic_power_tuples)
 
 
 def test_dual_hand_cases():
@@ -38,7 +39,7 @@ def test_dual_hand_cases():
 
 
 def test_dual_rejects_bad_input():
-    for bad in (zero_ideal(2), unit_ideal(2), minimalize(2, [(2, 0)])):
+    for bad in (MonomialIdeal(2, []), MonomialIdeal(2, [(0, 0)]), minimalize(2, [(2, 0)])):
         with pytest.raises(ValueError):
             alexander_dual(bad)
 
@@ -47,6 +48,18 @@ def test_dual_rejects_bad_input():
 @settings(max_examples=200, deadline=None)
 def test_dual_involution(a):
     assert alexander_dual(alexander_dual(a)) == a
+
+
+@given(square_free_ideals())
+@settings(max_examples=200, deadline=None)
+def test_dual_is_given_its_minimal_transversals(a):
+    # the dual is handed the supports of `a` as its minimal transversals (the
+    # blocker of the blocker is the clutter); they must be what a fresh
+    # search and the filtering oracle find, order included
+    dual = alexander_dual(a)
+    masks = dual.support_masks()
+    assert list(dual.transversal_masks()) == minimal_transversals(masks, a.n)
+    assert list(dual.transversal_masks()) == filtered_minimal_transversals(masks, a.n)
 
 
 def test_minimal_primes_are_dual_supports():

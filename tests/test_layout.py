@@ -1,0 +1,181 @@
+"""Every library name has a caller outside the tests.
+
+A top-level function or class of `src/coverpack`, or a method (other than a
+dunder) of one of its classes, must be referenced from `src/coverpack`,
+`scripts/` or `perfbench/`, not only from `tests/`.  A top-level name is
+referenced by a name read in its own module, or by an import (the
+`__init__` exports included) or a module attribute, such as
+`classify.connected_graphs`, that resolves to it; a method by any attribute
+read.  A definition's references to itself, as in a recursive function, do
+not count.  A name that only the tests need belongs in `tests/oracles.py`.
+"""
+
+import ast
+import os
+from collections import Counter
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LIBRARY = os.path.join(ROOT, "src", "coverpack")
+OTHERS = (os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench"))
+
+
+def _parse_dir(path: str) -> dict[str, ast.Module]:
+    trees = {}
+    for name in sorted(os.listdir(path)):
+        if name.endswith(".py"):
+            with open(os.path.join(path, name)) as fh:
+                trees[name[:-3]] = ast.parse(fh.read(), name)
+    return trees
+
+
+def _bindings(tree: ast.Module, package: str) -> dict[str, str]:
+    """The dotted path each name bound by an import of a module stands for;
+    relative imports are read inside `package`."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    out[alias.asname] = alias.name
+                else:
+                    root = alias.name.partition(".")[0]
+                    out[root] = root
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, (package, base)))
+            for alias in node.names:
+                out[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return out
+
+
+def _dotted(node: ast.expr, bound: dict[str, str]):
+    """`node` as a dotted path when it is an attribute chain on an imported name."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in bound:
+        return ".".join([bound[node.id], *reversed(attrs)])
+    return None
+
+
+def _references(tree: ast.AST, bound: dict[str, str]) -> tuple[Counter, Counter, Counter]:
+    """Under `tree`, counted: the names read in load context, the dotted
+    paths imported or read as attributes of an imported name (such as
+    `coverpack.ideals.minimalize`), and the attributes read."""
+    names, paths, attrs = Counter(), Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                paths[bound[alias.asname or alias.name]] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs[node.attr] += 1
+            dotted = _dotted(node, bound)
+            if dotted:
+                paths[dotted] += 1
+    return names, paths, attrs
+
+
+def unreferenced(library: dict[str, ast.Module], others: list[ast.Module],
+                 package: str = "coverpack") -> list[str]:
+    """`module.name` or `module.Class.method` for every definition in the
+    modules of `library` that no tree in `library` or `others` references.
+
+    A top-level definition is referenced by a name its own module reads, or
+    by an import or module attribute that resolves to it; a method by any
+    attribute read.  References inside the definition itself do not count.
+    """
+    paths, attrs = Counter(), Counter()
+    for tree in [*library.values(), *others]:
+        _, p, a = _references(tree, _bindings(tree, package))
+        paths += p
+        attrs += a
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for module, tree in library.items():
+        bound = _bindings(tree, package)
+        names = _references(tree, bound)[0]
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            own = _references(node, bound)[0][node.name]
+            if names[node.name] - own + paths[f"{package}.{module}.{node.name}"] <= 0:
+                out.append(f"{module}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for meth in node.body:
+                if (isinstance(meth, defs[:2]) and not meth.name.startswith("__")
+                        and attrs[meth.name] - _references(meth, bound)[2][meth.name] <= 0):
+                    out.append(f"{module}.{node.name}.{meth.name}")
+    return out
+
+
+def _trees() -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    return _parse_dir(LIBRARY), [t for d in OTHERS for t in _parse_dir(d).values()]
+
+
+def test_every_library_name_has_a_caller_outside_the_tests():
+    assert unreferenced(*_trees()) == []
+
+
+def test_guard_sees_methods_recursion_and_every_reference_kind():
+    library = {"m": ast.parse(
+        "class A:\n"
+        "    def used(self):\n"
+        "        return self.used()\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def unused(self):\n"
+        "        return unused_top()\n"
+        "def unused_top():\n"
+        "    return unused_top()\n"
+        "def by_module_attr():\n"
+        "    pass\n"
+        "def by_own_module():\n"
+        "    return A().used()\n"
+        "def imported():\n"
+        "    pass\n"
+        "def same_name_elsewhere():\n"
+        "    pass\n"
+        "VALUE = by_own_module()\n")}
+    others = [ast.parse("import coverpack.m\n"
+                        "from coverpack.m import imported\n"
+                        "from other import same_name_elsewhere\n"
+                        "coverpack.m.by_module_attr()\n"
+                        "same_name_elsewhere()\n"
+                        "A().same_name_elsewhere\n")]
+    # unused_top's only caller outside itself is a method nothing calls,
+    # which still counts; a method's call to itself does not, and neither
+    # does a name, import or attribute that resolves to another module
+    assert unreferenced(library, others) == ["m.A.unused", "m.same_name_elsewhere"]
+    library["m"].body[0].body.pop(2)
+    assert unreferenced(library, others) == ["m.unused_top", "m.same_name_elsewhere"]
+
+
+# library names that only the tests reached; each moved to tests/oracles.py
+# or gave way to an existing route
+REMOVED = [
+    ("ideals", None, "from_masks"),
+    ("ideals", None, "zero_ideal"),
+    ("ideals", None, "unit_ideal"),
+    ("ideals", None, "height"),
+    ("ideals", None, "parse_monomial"),
+    ("ideals", "MonomialIdeal", "from_json"),
+    ("graphs", "Graph", "neighbors"),
+    ("graphs", "Graph", "degree"),
+]
+
+
+@pytest.mark.parametrize("module, cls, name", REMOVED)
+def test_guard_flags_a_removed_name_put_back(module, cls, name):
+    library, others = _trees()
+    body = library[module].body
+    if cls:
+        body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == cls).body
+    body.append(ast.parse(f"def {name}(*args):\n    pass\n").body[0])
+    assert unreferenced(library, others) == [".".join(filter(None, (module, cls, name)))]

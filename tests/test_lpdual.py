@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 import coverpack.ideals
 import coverpack.lpdual
 from conftest import random_square_free_ideal, square_free_ideals
-from oracles import (cycle_incidence_formula, gap_search_unpruned, minimal_solutions,
-                     path_incidence_formula, tau_enum)
+from oracles import (cycle_incidence_formula, from_masks, gap_search_unpruned, minimal_solutions,
+                     parse_monomial, path_incidence_formula, tau_enum)
 from coverpack.canon import canonical_form
 from coverpack.classify import connected_graphs, verify_theorem
 from coverpack.duality import alexander_dual, simis_check
 from coverpack.graphs import Graph, cycle, parse_graph6, path, star
-from coverpack.ideals import (MonomialIdeal, SizeLimitError, from_masks, parse_monomial,
-                              unit_ideal, zero_ideal)
+from coverpack.ideals import MonomialIdeal, SizeLimitError
 from coverpack.lpdual import _vectors_by_sum, duality_gap_search, nu, tau
 from coverpack.tconn import cover_ideal, t_connected_ideal
 
@@ -132,7 +131,7 @@ def test_gap_search_covers_are_minimal_transversals():
 
 
 def test_tau_nu_run_no_transversal_search_on_a_cover_ideal(monkeypatch):
-    # cover_ideal seeds J's minimal transversals with the I_t(G) supports, so
+    # alexander_dual hands J the I_t(G) supports as its minimal transversals, so
     # tau and nu run no search; the gap search runs exactly one, to dualize
     calls = []
     search = coverpack.ideals.minimal_transversals
@@ -184,7 +183,7 @@ def test_program_validation():
         tau(j, (-1, 1))
     with pytest.raises(ValueError, match="alpha must be nonnegative"):
         nu(j, (1, -1))
-    bad = [(zero_ideal(2), "nonzero"), (unit_ideal(2), "proper"),
+    bad = [(MonomialIdeal(2, []), "nonzero"), (MonomialIdeal(2, [(0, 0)]), "proper"),
            (MonomialIdeal(2, [(2, 0)]), "square-free")]
     for ideal, what in bad:
         for program in (tau, nu):

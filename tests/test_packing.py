@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_square_free_ideal
-from oracles import _ternary_minor_masks, branching_subset_witness, flat_is_packed, minor_code
+from oracles import (_ternary_minor_masks, branching_subset_witness, flat_is_packed, from_masks,
+                     minor_code)
 from coverpack.classify import connected_graphs
 from coverpack.graphs import complete, cycle, path, star
-from coverpack.ideals import (SizeLimitError, from_masks, minimal_transversals, minimalize,
-                              unit_ideal, zero_ideal)
+from coverpack.ideals import MonomialIdeal, SizeLimitError, minimal_transversals, minimalize
 import coverpack.packing
 from coverpack.packing import (
     CycleMinorResult,
@@ -108,8 +108,8 @@ def test_restrict_rejects_non_square_free():
 # -- Konig ------------------------------------------------------------------
 
 def test_konig_vacuous():
-    assert is_konig(zero_ideal(3)).konig
-    assert is_konig(unit_ideal(3)).konig
+    assert is_konig(MonomialIdeal(3, [])).konig
+    assert is_konig(MonomialIdeal(3, [(0, 0, 0)])).konig
 
 
 def test_konig_hand_cases():
@@ -189,9 +189,9 @@ def test_packing_witness_fields():
 
 def test_packed_rejects_bad_input():
     with pytest.raises(ValueError):
-        is_packed(zero_ideal(3))
+        is_packed(MonomialIdeal(3, []))
     with pytest.raises(ValueError):
-        is_packed(unit_ideal(3))
+        is_packed(MonomialIdeal(3, [(0, 0, 0)]))
 
 
 def test_scan_matches_flat_scan_on_small_graphs():

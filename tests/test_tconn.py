@@ -5,17 +5,18 @@ import random
 import pytest
 
 from oracles import (brute_cover_ideal, brute_minimal_transversals, cycle_konig_sequence,
-                     filtered_minimal_transversals)
+                     filtered_minimal_transversals, from_masks)
 from coverpack.graphs import Graph, complete, cycle, path, star
 from coverpack.classify import connected_graphs
 from coverpack.ideals import (
     SizeLimitError,
-    from_masks,
     minimal_transversals,
     minimalize,
     support_mask,
 )
 import coverpack.tconn
+from coverpack.duality import alexander_dual
+from coverpack.packing import Minor, restrict
 from coverpack.tconn import (
     GenerationError,
     cover_ideal,
@@ -72,8 +73,8 @@ def test_cover_ideal_matches_brute_force():
 
 
 def test_cover_ideal_transversal_cache_matches_enumeration():
-    # cover_ideal seeds J's transversal masks from I_t(G); they must equal a
-    # fresh enumeration, in the same (popcount, mask) order
+    # alexander_dual hands J the I_t(G) supports as its transversal masks;
+    # they must equal a fresh enumeration, in the same (popcount, mask) order
     graphs = [g for n in range(2, 6) for _, g in connected_graphs(n)]
     graphs += [path(n) for n in range(6, 11)] + [cycle(n) for n in range(3, 11)]
     for g in graphs:
@@ -110,6 +111,26 @@ def test_transversals_match_oracles_on_paths_and_cycles():
             for t in range(2, n + 1):
                 _assert_transversals_match_oracles(
                     t_connected_ideal(g, t).support_masks(), n)
+
+
+def test_kept_support_masks_follow_generator_order():
+    # the masks an ideal built from an antichain keeps are its generators'
+    # supports in generator order, the order `gens_original_labels` prints
+    def check(ideal, where):
+        masks = ideal.support_masks()
+        assert masks == tuple(support_mask(g) for g in ideal.gens), where
+
+    for g in [path(7), cycle(8), star(6), complete(5)]:
+        for t in range(2, g.n + 1):
+            J = cover_ideal(g, t)
+            check(t_connected_ideal(g, t), (g, t))
+            check(J, (g, t))
+            check(alexander_dual(J), (g, t))
+            check(restrict(J, Minor(zeros=(2,), ones=(g.n,))).ideal, (g, t))
+            if g == path(g.n):
+                check(path_cover_gens(g.n, t), (g, t))
+            elif g == cycle(g.n):
+                check(cycle_cover_gens(g.n, t), (g, t))
 
 
 def test_trusted_ideals_match_minimalised():
