@@ -4,7 +4,7 @@ covering/packing duality (tau and nu) of a cover ideal's generator supports."""
 
 from .graphs import Graph, complete, cycle, parse_graph6, path, star
 from .ideals import MonomialIdeal, minimalize
-from .duality import alexander_dual, minimal_primes, simis_check, symbolic_power
+from .duality import alexander_dual, simis_check, symbolic_power
 from .tconn import cover_ideal, cycle_cover_gens, path_cover_gens, t_connected_ideal
 from .packing import is_konig, is_packed
 from .lpdual import nu, tau

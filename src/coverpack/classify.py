@@ -6,8 +6,8 @@ Simis) exactly when
 
   * n = t, or
   * G is a path, or
-  * G is a cycle and (t, n) is one of (3, 3), (3, 6), (3, 9), (4, 4), (4, 8),
-    or t >= 5 with n = t.
+  * G is a cycle and (t, n) is one of (3, 6), (3, 9), (4, 8): the
+    paper's `PACKED_CYCLES`.
 
 For t = 2 the rule is different in kind: J_2(G) is Simis iff G is bipartite;
 classification requests with t = 2 are routed there and tagged as such.

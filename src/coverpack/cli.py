@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 harness disagreement or failed self-check (weak
 duality in the gap search), 2 usage error or a report the schema rejects,
 3 resource-guard abort.  The COVERPACK_GEN_CAP and COVERPACK_SCAN_CAP
 environment variables override the generator-count cap and the scan cap
-(the alpha space of gap-search, the memoised minors of packing).
+(the alpha space of gap-search, the memoised minors of packing); the
+step budget of the exact packing search behind lp and gap-search is the
+default scan cap.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .classify import verify_theorem
 from .duality import simis_check
 from .graphs import Graph, Graph6ParseError, complete, cycle, parse_graph6, path, star
-from .ideals import DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, SizeLimitError
+from .ideals import DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, MonomialIdeal, SizeLimitError
 from .lpdual import duality_gap_search, nu, tau
 from .packing import is_konig, is_packed, VerificationError
 from .tconn import cover_ideal
@@ -181,59 +182,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smax", type=int, default=None, help="Simis bound (default t per instance)")
     p.add_argument("--paths-cycles", type=int, default=None, metavar="N",
                    help="check canonical paths and cycles up to N instead of all graphs")
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--out", help="write the report to this file instead of stdout")
+    _add_common(p, needs_graph=False)
     p.add_argument("--rows", action="store_true", help="include per-instance rows in the report")
     return ap
 
 
-def _gens_payload(args, gen_cap: int, scan_cap: int) -> dict:
+def _cover(args, gen_cap: int) -> tuple[Graph, MonomialIdeal]:
+    """The graph of `--graph` and its J_t(G)."""
     g = parse_graph_spec(args.graph)
-    t = args.t
-    ideal = cover_ideal(g, t, cap=gen_cap)
-    return {
-        "command": "gens",
-        "config": {"graph": args.graph, "t": t, "route": "transversal"},
-        "result": {"n": g.n, "t": t, "count": len(ideal.gens),
-                   "generators": ideal.to_json()},
-    }
+    return g, cover_ideal(g, args.t, cap=gen_cap)
 
 
-def _simis_payload(args, gen_cap: int, scan_cap: int) -> dict:
-    g = parse_graph_spec(args.graph)
+def _gens(args, gen_cap: int, scan_cap: int):
+    g, ideal = _cover(args, gen_cap)
+    return {"route": "transversal"}, {"n": g.n, "t": args.t, "count": len(ideal.gens),
+                                      "generators": ideal.to_json()}
+
+
+def _simis(args, gen_cap: int, scan_cap: int):
     s_max = args.smax if args.smax is not None else args.t
-    ideal = cover_ideal(g, args.t, cap=gen_cap)
-    rep = simis_check(ideal, s_max, cap=gen_cap)
-    return {
-        "command": "simis",
-        "config": {"graph": args.graph, "t": args.t, "smax": s_max},
-        "result": rep.to_json(),
-    }
+    rep = simis_check(_cover(args, gen_cap)[1], s_max, cap=gen_cap)
+    return {"smax": s_max}, rep.to_json()
 
 
-def _konig_payload(args, gen_cap: int, scan_cap: int) -> dict:
-    g = parse_graph_spec(args.graph)
-    res = is_konig(cover_ideal(g, args.t, cap=gen_cap))
-    return {
-        "command": "konig",
-        "config": {"graph": args.graph, "t": args.t},
-        "result": res.to_json(),
-    }
+def _konig(args, gen_cap: int, scan_cap: int):
+    return {}, is_konig(_cover(args, gen_cap)[1]).to_json()
 
 
-def _packing_payload(args, gen_cap: int, scan_cap: int) -> dict:
-    g = parse_graph_spec(args.graph)
-    rep = is_packed(cover_ideal(g, args.t, cap=gen_cap), cap=scan_cap)
-    return {
-        "command": "packing",
-        "config": {"graph": args.graph, "t": args.t},
-        "result": rep.to_json(),
-    }
+def _packing(args, gen_cap: int, scan_cap: int):
+    return {}, is_packed(_cover(args, gen_cap)[1], cap=scan_cap).to_json()
 
 
-def _lp_payload(args, gen_cap: int, scan_cap: int) -> dict:
-    g = parse_graph_spec(args.graph)
-    j = cover_ideal(g, args.t, cap=gen_cap)
+def _lp(args, gen_cap: int, scan_cap: int):
+    g, j = _cover(args, gen_cap)
     if args.alpha:
         try:
             alpha = tuple(int(x) for x in args.alpha.split(","))
@@ -245,56 +226,39 @@ def _lp_payload(args, gen_cap: int, scan_cap: int) -> dict:
         alpha = (1,) * g.n
     tv = tau(j, alpha)
     nv = nu(j, alpha)
-    return {
-        "command": "lp",
-        "config": {"graph": args.graph, "t": args.t, "alpha": list(alpha)},
-        "result": {"tau": tv, "nu": nv, "alpha": list(alpha), "equal": tv == nv},
-    }
+    return {"alpha": list(alpha)}, {"tau": tv, "nu": nv, "alpha": list(alpha), "equal": tv == nv}
 
 
-def _gap_payload(args, gen_cap: int, scan_cap: int) -> dict:
-    g = parse_graph_spec(args.graph)
-    res = duality_gap_search(g, args.t, args.entry_bound, scan_cap=scan_cap,
-                             gen_cap=gen_cap)
-    return {
-        "command": "gap-search",
-        "config": {"graph": args.graph, "t": args.t, "entry_bound": args.entry_bound},
-        "result": res.to_json(),
-    }
+def _gap_search(args, gen_cap: int, scan_cap: int):
+    res = duality_gap_search(parse_graph_spec(args.graph), args.t, args.entry_bound,
+                             scan_cap=scan_cap, gen_cap=gen_cap)
+    return {"entry_bound": args.entry_bound}, res.to_json()
 
 
-def _verify_payload(args, gen_cap: int, scan_cap: int) -> dict:
-    if args.paths_cycles is not None:
-        fams = []
-        for n in range(3, args.paths_cycles + 1):
-            fams.append(path(n))
-            fams.append(cycle(n))
-        report = verify_theorem(0, t_min=args.tmin, t_max=args.tmax,
-                                s_max=args.smax, graphs=fams, cap=gen_cap)
-    else:
-        report = verify_theorem(args.nmax, t_min=args.tmin, t_max=args.tmax,
-                                s_max=args.smax, cap=gen_cap)
+def _verify_theorem(args, gen_cap: int, scan_cap: int):
+    fams = None if args.paths_cycles is None else [
+        g for n in range(3, args.paths_cycles + 1) for g in (path(n), cycle(n))]
+    report = verify_theorem(args.nmax, t_min=args.tmin, t_max=args.tmax,
+                            s_max=args.smax, graphs=fams, cap=gen_cap)
     body = report.to_json()
     if not args.rows:
         body["rows"] = []
-    return {
-        "command": "verify-theorem",
-        "config": {"nmax": args.nmax, "tmin": args.tmin, "tmax": args.tmax,
-                   "smax": args.smax, "paths_cycles": args.paths_cycles},
-        "result": body,
-    }
+    return ({"nmax": args.nmax, "tmin": args.tmin, "tmax": args.tmax,
+             "smax": args.smax, "paths_cycles": args.paths_cycles}, body)
 
 
-# every builder takes (args, gen_cap, scan_cap) and calls the layers through
-# this module's globals, so rebinding one of them here reaches every command
-_PAYLOADS = {
-    "gens": _gens_payload,
-    "simis": _simis_payload,
-    "konig": _konig_payload,
-    "packing": _packing_payload,
-    "lp": _lp_payload,
-    "gap-search": _gap_payload,
-    "verify-theorem": _verify_payload,
+# every builder takes (args, gen_cap, scan_cap) and returns the report's
+# (config, result); `main` opens a graph command's config with its graph and
+# t and wraps the report.  The builders call the layers through this
+# module's globals, so rebinding one of them here reaches every command
+_BUILDERS = {
+    "gens": _gens,
+    "simis": _simis,
+    "konig": _konig,
+    "packing": _packing,
+    "lp": _lp,
+    "gap-search": _gap_search,
+    "verify-theorem": _verify_theorem,
 }
 
 
@@ -320,10 +284,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         gen_cap = _env_int("COVERPACK_GEN_CAP", DEFAULT_GEN_CAP)
         scan_cap = _env_int("COVERPACK_SCAN_CAP", DEFAULT_SCAN_CAP)
-        payload = _PAYLOADS[args.command](args, gen_cap, scan_cap)
-        emit_report(payload, pretty=args.pretty, out=args.out)
+        config, result = _BUILDERS[args.command](args, gen_cap, scan_cap)
+        if args.command != "verify-theorem":
+            config = {"graph": args.graph, "t": args.t, **config}
+        emit_report({"command": args.command, "config": config, "result": result},
+                    pretty=args.pretty, out=args.out)
         # only the harness reports disagreements; any is exit code 1
-        return 1 if payload["result"].get("disagreements") else 0
+        return 1 if result.get("disagreements") else 0
     except SizeLimitError as e:
         print(f"resource guard: {e}", file=sys.stderr)
         return 3

@@ -84,6 +84,7 @@ from .ideals import (
     Monomial,
     SizeLimitError,
     _high_mask,
+    _require_square_free_proper,
     _ones,
     field_shift,
     from_antichain_masks,
@@ -92,15 +93,6 @@ from .ideals import (
     monomial_str,
     unpack,
 )
-
-
-def _require_square_free_proper(a: MonomialIdeal, what: str):
-    if a.is_zero:
-        raise ValueError(f"{what} needs a nonzero ideal")
-    if a.is_unit:
-        raise ValueError(f"{what} needs a proper ideal")
-    if not a.is_square_free:
-        raise ValueError(f"{what} needs a square-free ideal")
 
 
 def alexander_dual(a: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
@@ -113,12 +105,6 @@ def alexander_dual(a: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> MonomialIdea
     """
     _require_square_free_proper(a, "alexander_dual")
     return from_antichain_masks(a.n, a.transversal_masks(cap), a.support_masks())
-
-
-def minimal_primes(a: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
-    """Supports of the minimal primes, as sorted 1-based variable tuples."""
-    _require_square_free_proper(a, "minimal_primes")
-    return tuple(tuple(i + 1 for i in mask_vars(m)) for m in a.transversal_masks())
 
 
 @lru_cache(maxsize=512)

@@ -44,9 +44,10 @@ ideal's caches.
 
 from __future__ import annotations
 
+import itertools
 import struct
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache, partial
+from typing import Iterable, Iterator, Optional, Sequence
 
 Monomial = tuple  # exponent tuple of length n
 
@@ -137,7 +138,7 @@ def monomial_str(m: Monomial) -> str:
 class MonomialIdeal:
     """Canonically minimally generated monomial ideal; () means the zero ideal."""
 
-    __slots__ = ("n", "gens", "_masks", "_rows", "_transversals", "_square_free")
+    __slots__ = ("n", "gens", "_masks", "_transversals", "_square_free")
 
     def __init__(self, n: int, gens: Sequence[Monomial], _trusted: bool = False):
         self.n = n
@@ -146,7 +147,6 @@ class MonomialIdeal:
         else:
             self.gens = _minimalize_list(n, gens)
         self._masks: Optional[tuple[int, ...]] = None
-        self._rows: Optional[tuple[tuple[int, ...], ...]] = None
         self._transversals: Optional[tuple[int, ...]] = None
         self._square_free: Optional[bool] = None
 
@@ -173,11 +173,9 @@ class MonomialIdeal:
 
     def support_rows(self) -> tuple[tuple[int, ...], ...]:
         """Per generator, the 0-based variables of its support, smallest
-        supports first (a stable sort): the columns `max_packing` takes,
-        built once."""
-        if self._rows is None:
-            self._rows = tuple(sorted(map(mask_vars, self.support_masks()), key=len))
-        return self._rows
+        supports first (a stable sort): the columns `max_packing` takes.
+        Not cached: every caller reads them once per ideal."""
+        return tuple(sorted(map(mask_vars, self.support_masks()), key=len))
 
     def transversal_masks(self, cap: int = DEFAULT_GEN_CAP) -> tuple[int, ...]:
         """Minimal transversals of the generator supports, enumerated once.
@@ -201,6 +199,15 @@ class MonomialIdeal:
 
     def to_json(self) -> list[str]:
         return [monomial_str(g) for g in self.gens]
+
+
+def _require_square_free_proper(a: MonomialIdeal, what: str):
+    if a.is_zero:
+        raise ValueError(f"{what} needs a nonzero ideal")
+    if a.is_unit:
+        raise ValueError(f"{what} needs a proper ideal")
+    if not a.is_square_free:
+        raise ValueError(f"{what} needs a square-free ideal")
 
 
 def _sort_key(m: Monomial):
@@ -258,6 +265,15 @@ def from_antichain_masks(n: int, masks: Iterable[int],
     return ideal
 
 
+def _counted_range(start: int, stop: int, steps: Iterator[int]) -> Iterator[int]:
+    """range(start, stop), each step drawn from `steps` and checked against
+    DEFAULT_SCAN_CAP: the column loop of an exact packing search."""
+    for i in range(start, stop):
+        if next(steps) > DEFAULT_SCAN_CAP:
+            raise SizeLimitError(f"packing search exceeds {DEFAULT_SCAN_CAP} steps")
+        yield i
+
+
 def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
                 need: Optional[int] = None) -> tuple[int, list[tuple[int, ...]]]:
     """Largest sum(z) over z in N^r that packs the columns under `capacity`.
@@ -273,10 +289,13 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
     the count stays below `need` or no `need` is given.
 
     Skipping a column is a step of the search's loop, not a call, so the
-    recursion nests one level per distinct column in the current packing.
-    Under unit capacity that is at most n levels, but a capacity large
-    enough to pack about a thousand distinct columns at once still reaches
-    Python's recursion limit.
+    recursion nests one level per distinct column in the current packing
+    (at most n under unit capacity); nesting past Python's recursion limit
+    raises SizeLimitError.  So does an exact search (no `need`) past
+    `DEFAULT_SCAN_CAP` steps of its column loop.  A search with `need` (the
+    Konig test, membership in J^s) is not counted: its step count follows
+    the variable order, and the class cache of `coverpack.classify` has no
+    rule for an abort that does.
     """
     zero = {i for i, x in enumerate(capacity) if not x}
     cols = [c for c in rows if zero.isdisjoint(c)] if zero else rows
@@ -287,10 +306,12 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
     goal = total + 1 if need is None else need
     best = 0
     chosen: list[tuple[int, ...]] = []
+    # a stopped search loops over a plain range, so it pays nothing for the count
+    columns = range if need is not None else partial(_counted_range, steps=itertools.count(1))
 
     def dfs(i: int, count: int, left: int) -> bool:
         nonlocal best
-        for i in range(i, ncols):
+        for i in columns(i, ncols):
             c = cols[i]
             size = len(c)
             if count + left // size <= best:
@@ -311,7 +332,10 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
                     return True
         return False
 
-    dfs(0, 0, total)
+    try:
+        dfs(0, 0, total)
+    except RecursionError:
+        raise SizeLimitError("packing search nests past the recursion limit") from None
     chosen.reverse()
     return best, chosen
 

@@ -42,10 +42,9 @@ from itertools import compress, product
 from operator import itemgetter, or_
 from typing import Optional, Sequence
 
-from .duality import _require_square_free_proper
 from .graphs import Graph, cycle, path
 from .ideals import (DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, MonomialIdeal, SizeLimitError,
-                     mask_vars, max_packing)
+                     _require_square_free_proper, mask_vars, max_packing)
 from .packing import VerificationError
 from .tconn import cover_ideal
 

@@ -66,6 +66,7 @@ from .ideals import (
     Monomial,
     MonomialIdeal,
     SizeLimitError,
+    _require_square_free_proper,
     from_antichain_masks,
     mask_vars,
     max_packing,
@@ -230,10 +231,7 @@ def is_packed(a: MonomialIdeal, cap: int = DEFAULT_SCAN_CAP) -> PackingReport:
 
     More than `cap` memoised (level, clutter) pairs raise SizeLimitError.
     """
-    if a.is_zero or a.is_unit:
-        raise ValueError("packing needs a proper nonzero ideal")
-    if not a.is_square_free:
-        raise ValueError("packing is set up for square-free ideals")
+    _require_square_free_proper(a, "is_packed")
     n = a.n
     masks = a.support_masks()
     # a variable-generated ideal only ever restricts to variable-generated,
@@ -312,8 +310,8 @@ class CycleMinorResult:
         }
 
 
-# (n, t) with J_t(C_n) packed, t >= 3
-PACKED_CYCLES = frozenset({(3, 3), (6, 3), (9, 3), (4, 4), (8, 4)})
+# (n, t) with n > t >= 3 and J_t(C_n) packed; n = t is packed for every graph
+PACKED_CYCLES = frozenset({(6, 3), (9, 3), (8, 4)})
 
 
 def _cycle_zero_set(n: int, t: int) -> tuple[tuple[int, ...], tuple[int, int]]:

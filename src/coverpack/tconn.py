@@ -57,7 +57,13 @@ def cover_ideal(g: Graph, t: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
     return alexander_dual(t_connected_ideal(g, t), cap)
 
 
-def _tuples_to_ideal(n: int, tuples: list[tuple[int, ...]]) -> MonomialIdeal:
+def _tuples_to_ideal(n: int, tuples: list[tuple[int, ...]], least: int,
+                     bound: str) -> MonomialIdeal:
+    """The ideal of the closed-form covers, each checked to have at least
+    `least` elements (`bound` names that bound)."""
+    for tup in tuples:
+        if len(tup) < least:
+            raise GenerationError(f"cover {tup} shorter than {bound}={least}")
     gens = []
     for tup in tuples:
         m = [0] * n
@@ -102,12 +108,7 @@ def path_cover_gens(n: int, t: int) -> MonomialIdeal:
         return True
 
     out = _gap_tuples(n, t, 0, accept)      # i_2 >= t+1 is the double gap from 0
-    floor_bound = n // t
-    for tup in out:
-        if len(tup) < floor_bound:
-            raise GenerationError(
-                f"path cover {tup} shorter than floor(n/t)={floor_bound}")
-    return _tuples_to_ideal(n, out)
+    return _tuples_to_ideal(n, out, n // t, "floor(n/t)")
 
 
 def cycle_cover_gens(n: int, t: int) -> MonomialIdeal:
@@ -127,9 +128,4 @@ def cycle_cover_gens(n: int, t: int) -> MonomialIdeal:
         return True
 
     out = _gap_tuples(n, t, -t, accept)     # no double gap before i_2
-    ceil_bound = -(-n // t)
-    for tup in out:
-        if len(tup) < ceil_bound:
-            raise GenerationError(
-                f"cycle cover {tup} shorter than ceil(n/t)={ceil_bound}")
-    return _tuples_to_ideal(n, out)
+    return _tuples_to_ideal(n, out, -(-n // t), "ceil(n/t)")

@@ -68,11 +68,10 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from coverpack.duality import minimal_primes
 from coverpack.graphs import (Graph, connected_induced_subsets, cycle, is_connected,
                               is_connected_subset)
 from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, _high_mask,
-                              mask_to_monomial, minimalize, pack)
+                              mask_to_monomial, mask_vars, minimalize, pack)
 from coverpack.lpdual import GapSearchResult, nu
 from coverpack.packing import Minor, PackingReport, PackingWitness, minor_from_code, restrict
 from coverpack.tconn import GenerationError, cover_ideal, t_connected_ideal
@@ -146,7 +145,8 @@ def symbolic_power_tuples(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) 
         return a
     if all(sum(g) == 1 for g in a.gens) or len(a.gens) == 1:
         return power(a, s, cap=cap)
-    primes = sorted(minimal_primes(a), key=lambda p: (len(p), p))
+    primes = sorted((tuple(i + 1 for i in mask_vars(m)) for m in a.transversal_masks()),
+                    key=lambda p: (len(p), p))
     current = prime_power_gens(a.n, primes[0], s)
     for p in primes[1:]:
         cands: list[Monomial] = []

@@ -163,20 +163,34 @@ def test_reports_byte_identical(capsys):
     assert out1 == out2
 
 
+# one small invocation of every command
+EVERY_COMMAND = [
+    ["gens", "--graph", "cycle:6", "--t", "3"],
+    ["simis", "--graph", "cycle:6", "--t", "3"],
+    ["konig", "--graph", "cycle:6", "--t", "3"],
+    ["packing", "--graph", "cycle:6", "--t", "3"],
+    ["lp", "--graph", "cycle:6", "--t", "3"],
+    ["gap-search", "--graph", "cycle:6", "--t", "3", "--entry-bound", "1"],
+    ["verify-theorem", "--nmax", "4", "--rows"],
+]
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
-    _, out1, _ = run_cli(capsys, "lp", "--graph", "cycle:6", "--t", "3")
-    target = tmp_path / "report.json"
-    code = main(["lp", "--graph", "cycle:6", "--t", "3", "--out", str(target)])
-    capsys.readouterr()
-    assert code == 0
-    assert target.read_text() == out1
+    assert [argv[0] for argv in EVERY_COMMAND] == list(RESULT_KEYS)
+    for argv in EVERY_COMMAND:
+        _, out1, _ = run_cli(capsys, *argv)
+        target = tmp_path / f"{argv[0]}.json"
+        code, out2, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 0 and out2 == "", argv
+        assert target.read_text() == out1, argv
 
 
 def test_pretty_same_payload(capsys):
-    _, out1, _ = run_cli(capsys, "konig", "--graph", "cycle:6", "--t", "3")
-    _, out2, _ = run_cli(capsys, "konig", "--graph", "cycle:6", "--t", "3", "--pretty")
-    assert json.loads(out1) == json.loads(out2)
-    assert out1 != out2
+    for argv in EVERY_COMMAND:
+        _, out1, _ = run_cli(capsys, *argv)
+        _, out2, _ = run_cli(capsys, *argv, "--pretty")
+        assert json.loads(out1) == json.loads(out2), argv
+        assert out1 != out2, argv
 
 
 def test_usage_errors(capsys):
@@ -311,6 +325,27 @@ def test_long_column_list_exits_cleanly(command):
     assert "Traceback" not in proc.stderr
     result = json.loads(proc.stdout)["result"]
     assert result["konig" if command == "konig" else "equal"] is False
+
+
+@pytest.mark.parametrize("argv, guard", [
+    # J_1100(P_1100) is generated by the 1 100 variables, and both searches
+    # pack all of them, one recursion level per column
+    (["konig", "--graph", "path:1100", "--t", "1100"], "nests past the recursion limit"),
+    (["lp", "--graph", "path:1100", "--t", "1100"], "nests past the recursion limit"),
+    # nu of J_4(C_22) at alpha = 2000 everywhere is far past any exact
+    # search; the step budget stops it after about 3 s
+    (["lp", "--graph", "cycle:22", "--t", "4", "--alpha", ",".join(["2000"] * 22)],
+     "exceeds 2000000 steps"),
+])
+def test_packing_search_guards_exit_cleanly(argv, guard):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(coverpack.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "coverpack.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"resource guard: packing search {guard}\n"
 
 
 @pytest.mark.parametrize("command", [["gens"], ["konig"], ["packing"], ["lp"], ["simis"],

@@ -9,7 +9,6 @@ from coverpack.classify import connected_graphs
 from coverpack.duality import (
     SimisReport,
     alexander_dual,
-    minimal_primes,
     simis_check,
     symbolic_power,
 )
@@ -18,6 +17,7 @@ from coverpack.ideals import (
     FIELD_MAX,
     MonomialIdeal,
     SizeLimitError,
+    mask_vars,
     max_packing,
     minimal_transversals,
     minimalize,
@@ -27,6 +27,12 @@ from coverpack.tconn import cover_ideal, t_connected_ideal
 from oracles import (filtered_minimal_transversals, in_symbolic_shortcut, intersect, member,
                      member_power, power, prime_power_gens, prime_power_weight,
                      symbolic_power_tuples)
+
+
+def _prime_tuples(a):
+    """The minimal primes of a square-free ideal as 1-based variable tuples,
+    read off its cached minimal transversals."""
+    return tuple(tuple(i + 1 for i in mask_vars(m)) for m in a.transversal_masks())
 
 
 def test_dual_hand_cases():
@@ -69,7 +75,7 @@ def test_minimal_primes_are_dual_supports():
         d = alexander_dual(a)
         expect = sorted(tuple(i + 1 for i in range(a.n) if m >> i & 1)
                         for m in d.support_masks())
-        assert sorted(minimal_primes(a)) == expect
+        assert sorted(_prime_tuples(a)) == expect
 
 
 def test_cover_ideal_primes_are_generator_supports():
@@ -79,7 +85,7 @@ def test_cover_ideal_primes_are_generator_supports():
         I = t_connected_ideal(g, t)
         expect = sorted(tuple(i + 1 for i in range(g.n) if m >> i & 1)
                         for m in I.support_masks())
-        assert sorted(minimal_primes(J)) == expect
+        assert sorted(_prime_tuples(J)) == expect
 
 
 def test_prime_power_weight_and_shortcut():
@@ -93,7 +99,7 @@ def test_prime_power_weight_and_shortcut():
 
 def _symbolic_via_intersections(a, s):
     """Independent route: build each prime power fully, fold with intersect."""
-    parts = [minimalize(a.n, prime_power_gens(a.n, p, s)) for p in minimal_primes(a)]
+    parts = [minimalize(a.n, prime_power_gens(a.n, p, s)) for p in _prime_tuples(a)]
     return functools.reduce(intersect, parts)
 
 
@@ -137,7 +143,7 @@ def test_ordinary_contained_in_symbolic(a, s):
 @settings(max_examples=80, deadline=None)
 def test_symbolic_membership_shortcut_agrees(a, s, data):
     sym = symbolic_power(a, s)
-    primes = minimal_primes(a)
+    primes = _prime_tuples(a)
     m = data.draw(monomials(a.n, max_exp=s))
     assert member(m, sym) == in_symbolic_shortcut(m, primes, s)
 
@@ -190,7 +196,7 @@ def test_weight_fold_matches_tuple_oracle_on_the_largest_fold():
 def _check_weight_criterion(a, s):
     # every variable of a generator lies in a prime of weight exactly s, and
     # lowering any one exponent leaves the symbolic power
-    primes = minimal_primes(a)
+    primes = _prime_tuples(a)
     for g in symbolic_power(a, s).gens:
         assert in_symbolic_shortcut(g, primes, s)
         tight = [p for p in primes if prime_power_weight(g, p) == s]

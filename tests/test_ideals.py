@@ -9,7 +9,6 @@ from conftest import monomials, random_square_free_ideal, square_free_ideals
 from oracles import (brute_minimal_transversals, divides, equal, filtered_minimal_transversals,
                      from_masks, intersect, lcm, member, member_power, mul, parse_monomial,
                      power, product)
-from coverpack.duality import minimal_primes
 from coverpack.ideals import (
     MonomialIdeal,
     SizeLimitError,
@@ -201,10 +200,9 @@ def test_member_power_matches_expansion(a, s, data):
         assert cols == []
 
 
-def test_support_rows_built_once_in_size_order():
+def test_support_rows_in_size_order():
     a = minimalize(4, [(1, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 0, 1)])
     rows = a.support_rows()
-    assert rows is a.support_rows()
     # one row tuple per generator support, smallest first, ties in
     # canonical generator order
     assert rows == ((2, 3), (1, 3), (0, 3), (0, 1, 2))
@@ -223,9 +221,7 @@ def test_mask_vars():
     assert mask_vars(0b101101) == (0, 2, 3, 5)
     assert mask_vars(1 << 19 | 1 << 4) == (4, 19)
     a = minimalize(4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
-    assert minimal_primes(a) == tuple(tuple(i + 1 for i in mask_vars(m))
-                                      for m in a.transversal_masks())
-    assert minimal_primes(a) == ((1, 3), (2, 3), (2, 4))
+    assert [mask_vars(m) for m in a.transversal_masks()] == [(0, 2), (1, 2), (1, 3)]
 
 
 def test_max_packing_need_stops_early():
@@ -240,6 +236,20 @@ def test_max_packing_need_stops_early():
     assert max_packing(rows, (0, 3, 2)) == (2, [])     # {1,2} is blocked
     assert max_packing(rows, (0, 3, 2), need=2) == (2, [(1, 2), (1, 2)])
     assert max_packing((), (1, 1)) == (0, [])
+
+
+def test_max_packing_step_budget(monkeypatch):
+    # an exact search counts its column-loop steps against the scan cap,
+    # read at call time; a search stopped at `need` is not counted
+    import coverpack.ideals
+    rows = ((0, 1), (1, 2))
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 4)
+    assert max_packing(rows, (2, 3, 2)) == (3, [])          # four steps
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 3)
+    with pytest.raises(SizeLimitError, match="packing search exceeds 3 steps"):
+        max_packing(rows, (2, 3, 2))
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 1)
+    assert max_packing(rows, (2, 3, 2), need=3) == (3, [(0, 1), (0, 1), (1, 2)])
 
 
 def test_member_power_edge_cases():

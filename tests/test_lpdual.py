@@ -365,8 +365,8 @@ def test_gap_search_guards():
 
 
 def test_nu_row_cache_matches_fresh_matrix():
-    # nu reads the support rows cached on the ideal; an ideal reused for
-    # many alpha must give what a freshly built one gives
+    # nu reads the support rows off the ideal; an ideal reused for many
+    # alpha must give what a freshly built one gives
     rng = random.Random(47)
     for g in (cycle(9), path(10), cycle(11), star(6)):
         j = cover_ideal(g, 3)

@@ -12,7 +12,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("script, args", [
-    ("gap_experiments.py", ["--samples", "5", "--entry-bound", "1"]),
     ("minor_catalog.py", ["--nmax", "9", "--tmax", "4"]),
 ])
 def test_script_runs(script, args):
