@@ -37,9 +37,10 @@ Aborts are the one thing that depends on the labelling: the fold's
 intermediate sizes follow the order of the minimal primes, and the packing
 scan memo the order of the variables.  So every labelling of a class is
 computed directly when the first one aborted; when a labelling-independent
-bound on the fold's kept + fresh count passes the cap at some folded s (up
-to the first failing one, or the bound); or when the scan's ternary tree,
-with (3^(n+1) - 1)/2 nodes, could outgrow DEFAULT_SCAN_CAP memo entries.
+bound on the fold's kept + fresh count passes DEFAULT_GEN_CAP at some folded
+s (up to the first failing one, or the bound); or when the scan's ternary
+tree, with (3^(n+1) - 1)/2 nodes, could outgrow DEFAULT_SCAN_CAP memo
+entries.
 The fold bound is C(s+t-1, t-1) candidates per generator (the primes have t
 variables) times C(s+t-1, t-1) generators when J has two primes, or else
 the largest antichain in [0, s]^n, since the generators have exponents at
@@ -59,7 +60,8 @@ from .canon import canonical_form
 from .duality import simis_check
 from .graphs import (Graph, classify_shape, connected_induced_subsets, encode_graph6,
                      is_bipartite, is_connected)
-from .ideals import DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, Monomial, SizeLimitError, monomial_str
+from . import ideals
+from .ideals import Monomial, SizeLimitError, monomial_str
 from .packing import PACKED_CYCLES, is_packed
 from .tconn import cover_ideal
 
@@ -165,25 +167,24 @@ def connected_graphs(n: int) -> Iterator[tuple[int, Graph]]:
             yield code, g
 
 
-def check_instance(g: Graph, t: int, s_max: Optional[int] = None,
-                   cap: int = DEFAULT_GEN_CAP) -> HarnessRow:
+def check_instance(g: Graph, t: int, s_max: Optional[int] = None) -> HarnessRow:
     """One harness row: prediction, packing verdict, bounded Simis check.
 
-    `cap` bounds the dualization and the symbolic-power fold; past it the
+    Past `DEFAULT_GEN_CAP` in the dualization or the symbolic-power fold the
     row's Simis verdict is "aborted", with `packed` None when the
-    dualization itself stopped.
+    dualization itself stopped; the packing scan's guard propagates.
     """
     bound = t if s_max is None else s_max
     cls = theorem_classification(g, t)
     packed, verdict, s, wit, failures = None, "aborted", None, None, ()
     try:
-        ideal = cover_ideal(g, t, cap=cap)
+        ideal = cover_ideal(g, t)
     except SizeLimitError:
         ideal = None            # too many minimal covers: packed stays None
     if ideal is not None:
         packed = is_packed(ideal).packed
         try:
-            rep = simis_check(ideal, bound, cap=cap)
+            rep = simis_check(ideal, bound)
             verdict, s, wit, failures = rep.verdict, rep.s, rep.witness, rep.failures
         except SizeLimitError:
             pass
@@ -232,7 +233,7 @@ def _antichain_width(n: int, s: int) -> int:
     return level[n * s // 2]
 
 
-def _needs_direct(row: HarnessRow, g: Graph, s_max: Optional[int], cap: int) -> bool:
+def _needs_direct(row: HarnessRow, g: Graph, s_max: Optional[int]) -> bool:
     """Whether some labelling of the class of (g, row.t) could abort where
     the one of `row` did not, so that every labelling has to be computed.
     `g` is any labelling of the class: only class invariants are read."""
@@ -240,7 +241,7 @@ def _needs_direct(row: HarnessRow, g: Graph, s_max: Optional[int], cap: int) -> 
     if row.simis_verdict == "aborted":
         return True
     # the scan memo holds at most one entry per node of the ternary tree
-    if (3 ** (n + 1) - 1) // 2 > DEFAULT_SCAN_CAP:
+    if (3 ** (n + 1) - 1) // 2 > ideals.DEFAULT_SCAN_CAP:
         return True
     # simis_check folds every s up to the last one it checks, unless J_t(G)
     # has one prime (the connected t-subsets) and is the maximal ideal; the
@@ -253,7 +254,8 @@ def _needs_direct(row: HarnessRow, g: Graph, s_max: Optional[int], cap: int) -> 
     if primes < 2 or last < 2:
         return False
     comps = comb(last + t - 1, t - 1)
-    return comps * (comps if primes == 2 else _antichain_width(n, last)) > cap
+    width = comps if primes == 2 else _antichain_width(n, last)
+    return comps * width > ideals.DEFAULT_GEN_CAP
 
 
 def _cached_row(entry: _ClassEntry, g: Graph, perm: tuple[int, ...]) -> HarnessRow:
@@ -270,8 +272,8 @@ def _cached_row(entry: _ClassEntry, g: Graph, perm: tuple[int, ...]) -> HarnessR
 
 
 def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
-                   s_max: Optional[int] = None, graphs: Optional[Iterable[Graph]] = None,
-                   cap: int = DEFAULT_GEN_CAP) -> HarnessReport:
+                   s_max: Optional[int] = None,
+                   graphs: Optional[Iterable[Graph]] = None) -> HarnessReport:
     """Compare prediction against computation over a graph family.
 
     With graphs=None, every connected labelled graph with 3 <= n <= n_max is
@@ -295,9 +297,9 @@ def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
         for t in ts:
             entry = classes.get((g.n, edges, t))
             if entry is not None and entry.direct is None:
-                entry.direct = _needs_direct(entry.row, g, s_max, cap)
+                entry.direct = _needs_direct(entry.row, g, s_max)
             if entry is None or entry.direct:
-                row = check_instance(g, t, s_max=s_max, cap=cap)
+                row = check_instance(g, t, s_max=s_max)
                 report.computed += 1
                 if entry is None:
                     first_of = tuple(sorted(range(g.n), key=perm.__getitem__))

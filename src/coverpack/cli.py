@@ -11,11 +11,10 @@ its minimal-transversal dualization as "route": "transversal".
 
 Exit codes: 0 success, 1 harness disagreement or failed self-check (weak
 duality in the gap search), 2 usage error or a report the schema rejects,
-3 resource-guard abort.  The COVERPACK_GEN_CAP and COVERPACK_SCAN_CAP
-environment variables override the generator-count cap and the scan cap
-(the alpha space of gap-search, the memoised minors of packing); the
-step budget of the exact packing search behind lp and gap-search is the
-default scan cap.
+3 resource-guard abort.  COVERPACK_GEN_CAP and COVERPACK_SCAN_CAP set the
+generator cap and the scan cap of every command (`DEFAULT_GEN_CAP` and
+`DEFAULT_SCAN_CAP` in `coverpack.ideals`) for one `main` call, and both are
+restored when it returns, since one process may call `main` many times.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from typing import Optional, Sequence
 from .classify import verify_theorem
 from .duality import simis_check
 from .graphs import Graph, Graph6ParseError, complete, cycle, parse_graph6, path, star
-from .ideals import DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, MonomialIdeal, SizeLimitError
+from . import ideals
+from .ideals import MonomialIdeal, SizeLimitError
 from .lpdual import duality_gap_search, nu, tau
 from .packing import is_konig, is_packed, VerificationError
 from .tconn import cover_ideal
@@ -187,34 +187,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cover(args, gen_cap: int) -> tuple[Graph, MonomialIdeal]:
+def _cover(args) -> tuple[Graph, MonomialIdeal]:
     """The graph of `--graph` and its J_t(G)."""
     g = parse_graph_spec(args.graph)
-    return g, cover_ideal(g, args.t, cap=gen_cap)
+    return g, cover_ideal(g, args.t)
 
 
-def _gens(args, gen_cap: int, scan_cap: int):
-    g, ideal = _cover(args, gen_cap)
+def _gens(args):
+    g, ideal = _cover(args)
     return {"route": "transversal"}, {"n": g.n, "t": args.t, "count": len(ideal.gens),
                                       "generators": ideal.to_json()}
 
 
-def _simis(args, gen_cap: int, scan_cap: int):
+def _simis(args):
     s_max = args.smax if args.smax is not None else args.t
-    rep = simis_check(_cover(args, gen_cap)[1], s_max, cap=gen_cap)
+    rep = simis_check(_cover(args)[1], s_max)
     return {"smax": s_max}, rep.to_json()
 
 
-def _konig(args, gen_cap: int, scan_cap: int):
-    return {}, is_konig(_cover(args, gen_cap)[1]).to_json()
+def _konig(args):
+    return {}, is_konig(_cover(args)[1]).to_json()
 
 
-def _packing(args, gen_cap: int, scan_cap: int):
-    return {}, is_packed(_cover(args, gen_cap)[1], cap=scan_cap).to_json()
+def _packing(args):
+    return {}, is_packed(_cover(args)[1]).to_json()
 
 
-def _lp(args, gen_cap: int, scan_cap: int):
-    g, j = _cover(args, gen_cap)
+def _lp(args):
+    g, j = _cover(args)
     if args.alpha:
         try:
             alpha = tuple(int(x) for x in args.alpha.split(","))
@@ -229,17 +229,16 @@ def _lp(args, gen_cap: int, scan_cap: int):
     return {"alpha": list(alpha)}, {"tau": tv, "nu": nv, "alpha": list(alpha), "equal": tv == nv}
 
 
-def _gap_search(args, gen_cap: int, scan_cap: int):
-    res = duality_gap_search(parse_graph_spec(args.graph), args.t, args.entry_bound,
-                             scan_cap=scan_cap, gen_cap=gen_cap)
+def _gap_search(args):
+    res = duality_gap_search(parse_graph_spec(args.graph), args.t, args.entry_bound)
     return {"entry_bound": args.entry_bound}, res.to_json()
 
 
-def _verify_theorem(args, gen_cap: int, scan_cap: int):
+def _verify_theorem(args):
     fams = None if args.paths_cycles is None else [
         g for n in range(3, args.paths_cycles + 1) for g in (path(n), cycle(n))]
     report = verify_theorem(args.nmax, t_min=args.tmin, t_max=args.tmax,
-                            s_max=args.smax, graphs=fams, cap=gen_cap)
+                            s_max=args.smax, graphs=fams)
     body = report.to_json()
     if not args.rows:
         body["rows"] = []
@@ -247,7 +246,7 @@ def _verify_theorem(args, gen_cap: int, scan_cap: int):
              "smax": args.smax, "paths_cycles": args.paths_cycles}, body)
 
 
-# every builder takes (args, gen_cap, scan_cap) and returns the report's
+# every builder takes the parsed args and returns the report's
 # (config, result); `main` opens a graph command's config with its graph and
 # t and wraps the report.  The builders call the layers through this
 # module's globals, so rebinding one of them here reaches every command
@@ -281,10 +280,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    saved = ideals.DEFAULT_GEN_CAP, ideals.DEFAULT_SCAN_CAP
     try:
-        gen_cap = _env_int("COVERPACK_GEN_CAP", DEFAULT_GEN_CAP)
-        scan_cap = _env_int("COVERPACK_SCAN_CAP", DEFAULT_SCAN_CAP)
-        config, result = _BUILDERS[args.command](args, gen_cap, scan_cap)
+        ideals.DEFAULT_GEN_CAP = _env_int("COVERPACK_GEN_CAP", ideals.DEFAULT_GEN_CAP)
+        ideals.DEFAULT_SCAN_CAP = _env_int("COVERPACK_SCAN_CAP", ideals.DEFAULT_SCAN_CAP)
+        config, result = _BUILDERS[args.command](args)
         if args.command != "verify-theorem":
             config = {"graph": args.graph, "t": args.t, **config}
         emit_report({"command": args.command, "config": config, "result": result},
@@ -303,6 +303,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1
+    finally:
+        ideals.DEFAULT_GEN_CAP, ideals.DEFAULT_SCAN_CAP = saved
 
 
 if __name__ == "__main__":

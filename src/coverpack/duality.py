@@ -77,8 +77,8 @@ from itertools import groupby
 from math import comb
 from typing import Optional
 
+from . import ideals
 from .ideals import (
-    DEFAULT_GEN_CAP,
     FIELD_MAX,
     MonomialIdeal,
     Monomial,
@@ -95,16 +95,17 @@ from .ideals import (
 )
 
 
-def alexander_dual(a: MonomialIdeal, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
+def alexander_dual(a: MonomialIdeal) -> MonomialIdeal:
     """Square-free dual: generators <-> minimal vertex covers of the supports.
 
     The minimal transversals form an antichain, so they are only sorted into
-    canonical order, not minimalised; more than `cap` raise SizeLimitError.
-    The blocker of the blocker is the clutter, so the dual's own minimal
-    transversals are the supports of `a`, and the dual is given them.
+    canonical order, not minimalised; more than `DEFAULT_GEN_CAP` raise
+    SizeLimitError.  The blocker of the blocker is the clutter, so the dual's
+    own minimal transversals are the supports of `a`, and the dual is given
+    them.
     """
     _require_square_free_proper(a, "alexander_dual")
-    return from_antichain_masks(a.n, a.transversal_masks(cap), a.support_masks())
+    return from_antichain_masks(a.n, a.transversal_masks(), a.support_masks())
 
 
 @lru_cache(maxsize=512)
@@ -130,7 +131,7 @@ def _offsets(shifts: tuple[int, ...], total: int) -> tuple[tuple[int, int], ...]
                  for e in range(total + 1) for o, m in _offsets(rest, total - e))
 
 
-def symbolic_power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
+def symbolic_power(a: MonomialIdeal, s: int) -> MonomialIdeal:
     """I^(s) = intersection of s-th powers of the minimal primes of I."""
     _require_square_free_proper(a, "symbolic_power")
     if s < 1:
@@ -143,6 +144,7 @@ def symbolic_power(a: MonomialIdeal, s: int, cap: int = DEFAULT_GEN_CAP) -> Mono
             f"symbolic power s={s} over a prime on {len(primes[-1])} variables "
             f"exceeds the packed-field capacity {FIELD_MAX}")
     n = a.n
+    cap = ideals.DEFAULT_GEN_CAP
     high = _high_mask(n)
     ones = _ones(n)
     fill = FIELD_MAX * ones
@@ -214,7 +216,7 @@ class SimisReport:
         }
 
 
-def simis_check(a: MonomialIdeal, s_max: int, cap: int = DEFAULT_GEN_CAP) -> SimisReport:
+def simis_check(a: MonomialIdeal, s_max: int) -> SimisReport:
     """Compare I^(s) with I^s for s = 2..s_max; stop at the first inequality.
 
     The witness, when present, is the first minimal generator of I^(s) in
@@ -230,7 +232,7 @@ def simis_check(a: MonomialIdeal, s_max: int, cap: int = DEFAULT_GEN_CAP) -> Sim
     rows = a.support_rows()
     for s in range(2, s_max + 1):
         # generators come by degree, so the first failing level is complete
-        for _d, level in groupby(symbolic_power(a, s, cap=cap).gens, key=sum):
+        for _d, level in groupby(symbolic_power(a, s).gens, key=sum):
             failures = tuple(g for g in level if max_packing(rows, g, s)[0] < s)
             if failures:
                 return SimisReport(a.n, s_max, "witness_at", s, failures[0], failures)

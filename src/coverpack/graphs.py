@@ -202,18 +202,13 @@ def is_connected(g: Graph) -> bool:
     return is_connected_subset(g, (1 << g.n) - 1)
 
 
-def connected_induced_subsets(g: Graph, t: int) -> list[tuple[int, ...]]:
-    """All t-element vertex subsets inducing a connected subgraph, lexicographic."""
+def connected_induced_subsets(g: Graph, t: int) -> list[int]:
+    """All t-element vertex subsets inducing a connected subgraph, as masks
+    (bit v - 1 for vertex v), in lexicographic order of the subsets."""
     if not (1 <= t <= g.n):
         raise ValueError(f"subset size t={t} out of range 1..{g.n}")
-    out = []
-    for combo in combinations(range(1, g.n + 1), t):
-        mask = 0
-        for v in combo:
-            mask |= 1 << (v - 1)
-        if is_connected_subset(g, mask):
-            out.append(combo)
-    return out
+    masks = map(sum, combinations([1 << i for i in range(g.n)], t))
+    return [m for m in masks if is_connected_subset(g, m)]
 
 
 def is_bipartite(g: Graph) -> bool:

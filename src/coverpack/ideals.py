@@ -40,13 +40,17 @@ Konig test all read them.  They are enumerated once by MMCS, except on an
 Alexander dual, which `from_antichain_masks` gives the input's supports:
 the blocker of the blocker is the clutter.  Only this module fills an
 ideal's caches.
+
+Resource limits.  Every guard reads `DEFAULT_GEN_CAP` or `DEFAULT_SCAN_CAP`
+from this module when its function is called, so rebinding them here, as
+the CLI does for one command, reaches every guard.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 Monomial = tuple  # exponent tuple of length n
@@ -177,14 +181,10 @@ class MonomialIdeal:
         Not cached: every caller reads them once per ideal."""
         return tuple(sorted(map(mask_vars, self.support_masks()), key=len))
 
-    def transversal_masks(self, cap: int = DEFAULT_GEN_CAP) -> tuple[int, ...]:
-        """Minimal transversals of the generator supports, enumerated once.
-
-        `cap` bounds the enumeration; a cached result is returned as it is.
-        """
+    def transversal_masks(self) -> tuple[int, ...]:
+        """Minimal transversals of the generator supports, enumerated once."""
         if self._transversals is None:
-            self._transversals = tuple(
-                minimal_transversals(self.support_masks(), self.n, cap))
+            self._transversals = tuple(minimal_transversals(self.support_masks(), self.n))
         return self._transversals
 
     def __eq__(self, other):
@@ -265,15 +265,6 @@ def from_antichain_masks(n: int, masks: Iterable[int],
     return ideal
 
 
-def _counted_range(start: int, stop: int, steps: Iterator[int]) -> Iterator[int]:
-    """range(start, stop), each step drawn from `steps` and checked against
-    DEFAULT_SCAN_CAP: the column loop of an exact packing search."""
-    for i in range(start, stop):
-        if next(steps) > DEFAULT_SCAN_CAP:
-            raise SizeLimitError(f"packing search exceeds {DEFAULT_SCAN_CAP} steps")
-        yield i
-
-
 def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
                 need: Optional[int] = None) -> tuple[int, list[tuple[int, ...]]]:
     """Largest sum(z) over z in N^r that packs the columns under `capacity`.
@@ -307,7 +298,15 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
     best = 0
     chosen: list[tuple[int, ...]] = []
     # a stopped search loops over a plain range, so it pays nothing for the count
-    columns = range if need is not None else partial(_counted_range, steps=itertools.count(1))
+    columns = range
+    if need is None:
+        limit, steps = DEFAULT_SCAN_CAP, itertools.count(1)
+
+        def columns(start: int, stop: int) -> Iterator[int]:
+            for i in range(start, stop):
+                if next(steps) > limit:
+                    raise SizeLimitError(f"packing search exceeds {limit} steps")
+                yield i
 
     def dfs(i: int, count: int, left: int) -> bool:
         nonlocal best
@@ -343,8 +342,7 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
 # ---------------------------------------------------------------------------
 # minimal transversals of a set system (used by duality, packing and lpdual)
 
-def minimal_transversals(edge_masks: Sequence[int], n: int,
-                         cap: int = DEFAULT_GEN_CAP) -> list[int]:
+def minimal_transversals(edge_masks: Sequence[int], n: int) -> list[int]:
     """Inclusion-minimal hitting sets of the given nonempty supports, as masks.
 
     MMCS (Murakami and Uno, Discrete Appl. Math. 170, 2014).  Edges are bit
@@ -357,8 +355,8 @@ def minimal_transversals(edge_masks: Sequence[int], n: int,
     branch cut this way holds a minimal transversal.  So every leaf is a
     minimal transversal, each one is reached once, and there is no
     candidate superset to filter.  The result is sorted by
-    (popcount, mask).  Each leaf counts against `cap`; past it the search
-    raises SizeLimitError.
+    (popcount, mask).  Each leaf counts against `DEFAULT_GEN_CAP`; past it
+    the search raises SizeLimitError.
     """
     edges = sorted(set(edge_masks))
     if edges and edges[0] == 0:
@@ -370,6 +368,7 @@ def minimal_transversals(edge_masks: Sequence[int], n: int,
             inc[v] = inc.get(v, 0) | 1 << j
             e ^= v
     out: list[int] = []
+    cap = DEFAULT_GEN_CAP
 
     def rec(chosen: int, crits: list[int], cand: int, uncov: int):
         if not uncov:

@@ -43,8 +43,9 @@ from operator import itemgetter, or_
 from typing import Optional, Sequence
 
 from .graphs import Graph, cycle, path
-from .ideals import (DEFAULT_GEN_CAP, DEFAULT_SCAN_CAP, MonomialIdeal, SizeLimitError,
-                     _require_square_free_proper, mask_vars, max_packing)
+from . import ideals
+from .ideals import (MonomialIdeal, SizeLimitError, _require_square_free_proper, mask_vars,
+                     max_packing)
 from .packing import VerificationError
 from .tconn import cover_ideal
 
@@ -119,9 +120,7 @@ def _vectors_by_sum(n: int, bound: int):
                 yield from map(p.__add__, suffixes[total - ps])
 
 
-def duality_gap_search(g: Graph, t: int, entry_bound: int,
-                       scan_cap: int = DEFAULT_SCAN_CAP,
-                       gen_cap: int = DEFAULT_GEN_CAP) -> GapSearchResult:
+def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
     """First alpha in {0..entry_bound}^n (by sum, then lex) with tau != nu.
 
     `scanned` counts the rotation-minimal alpha up to the witness when g is
@@ -173,10 +172,11 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int,
         raise ValueError("entry_bound must be >= 1")
     n = g.n
     space = (entry_bound + 1) ** n
+    scan_cap = ideals.DEFAULT_SCAN_CAP
     if space > scan_cap:
         raise SizeLimitError(
             f"alpha space {space} exceeds scan cap {scan_cap}")
-    j = cover_ideal(g, t, cap=gen_cap)
+    j = cover_ideal(g, t)
     _require_square_free_proper(j, "duality_gap_search")
     # t >= 2, so every getter returns a tuple
     getters = [itemgetter(*p) for p in _prime_rows(j)]

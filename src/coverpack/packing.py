@@ -27,12 +27,13 @@ pairwise disjoint supports, and it commutes with both operations, so the
 Konig verdict of every minor below a node depends only on that antichain.
 A memo keyed (level, antichain) therefore evaluates each subtree once and
 runs the Konig search once per distinct restricted clutter; it lives for
-one call, and past `cap` entries the scan raises SizeLimitError.  A failing
-leaf hands its height and exact max-disjoint count up with its code offset,
-so the witness needs no second search.  An empty antichain (the zero
-ideal) or one holding the empty support (the unit ideal) makes its whole
-subtree vacuous, and a variable no support contains is skipped, since its
-three children are equal.
+one call, and past `coverpack.ideals.DEFAULT_SCAN_CAP` entries, read when
+the scan starts, it raises SizeLimitError.  A failing leaf hands its height
+and exact max-disjoint count up with its code offset, so the witness needs
+no second search.  An empty antichain (the zero ideal) or one holding the
+empty support (the unit ideal) makes its whole subtree vacuous, and a
+variable no support contains is skipped, since its three children are
+equal.
 
 Each node also carries the blocker of its antichain, so no leaf searches
 for a cover.  The root takes the ideal's cached minimal transversals,
@@ -61,11 +62,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from . import ideals
 from .ideals import (
-    DEFAULT_SCAN_CAP,
     Monomial,
     MonomialIdeal,
     SizeLimitError,
+    _by_size,
     _require_square_free_proper,
     from_antichain_masks,
     mask_vars,
@@ -140,7 +142,7 @@ def _konig_masks(masks: Iterable[int], blocker: Iterable[int],
     # read off the blocker; when the packing search misses the height it has
     # explored everything, so the count it reports is the exact maximum
     h = min(t.bit_count() for t in blocker)
-    rows = [mask_vars(m) for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
+    rows = [mask_vars(m) for m in sorted(masks, key=_by_size)]
     count, cols = max_packing(rows, (1,) * n, need=h)
     return count >= h, h, count, cols
 
@@ -226,10 +228,11 @@ def _delete_bit(clutter: frozenset, bit: int) -> frozenset:
     return frozenset(short + kept)
 
 
-def is_packed(a: MonomialIdeal, cap: int = DEFAULT_SCAN_CAP) -> PackingReport:
+def is_packed(a: MonomialIdeal) -> PackingReport:
     """Scan all 3^n minors in ternary-code order; stop at the first failure.
 
-    More than `cap` memoised (level, clutter) pairs raise SizeLimitError.
+    More than `DEFAULT_SCAN_CAP` memoised (level, clutter) pairs raise
+    SizeLimitError.
     """
     _require_square_free_proper(a, "is_packed")
     n = a.n
@@ -239,6 +242,7 @@ def is_packed(a: MonomialIdeal, cap: int = DEFAULT_SCAN_CAP) -> PackingReport:
     if all(m.bit_count() == 1 for m in masks):
         return PackingReport(True, 0, None)
     memo: dict[tuple[int, frozenset], Optional[tuple[int, int, int]]] = {}
+    cap = ideals.DEFAULT_SCAN_CAP
 
     def scan(k: int, clutter: frozenset, blocker: frozenset) -> Optional[tuple[int, int, int]]:
         # first failure among the 3^k settings of variables 1..k, as

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .duality import alexander_dual
 from .graphs import Graph, connected_induced_subsets, is_connected
-from .ideals import DEFAULT_GEN_CAP, MonomialIdeal, from_antichain_masks, minimalize
+from .ideals import MonomialIdeal, from_antichain_masks, minimalize
 
 
 class GenerationError(RuntimeError):
@@ -37,24 +37,18 @@ def _validate(g: Graph, t: int):
 def t_connected_ideal(g: Graph, t: int) -> MonomialIdeal:
     """I_t(G): one square-free generator per connected induced t-subset."""
     _validate(g, t)
-    masks = []
-    for combo in connected_induced_subsets(g, t):
-        m = 0
-        for v in combo:
-            m |= 1 << (v - 1)
-        masks.append(m)
     # distinct t-subsets all have size t, so they form an antichain
-    return from_antichain_masks(g.n, masks)
+    return from_antichain_masks(g.n, connected_induced_subsets(g, t))
 
 
-def cover_ideal(g: Graph, t: int, cap: int = DEFAULT_GEN_CAP) -> MonomialIdeal:
+def cover_ideal(g: Graph, t: int) -> MonomialIdeal:
     """J_t(G) = I_t(G)^v, generated by the minimal covers of the t-subsets.
 
-    More than `cap` minimal covers raise SizeLimitError.  The minimal
-    transversals of J_t(G) are the I_t(G) supports, which `alexander_dual`
-    hands over, so no search runs for them.
+    More than `DEFAULT_GEN_CAP` minimal covers raise SizeLimitError.  The
+    minimal transversals of J_t(G) are the I_t(G) supports, which
+    `alexander_dual` hands over, so no search runs for them.
     """
-    return alexander_dual(t_connected_ideal(g, t), cap)
+    return alexander_dual(t_connected_ideal(g, t))
 
 
 def _tuples_to_ideal(n: int, tuples: list[tuple[int, ...]], least: int,

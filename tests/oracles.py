@@ -634,10 +634,8 @@ def branching_subset_witness(g: Graph, t: int) -> Optional[tuple[tuple[int, ...]
     vertices, together with its non-cut count; None when no such subset exists."""
     if t + 1 > g.n:
         return None
-    for combo in connected_induced_subsets(g, t + 1):
-        mask = 0
-        for v in combo:
-            mask |= 1 << (v - 1)
+    for mask in connected_induced_subsets(g, t + 1):
+        combo = tuple(v + 1 for v in mask_vars(mask))
         r = 0
         for v in combo:
             if is_connected_subset(g, mask & ~(1 << (v - 1))):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import relabel
-from coverpack import classify, duality
+from coverpack import classify, duality, ideals
 from coverpack.classify import (
     Classification,
     _antichain_width,
@@ -14,7 +14,6 @@ from coverpack.classify import (
     verify_theorem,
 )
 from coverpack.graphs import Graph, complete, cycle, path, star
-from coverpack.ideals import DEFAULT_GEN_CAP
 
 
 def test_classification_n_equals_t():
@@ -135,10 +134,10 @@ def test_verify_theorem_report_json():
     assert len(j["rows"]) == j["summary"]["instances"]
 
 
-def direct_rows(graphs, t_max=None, cap=DEFAULT_GEN_CAP):
+def direct_rows(graphs, t_max=None):
     """verify_theorem's rows computed one check_instance call per row, as
     (report row, least-degree failures) pairs."""
-    return [_with_failures(check_instance(g, t, cap=cap))
+    return [_with_failures(check_instance(g, t))
             for g in graphs
             for t in range(3, (g.n if t_max is None else min(g.n, t_max)) + 1)]
 
@@ -239,10 +238,11 @@ def test_antichain_width_is_the_largest_level():
 
 
 @pytest.mark.parametrize("cap", [5, 8])
-def test_class_cache_matches_direct_rows_under_small_caps(cap):
+def test_class_cache_matches_direct_rows_under_small_caps(cap, monkeypatch):
     graphs = [g for n in range(3, 6) for _code, g in connected_graphs(n)]
-    rep = verify_theorem(5, cap=cap)
-    assert cached_rows(rep) == direct_rows(graphs, cap=cap)
+    monkeypatch.setattr(ideals, "DEFAULT_GEN_CAP", cap)
+    rep = verify_theorem(5)
+    assert cached_rows(rep) == direct_rows(graphs)
     rows = [r.to_json() for r in rep.rows]
     # both fallbacks occur: dualization aborts (packed unknown) and fold
     # aborts (packed known)
@@ -253,12 +253,13 @@ def test_class_cache_matches_direct_rows_under_small_caps(cap):
     assert rep.summary()["aborted"] == sum(r["simis_verdict"] == "aborted" for r in rows)
 
 
-def test_dualization_abort_row():
+def test_dualization_abort_row(monkeypatch):
     # J_3(C_7) has 14 generators
-    row = check_instance(cycle(7), 3, cap=5)
+    monkeypatch.setattr(ideals, "DEFAULT_GEN_CAP", 5)
+    row = check_instance(cycle(7), 3)
     assert row.packed is None and row.simis_verdict == "aborted"
     assert row.simis_s is None and row.simis_witness is None
-    rep = verify_theorem(0, t_max=3, graphs=[cycle(7)], cap=5)
+    rep = verify_theorem(0, t_max=3, graphs=[cycle(7)])
     assert rep.summary()["aborted"] == 1 and not rep.disagreements
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import coverpack
+import coverpack.ideals
 from coverpack.cli import (REPORT_SCHEMA, RESULT_KEYS, SchemaError, build_parser, emit_report,
                            main, parse_graph_spec)
 from coverpack.graphs import complete, cycle, encode_graph6, path, star
@@ -309,6 +310,39 @@ def test_scan_cap_env_bounds_packing_scan():
     assert proc.stdout == ""
     assert proc.stderr.startswith("resource guard:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["packing", "--graph", "path:8", "--t", "3"],
+    # the harness runs the same packing scan as `packing`
+    ["verify-theorem", "--paths-cycles", "8", "--tmin", "3", "--tmax", "3"],
+    # the exact nu search behind lp takes its step budget from the scan cap
+    ["lp", "--graph", "cycle:12", "--t", "3", "--alpha", "3,2,3,1,3,2,3,1,3,2,3,1"],
+], ids=["packing", "verify-theorem", "lp"])
+def test_scan_cap_env_reaches_every_scan(argv):
+    env = dict(os.environ, COVERPACK_SCAN_CAP="10")
+    src = os.path.dirname(os.path.dirname(coverpack.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "coverpack.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert [line.startswith("resource guard:") for line in proc.stderr.splitlines()] == [True]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gens", "--graph", "path:5", "--t", "3"], 0),
+    (["packing", "--graph", "path:8", "--t", "3"], 3),
+])
+def test_main_restores_the_caps(capsys, monkeypatch, argv, code):
+    # main sets the library's caps from the environment for one call only
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_GEN_CAP", 1234)
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 5678)
+    monkeypatch.setenv("COVERPACK_GEN_CAP", "50")
+    monkeypatch.setenv("COVERPACK_SCAN_CAP", "10")
+    assert run_cli(capsys, *argv)[0] == code
+    assert (coverpack.ideals.DEFAULT_GEN_CAP, coverpack.ideals.DEFAULT_SCAN_CAP) == (1234, 5678)
 
 
 @pytest.mark.parametrize("command", ["konig", "lp"])

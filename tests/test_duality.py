@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import monomials, random_square_free_ideal, square_free_ideals
+import coverpack.ideals
 from coverpack.classify import connected_graphs
 from coverpack.duality import (
     SimisReport,
@@ -249,23 +250,26 @@ def test_member_power_field_capacity():
         member_power((-1, 1, 1), J, 2)
 
 
-def test_symbolic_power_cap():
+def test_symbolic_power_cap(monkeypatch):
     J = cover_ideal(cycle(9), 3)
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_GEN_CAP", 10)
     with pytest.raises(SizeLimitError):
-        symbolic_power(J, 3, cap=10)
+        symbolic_power(J, 3)
     # the first prime is guarded too: <x1, x2, x3>^4 has 15 generators
     with pytest.raises(SizeLimitError):
-        symbolic_power(minimalize(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 4, cap=10)
+        symbolic_power(minimalize(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 4)
 
 
-def test_symbolic_power_cap_boundary():
+def test_symbolic_power_cap_boundary(monkeypatch):
     # the guard counts the kept generators plus every candidate of a fold,
     # duplicates included; the largest such count for J_3(C_9) at s = 3 is
     # 1 046, so that cap passes and one less raises before the fold is built
     J = cover_ideal(cycle(9), 3)
-    assert len(symbolic_power(J, 3, cap=1046).gens) == 442
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_GEN_CAP", 1046)
+    assert len(symbolic_power(J, 3).gens) == 442
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_GEN_CAP", 1045)
     with pytest.raises(SizeLimitError, match="intermediate size 1046 exceeds cap 1045"):
-        symbolic_power(J, 3, cap=1045)
+        symbolic_power(J, 3)
 
 
 def test_symbolic_power_validation():

@@ -20,6 +20,7 @@ from coverpack.graphs import (
     path,
     star,
 )
+from coverpack.ideals import mask_vars
 
 
 def test_path_constructor():
@@ -158,7 +159,8 @@ def test_connected_subsets_against_oracle():
         for t in range(1, g.n + 1):
             expected = [c for c in itertools.combinations(range(1, g.n + 1), t)
                         if _oracle_connected(g, c)]
-            assert connected_induced_subsets(g, t) == expected
+            got = [tuple(v + 1 for v in mask_vars(m)) for m in connected_induced_subsets(g, t)]
+            assert got == expected
 
 
 def test_is_connected_subset_matches_oracle():

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coverpack.ideals
 from conftest import monomials, random_square_free_ideal, square_free_ideals
 from oracles import (brute_minimal_transversals, divides, equal, filtered_minimal_transversals,
                      from_masks, intersect, lcm, member, member_power, mul, parse_monomial,
@@ -241,7 +242,6 @@ def test_max_packing_need_stops_early():
 def test_max_packing_step_budget(monkeypatch):
     # an exact search counts its column-loop steps against the scan cap,
     # read at call time; a search stopped at `need` is not counted
-    import coverpack.ideals
     rows = ((0, 1), (1, 2))
     monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 4)
     assert max_packing(rows, (2, 3, 2)) == (3, [])          # four steps
@@ -334,12 +334,14 @@ def test_transversals_match_oracles_on_random_set_systems():
         assert got == brute_minimal_transversals(masks, n), (masks, n)
 
 
-def test_transversals_cap():
+def test_transversals_cap(monkeypatch):
     # supports {1,2}, {3,4}, {5,6}: 8 minimal transversals
     masks = (0b000011, 0b001100, 0b110000)
-    assert len(minimal_transversals(masks, 6, cap=8)) == 8
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_GEN_CAP", 8)
+    assert len(minimal_transversals(masks, 6)) == 8
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_GEN_CAP", 7)
     with pytest.raises(SizeLimitError):
-        minimal_transversals(masks, 6, cap=7)
+        minimal_transversals(masks, 6)
     with pytest.raises(ValueError):
         minimal_transversals((0b01, 0), 2)
 

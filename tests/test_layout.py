@@ -8,6 +8,9 @@ referenced by a name read in its own module, or by an import (the
 `classify.connected_graphs`, that resolves to it; a method by any attribute
 read.  A definition's references to itself, as in a recursive function, do
 not count.  A name that only the tests need belongs in `tests/oracles.py`.
+
+No library function takes a resource limit as a parameter: the guards read
+`DEFAULT_GEN_CAP` and `DEFAULT_SCAN_CAP` from `coverpack.ideals`.
 """
 
 import ast
@@ -179,3 +182,40 @@ def test_guard_flags_a_removed_name_put_back(module, cls, name):
         body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == cls).body
     body.append(ast.parse(f"def {name}(*args):\n    pass\n").body[0])
     assert unreferenced(library, others) == [".".join(filter(None, (module, cls, name)))]
+
+
+CAP_PARAMETERS = {"cap", "gen_cap", "scan_cap"}
+
+
+def cap_parameters(library: dict[str, ast.Module]) -> list[str]:
+    """`module.function` for every function or lambda in `library` with a
+    parameter named like a resource limit."""
+    out = []
+    for module, tree in library.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          *filter(None, (args.vararg, args.kwarg))]
+                if CAP_PARAMETERS & {p.arg for p in params}:
+                    out.append(f"{module}.{getattr(node, 'name', '<lambda>')}")
+    return sorted(out)
+
+
+def test_no_library_function_takes_a_cap_parameter():
+    assert cap_parameters(_parse_dir(LIBRARY)) == []
+
+
+def test_cap_guard_sees_every_kind_of_parameter():
+    library = {"m": ast.parse(
+        "def f(a, cap=1):\n"
+        "    pass\n"
+        "class A:\n"
+        "    def g(self, *, scan_cap):\n"
+        "        pass\n"
+        "def h(capacity, **gen_cap):\n"
+        "    return lambda gen_cap: gen_cap\n"
+        "def k(limit, caps):\n"
+        "    cap = limit\n")}
+    # a local named cap is not a parameter
+    assert cap_parameters(library) == ["m.<lambda>", "m.f", "m.g", "m.h"]

@@ -357,11 +357,12 @@ def test_gap_search_non_cycle_instances():
     assert res.witness is not None     # K_{1,3} cover instance has a gap
 
 
-def test_gap_search_guards():
+def test_gap_search_guards(monkeypatch):
     with pytest.raises(ValueError):
         duality_gap_search(cycle(6), 3, 0)
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 100)
     with pytest.raises(SizeLimitError):
-        duality_gap_search(cycle(12), 3, 2, scan_cap=100)
+        duality_gap_search(cycle(12), 3, 2)
 
 
 def test_nu_row_cache_matches_fresh_matrix():

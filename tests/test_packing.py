@@ -10,6 +10,7 @@ from oracles import (_ternary_minor_masks, branching_subset_witness, flat_is_pac
 from coverpack.classify import connected_graphs
 from coverpack.graphs import complete, cycle, path, star
 from coverpack.ideals import MonomialIdeal, SizeLimitError, minimal_transversals, minimalize
+import coverpack.ideals
 import coverpack.packing
 from coverpack.packing import (
     CycleMinorResult,
@@ -306,11 +307,12 @@ def test_konig_certificate_is_first_disjoint_combination():
     assert certified > 1000
 
 
-def test_scan_cap():
+def test_scan_cap(monkeypatch):
     J = cover_ideal(path(10), 3)
-    with pytest.raises(SizeLimitError):
-        is_packed(J, cap=50)
     assert is_packed(J).packed
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 50)
+    with pytest.raises(SizeLimitError):
+        is_packed(J)
 
 
 # -- explicit cycle minors --------------------------------------------------

@@ -14,6 +14,7 @@ from coverpack.ideals import (
     minimalize,
     support_mask,
 )
+import coverpack.ideals
 import coverpack.tconn
 from coverpack.duality import alexander_dual
 from coverpack.packing import Minor, restrict
@@ -153,11 +154,13 @@ def test_transversal_route_matches_closed_forms_on_large_cycles_and_paths():
         assert cover_ideal(make(n), t).gens == closed(n, t).gens, (n, t)
 
 
-def test_cover_ideal_gen_cap():
+def test_cover_ideal_gen_cap(monkeypatch):
     # J_3(C_20) has 851 generators
-    assert len(cover_ideal(cycle(20), 3, cap=851).gens) == 851
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_GEN_CAP", 851)
+    assert len(cover_ideal(cycle(20), 3).gens) == 851
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_GEN_CAP", 850)
     with pytest.raises(SizeLimitError):
-        cover_ideal(cycle(20), 3, cap=850)
+        cover_ideal(cycle(20), 3)
 
 
 # -- closed forms -----------------------------------------------------------
