@@ -22,16 +22,18 @@ packing it can be swapped for its subset), so J's minimal generators
 stand in for any 0/1 matrix.
 
 `duality_gap_search` scans alpha in {0..entry_bound}^n ascending by
-(sum, lex) and returns the first alpha with tau != nu.  Its `scanned`
-counts the alpha up to that one, every alpha on most graphs but only the
-rotation-minimal ones (one per rotation class) on the standard-labelled
-cycle(n); the count is taken before the orbit pruning below.  It builds
-J_t(G) and checks it once, then evaluates tau directly, and only at an
-alpha that is least in its orbit under the rotations and reflections of
-cycle(n) or the reversal of path(n): tau and nu are constant on an orbit,
-so the rest cannot hold the first gap.  It runs the packing search for nu
-only where tau does not already decide it: nu(alpha) = tau(alpha) whenever
-the primes of weight tau(alpha) miss a vertex (see `duality_gap_search`).
+(sum, lex) and returns the first alpha with tau != nu.  On most graphs it
+scans every vector (`_vectors_by_sum`); on the standard-labelled cycle(n)
+it generates only the rotation-least one of each rotation class
+(`_necklaces_by_sum`), and no other vector is built.  Its `scanned`
+counts the alpha scanned up to that one, taken before the reflection and
+reversal pruning below.  It builds J_t(G) and checks it once, then
+evaluates tau directly, and only at an alpha that is least in its orbit
+under the rotations and reflections of cycle(n) or the reversal of
+path(n): tau and nu are constant on an orbit, so the rest cannot hold the
+first gap.  It runs the packing search for nu only where tau does not
+already decide it: nu(alpha) = tau(alpha) whenever the primes of weight
+tau(alpha) miss a vertex (see `duality_gap_search`).
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ class GapSearchResult:
     """The first gap, or None fields when there is none.
 
     `scanned` counts the alpha the scan passed, up to and including the
-    witness: the rotation classes on the standard-labelled cycle(n), every
-    vector otherwise, counted before orbit pruning.
+    witness: on the standard-labelled cycle(n) the rotation classes, one
+    generated alpha each, and every vector otherwise; counted before the
+    reflection and reversal pruning.
     """
 
     witness: Optional[tuple[int, ...]]
@@ -120,11 +123,50 @@ def _vectors_by_sum(n: int, bound: int):
                 yield from map(p.__add__, suffixes[total - ps])
 
 
+def _necklaces_by_sum(n: int, bound: int):
+    """The rotation-least alpha in {0..bound}^n, ascending by sum, then lex.
+
+    One alpha per rotation class: exactly those with no rotation below
+    them.  For each sum this runs the FKM prenecklace recursion
+    (Fredricksen, Kessler & Maiorana; Ruskey, Savage & Wang, J. Algorithms
+    13, 1992), which meets the necklaces in lex order: while `a[1..t-1]` is
+    a prenecklace of period p (with `a[0] = 0` in front), `a[t]` runs up
+    from `a[t - p]`, and the period becomes t when it exceeds that.  The sum
+    still left bounds each entry from both sides, which keeps the order, and
+    forces the last entry; a full prenecklace of period p is a necklace
+    exactly when p divides n.
+    """
+    a = [0] * n
+    level: list[tuple[int, ...]] = []
+
+    def extend(t: int, p: int, rem: int):
+        lo = a[t - p]
+        for v in range(max(lo, rem - bound * (n - t)), min(bound, rem) + 1):
+            a[t] = v
+            q = p if v == lo else t
+            left = rem - v
+            if t + 1 < n:
+                extend(t + 1, q, left)
+            else:                                        # the last entry is `left`
+                last = a[n - q]
+                if left > last or left == last and n % q == 0:
+                    level.append((*a[1:], left))
+
+    for total in range(bound * n + 1):
+        level = []
+        if n > 1:
+            extend(1, 1, total)
+        else:
+            level.append((total,))
+        yield from level
+
+
 def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
     """First alpha in {0..entry_bound}^n (by sum, then lex) with tau != nu.
 
-    `scanned` counts the rotation-minimal alpha up to the witness when g is
-    the standard-labelled cycle(n), and every alpha up to it otherwise.
+    When g is the standard-labelled cycle(n) the scan generates only the
+    rotation-least alpha of each rotation class, and `scanned` counts those
+    up to the witness; otherwise the scan and the count take every alpha.
 
     tau is evaluated only at an alpha that is least in its orbit under the
     symmetries of g that the search knows: the rotations and reflections of
@@ -132,7 +174,7 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
     An automorphism of g permutes the minimal primes of J_t(G) and its
     generators alike, so tau and nu are constant on an orbit.  Every member
     of an orbit has the same sum, so the orbit's least member comes first in
-    scan order, and on a cycle it is rotation-minimal, so it is scanned.  The
+    scan order, and on a cycle it is rotation-least, so it is generated.  The
     search stops at the first gap; an alpha it skips therefore shares its
     orbit with an earlier alpha that was evaluated and had no gap, and has
     none either.  So no alpha before the current one has a gap.
@@ -186,18 +228,11 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
     is_cycle = n >= 3 and g == cycle(n)
     is_path = not is_cycle and g == path(n)
     scanned = 0
-    for alpha in _vectors_by_sum(n, entry_bound):
-        if is_cycle:
-            # the rotation that starts at a smaller entry than alpha[0] is below it
-            if alpha[0] > min(alpha) or _rotation_below(alpha, alpha, 1):
-                continue
-            scanned += 1
-            if _rotation_below(alpha, alpha[::-1], 0):
-                continue
-        else:
-            scanned += 1
-            if is_path and alpha[::-1] < alpha:
-                continue
+    scan = _necklaces_by_sum if is_cycle else _vectors_by_sum
+    for alpha in scan(n, entry_bound):
+        scanned += 1
+        if is_cycle and _reflection_below(alpha) or is_path and alpha[::-1] < alpha:
+            continue
         tv, tight = _lightest(getters, masks, alpha)
         if tight != every:
             continue                                     # nu(alpha) = tau(alpha)
@@ -220,15 +255,15 @@ def _lightest(getters: list[itemgetter], masks: tuple[int, ...],
     return tv, reduce(or_, compress(masks, map(tv.__eq__, weights)))
 
 
-def _rotation_below(alpha: tuple[int, ...], seq: tuple[int, ...], first: int) -> bool:
-    """Whether a rotation of `seq` by `first`..n-1 places is below alpha.
+def _reflection_below(alpha: tuple[int, ...]) -> bool:
+    """Whether a rotation of reversed alpha is below the rotation-least alpha.
 
-    alpha[0] must be least in alpha, so only a rotation that starts with
-    alpha[0] can be below it.
+    alpha[0] is least in alpha, so only a rotation that starts with alpha[0]
+    can be below it.
     """
     a0, n = alpha[0], len(alpha)
-    doubled = seq + seq
-    for r in range(first, n):
+    doubled = alpha[::-1] * 2
+    for r in range(n):
         if doubled[r] == a0 and doubled[r:r + n] < alpha:
             return True
     return False

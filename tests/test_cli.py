@@ -22,6 +22,23 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def _process_env(**env):
+    """os.environ plus `env`, with the source tree first on PYTHONPATH."""
+    env = dict(os.environ, **env)
+    src = os.path.dirname(os.path.dirname(coverpack.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli_process(argv, **env):
+    """`python -m coverpack.cli *argv` in a fresh process with `env` set.
+
+    A fresh process shows an uncaught exception as a traceback on stderr.
+    """
+    return subprocess.run([sys.executable, "-m", "coverpack.cli", *argv], env=_process_env(**env),
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_parse_graph_spec():
     assert parse_graph_spec("path:5") == path(5)
     assert parse_graph_spec("cycle:6") == cycle(6)
@@ -220,12 +237,7 @@ def test_gen_cap_env(capsys, monkeypatch):
 def test_bad_cap_env_is_usage_error(var, raw):
     # run as a process so an uncaught exception would show as a traceback;
     # a cap below 1 is a usage error, not a resource-guard abort
-    env = dict(os.environ, **{var: raw})
-    src = os.path.dirname(os.path.dirname(coverpack.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coverpack.cli", "lp", "--graph", "path:4", "--t", "2"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = run_cli_process(["lp", "--graph", "path:4", "--t", "2"], **{var: raw})
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and var in proc.stderr
@@ -235,13 +247,7 @@ def test_bad_cap_env_is_usage_error(var, raw):
 def test_unwritable_out_is_usage_error(tmp_path):
     # run as a process so an uncaught exception would show as a traceback
     out = str(tmp_path / "missing" / "x.json")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(coverpack.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coverpack.cli", "gens", "--graph", "path:4", "--t", "3",
-         "--out", out],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = run_cli_process(["gens", "--graph", "path:4", "--t", "3", "--out", out])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: cannot write {out}:")
@@ -252,13 +258,7 @@ def test_unwritable_out_is_usage_error(tmp_path):
 def test_tmin_below_three_is_usage_error(tmin):
     # the harness starts at t = 3; verify_theorem refuses a lower t_min,
     # rather than echoing it in the config over rows that start at 3
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(coverpack.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coverpack.cli", "verify-theorem", "--paths-cycles", "5",
-         "--tmin", tmin],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = run_cli_process(["verify-theorem", "--paths-cycles", "5", "--tmin", tmin])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: t_min must be at least 3, got {tmin}\n"
@@ -266,12 +266,7 @@ def test_tmin_below_three_is_usage_error(tmin):
 
 def test_gen_cap_env_bounds_dualization():
     # J_3(C_20) has 851 generators; the transversal route must stop at the cap
-    env = dict(os.environ, COVERPACK_GEN_CAP="100")
-    src = os.path.dirname(os.path.dirname(coverpack.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coverpack.cli", "gens", "--graph", "cycle:20", "--t", "3"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = run_cli_process(["gens", "--graph", "cycle:20", "--t", "3"], COVERPACK_GEN_CAP="100")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("resource guard:")
@@ -281,13 +276,8 @@ def test_gen_cap_env_bounds_dualization():
 def test_gen_cap_env_bounds_verify_theorem_dualization():
     # J_3 of C_4, P_6, P_7 and C_7 has more than 5 generators: those rows
     # abort in the dualization and the run goes on
-    env = dict(os.environ, COVERPACK_GEN_CAP="5")
-    src = os.path.dirname(os.path.dirname(coverpack.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coverpack.cli", "verify-theorem", "--paths-cycles", "7",
-         "--tmax", "3", "--rows"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = run_cli_process(["verify-theorem", "--paths-cycles", "7", "--tmax", "3", "--rows"],
+                           COVERPACK_GEN_CAP="5")
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     result = json.loads(proc.stdout)["result"]
@@ -300,12 +290,7 @@ def test_gen_cap_env_bounds_verify_theorem_dualization():
 
 def test_scan_cap_env_bounds_packing_scan():
     # J_3(P_14) is packed, so only the memo cap can stop its 3^14 scan early
-    env = dict(os.environ, COVERPACK_SCAN_CAP="100")
-    src = os.path.dirname(os.path.dirname(coverpack.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coverpack.cli", "packing", "--graph", "path:14", "--t", "3"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = run_cli_process(["packing", "--graph", "path:14", "--t", "3"], COVERPACK_SCAN_CAP="100")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("resource guard:")
@@ -320,11 +305,7 @@ def test_scan_cap_env_bounds_packing_scan():
     ["lp", "--graph", "cycle:12", "--t", "3", "--alpha", "3,2,3,1,3,2,3,1,3,2,3,1"],
 ], ids=["packing", "verify-theorem", "lp"])
 def test_scan_cap_env_reaches_every_scan(argv):
-    env = dict(os.environ, COVERPACK_SCAN_CAP="10")
-    src = os.path.dirname(os.path.dirname(coverpack.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "coverpack.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = run_cli_process(argv, COVERPACK_SCAN_CAP="10")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert [line.startswith("resource guard:") for line in proc.stderr.splitlines()] == [True]
@@ -349,12 +330,7 @@ def test_main_restores_the_caps(capsys, monkeypatch, argv, code):
 def test_long_column_list_exits_cleanly(command):
     # J_4(C_22) has 1 892 generators; the packing search behind both commands
     # must not nest one call per column it skips
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(coverpack.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coverpack.cli", command, "--graph", "cycle:22", "--t", "4"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = run_cli_process([command, "--graph", "cycle:22", "--t", "4"])
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     result = json.loads(proc.stdout)["result"]
@@ -372,11 +348,7 @@ def test_long_column_list_exits_cleanly(command):
      "exceeds 2000000 steps"),
 ])
 def test_packing_search_guards_exit_cleanly(argv, guard):
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(coverpack.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "coverpack.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = run_cli_process(argv)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == f"resource guard: packing search {guard}\n"
@@ -416,9 +388,6 @@ def test_weak_duality_violation_exit(capsys, monkeypatch):
 def test_numpy_not_imported():
     # neither numpy nor jsonschema is a dependency: importing the CLI and
     # running every subcommand loads neither
-    src = os.path.dirname(os.path.dirname(coverpack.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import sys, coverpack\n"
         "from coverpack.cli import main\n"
@@ -434,7 +403,7 @@ def test_numpy_not_imported():
         "    seen.append(loaded())\n"
         "print(seen, file=sys.stderr)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_process_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == str([[]] * 8)

@@ -14,7 +14,7 @@ from coverpack.classify import connected_graphs, verify_theorem
 from coverpack.duality import alexander_dual, simis_check
 from coverpack.graphs import Graph, cycle, parse_graph6, path, star
 from coverpack.ideals import MonomialIdeal, SizeLimitError
-from coverpack.lpdual import _vectors_by_sum, duality_gap_search, nu, tau
+from coverpack.lpdual import _necklaces_by_sum, _vectors_by_sum, duality_gap_search, nu, tau
 from coverpack.tconn import cover_ideal, t_connected_ideal
 
 
@@ -318,11 +318,25 @@ def test_gap_search_matches_unpruned_oracle_without_pruning(monkeypatch):
     assert duality_gap_search(cycle(7), 3, 1).scanned == 18
 
 
+def _rotation_least(alpha):
+    return all(alpha <= alpha[r:] + alpha[:r] for r in range(len(alpha)))
+
+
 def test_vectors_by_sum_is_sorted_product_order():
+    # _necklaces_by_sum is the same order with only the rotation-least alpha
     for n in range(1, 9):
         for b in range(1, 4):
             want = sorted(product(range(b + 1), repeat=n), key=lambda v: (sum(v), v))
             assert list(_vectors_by_sum(n, b)) == want, (n, b)
+            assert list(_necklaces_by_sum(n, b)) == list(filter(_rotation_least, want)), (n, b)
+
+
+def test_necklaces_by_sum_counts_rotation_classes():
+    # binary and ternary necklaces of length 1..12: OEIS A000031 and A001867
+    binary = [2, 3, 4, 6, 8, 14, 20, 36, 60, 108, 188, 352]
+    ternary = [3, 6, 11, 24, 51, 130, 315, 834, 2195, 5934, 16107, 44368]
+    for bound, counts in ((1, binary), (2, ternary)):
+        assert [sum(1 for _ in _necklaces_by_sum(n, bound)) for n in range(1, 13)] == counts
 
 
 @pytest.mark.parametrize("g, witness, tau_value, nu_value, scanned, evaluated, packed", [
@@ -344,6 +358,31 @@ def test_dual_lp_gap_searches_pinned(monkeypatch, g, witness, tau_value, nu_valu
     assert len(taus) == evaluated
     assert len(packings) == packed
     assert witness is None or packings[-1] == witness
+
+
+def test_cycle_gap_search_generates_rotation_classes(monkeypatch):
+    # on the standard cycle the scan draws exactly its `scanned` rotation
+    # classes from _necklaces_by_sum and never runs through every vector
+    drawn, full_scans = [], []
+    necklaces, vectors = coverpack.lpdual._necklaces_by_sum, coverpack.lpdual._vectors_by_sum
+
+    def counted_necklaces(n, bound):
+        for alpha in necklaces(n, bound):
+            drawn.append(alpha)
+            yield alpha
+
+    def counted_vectors(n, bound):
+        full_scans.append((n, bound))
+        return vectors(n, bound)
+
+    monkeypatch.setattr(coverpack.lpdual, "_necklaces_by_sum", counted_necklaces)
+    monkeypatch.setattr(coverpack.lpdual, "_vectors_by_sum", counted_vectors)
+    res = duality_gap_search(cycle(12), 3, 2)
+    assert res.scanned == len(drawn) == 8436
+    assert drawn[-1] == res.witness
+    assert full_scans == []
+    assert duality_gap_search(path(9), 3, 2).scanned == 19683
+    assert full_scans == [(9, 2)] and len(drawn) == 8436
 
 
 def test_gap_search_none_on_packed_instance():
