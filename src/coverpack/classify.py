@@ -203,13 +203,7 @@ def _row_violations(row: HarnessRow) -> bool:
     if row.packed != row.predicted:
         return True
     # Simis implies packed: a witness below the bound must mean not packed
-    if row.simis_verdict == "witness_at" and row.packed:
-        return True
-    # predicted-false instances need the packing failure (decisive) since the
-    # Simis witness may lie beyond the bound
-    if not row.predicted and row.packed and row.simis_verdict != "witness_at":
-        return True
-    return False
+    return row.simis_verdict == "witness_at" and row.packed
 
 
 @dataclass

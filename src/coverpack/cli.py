@@ -30,9 +30,9 @@ from .classify import verify_theorem
 from .duality import simis_check
 from .graphs import Graph, Graph6ParseError, complete, cycle, parse_graph6, path, star
 from . import ideals
-from .ideals import MonomialIdeal, SizeLimitError
+from .ideals import MonomialIdeal, SizeLimitError, VerificationError
 from .lpdual import duality_gap_search, nu, tau
-from .packing import is_konig, is_packed, VerificationError
+from .packing import is_konig, is_packed
 from .tconn import cover_ideal
 
 # the keys each command's result must carry: the schema's command enum and

@@ -15,15 +15,17 @@ size, then variables) from the unit ideal.  There is one path for every
 ideal: a complete intersection (variables, or one monomial) folds like any
 other, its first prime by the same step as the rest.
 
-The fold state is a sorted list of (degree, packed) pairs in the layout of
-`coverpack.ideals`: 16 bits per variable with x1 in the most significant
-field, so sorting the pairs gives the canonical (degree, exponent tuple)
-order.  A prime's weight on a generator is one mask of its fields and one
-multiply by the all-ones pattern, which sums the fields into the top one.
-Folding in P^s keeps every generator g with weight w(g) >= s and replaces
-the others by g times each composition of s - w(g) over P's variables (the
-composition offsets are packed once per (P's field positions, s - w) and
-cached; see `_offsets`).
+Packed form.  The fold works on one integer per monomial, a layout private
+to this module: 16 bits per variable, x1 in the most significant field and
+x_n in the least, so for equal n integer order is lexicographic order on
+exponent tuples.  The fold state is a sorted list of (degree, packed)
+pairs, which is the canonical (degree, exponent tuple) order, and the
+result is unpacked into tuples once.  A prime's weight on a generator is
+one mask of its fields and one multiply by the all-ones pattern, which sums
+the fields into the top one.  Folding in P^s keeps every generator g with
+weight w(g) >= s and replaces the others by g times each composition of
+s - w(g) over P's variables (the composition offsets are packed once per
+(P's field positions, s - w) and cached; see `_offsets`).
 Kept generators need no test: if a new candidate g*m divided a kept h, then
 g | h inside the previous antichain, so g = h, which w(g) < s <= w(h) rules
 out.  The new candidates are tested by weight, not by divisibility (the
@@ -51,6 +53,7 @@ Exponent limit.  Every exponent in the fold stays at most s and a prime's
 weight at most s times its size, so s * (largest prime size) must not pass
 the 15-bit field capacity FIELD_MAX = 32767.  `symbolic_power` raises
 ValueError past it, checked per call; nothing is allowed to wrap silently.
+Exponent tuples, outside the fold, have no such limit.
 
 The bounded Simis check compares I^(s) with I^s for s = 2..s_max.  Since
 I^s is always contained in I^(s), equality at s holds iff every minimal
@@ -70,6 +73,7 @@ these give the first failure of every relabelled ideal as well.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -79,20 +83,40 @@ from typing import Optional
 
 from . import ideals
 from .ideals import (
-    FIELD_MAX,
     MonomialIdeal,
     Monomial,
     SizeLimitError,
-    _high_mask,
     _require_square_free_proper,
-    _ones,
-    field_shift,
     from_antichain_masks,
     mask_vars,
     max_packing,
     monomial_str,
-    unpack,
 )
+
+_FIELD = 16
+FIELD_MAX = (1 << (_FIELD - 1)) - 1
+
+
+@lru_cache(maxsize=64)
+def _high_mask(n: int) -> int:
+    """Top bit of each of the n packed fields."""
+    return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
+
+
+@lru_cache(maxsize=64)
+def _ones(n: int) -> int:
+    """A 1 in each of the n packed fields."""
+    return sum(1 << (_FIELD * i) for i in range(n))
+
+
+def field_shift(i: int, n: int) -> int:
+    """Bit offset of variable index i (x_{i+1}) in an n-variable packed int."""
+    return _FIELD * (n - 1 - i)
+
+
+def unpack(p: int, n: int) -> Monomial:
+    """The exponent tuple of an n-variable packed int."""
+    return struct.unpack(f">{n}H", p.to_bytes(2 * n, "big"))
 
 
 def alexander_dual(a: MonomialIdeal) -> MonomialIdeal:

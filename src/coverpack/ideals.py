@@ -5,26 +5,14 @@ an ideal is its canonical minimal generating set, kept sorted by
 (total degree, exponent tuple).  Square-free monomials double as support
 bitmasks, which the combinatorial layers use directly.
 
-Packed form.  The symbolic-power fold in `coverpack.duality` and
-minimalisation work on one integer per monomial: 16 bits per variable, x1
-in the most significant field and x_n in the least, so for equal n integer
-order is lexicographic order on exponent tuples and sorting (degree,
-packed) pairs reproduces the canonical order.
-With every field below 2^15, b - a has a field's top bit set exactly when
-that field of a exceeds the one of b (the lowest such field sees no borrow
-from below), so a | b is `(b - a) & high == 0` for the mask of top bits.
-
-Exponent limit.  Packing checks every exponent against the 15-bit capacity
-(`FIELD_MAX` = 32767) and raises ValueError beyond it or below 0, so packed
-arithmetic never wraps silently.
-
 Minimalisation is not an inner loop: the classification harness and the
 CLI's commands build their ideals from antichains (`from_antichain_masks`)
 or by the fold, so `minimalize` serves the closed forms (and the cycle
-minor checks built on them) and callers with arbitrary generators.
-Generators therefore stay exponent tuples; packed generators would only
-move the fold's final unpack into `simis_check`, which reads each
-generator as a packing capacity.
+minor checks built on them) and callers with arbitrary generators.  It
+tests a divisor's support mask against the candidate's before it compares
+exponent tuples.  The packed exponent layout of the symbolic-power fold is
+private to `coverpack.duality`, which unpacks the fold's generators into
+tuples.
 
 Packing search.  `max_packing` is the library's one integer packing search,
 always over the supports of a square-free ideal: `coverpack.lpdual.nu` runs
@@ -49,8 +37,8 @@ the CLI does for one command, reaches every guard.
 from __future__ import annotations
 
 import itertools
-import struct
 from functools import lru_cache
+from operator import le
 from typing import Iterable, Iterator, Optional, Sequence
 
 Monomial = tuple  # exponent tuple of length n
@@ -58,51 +46,13 @@ Monomial = tuple  # exponent tuple of length n
 DEFAULT_GEN_CAP = 200_000
 DEFAULT_SCAN_CAP = 2_000_000
 
-_FIELD = 16
-FIELD_MAX = (1 << (_FIELD - 1)) - 1
-
 
 class SizeLimitError(RuntimeError):
     """An intermediate generating set outgrew the configured cap."""
 
 
-@lru_cache(maxsize=64)
-def _high_mask(n: int) -> int:
-    """Top bit of each of the n packed fields."""
-    return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
-
-
-@lru_cache(maxsize=64)
-def _ones(n: int) -> int:
-    """A 1 in each of the n packed fields."""
-    return sum(1 << (_FIELD * i) for i in range(n))
-
-
-def field_shift(i: int, n: int) -> int:
-    """Bit offset of variable index i (x_{i+1}) in an n-variable packed int."""
-    return _FIELD * (n - 1 - i)
-
-
-def pack(m: Monomial) -> int:
-    """Pack an exponent tuple into one integer, 16 bits per variable, x1 first."""
-    acc = 0
-    for e in m:
-        if e > FIELD_MAX or e < 0:
-            raise ValueError(
-                f"exponent {e} is negative" if e < 0 else
-                f"exponent {e} exceeds the packed-field capacity {FIELD_MAX}")
-        acc = acc << _FIELD | e
-    return acc
-
-
-def unpack(p: int, n: int) -> Monomial:
-    """Inverse of pack for n variables."""
-    return struct.unpack(f">{n}H", p.to_bytes(2 * n, "big"))
-
-
-def divides_packed(a: int, b: int, high: int) -> bool:
-    """Componentwise a <= b for packed exponent vectors."""
-    return not (b - a) & high
+class VerificationError(RuntimeError):
+    """A self-check failed: a closed form, a constructed minor or weak duality."""
 
 
 def support_mask(m: Monomial) -> int:
@@ -220,24 +170,21 @@ def _by_size(mask: int) -> tuple[int, int]:
 
 
 def _minimalize_list(n: int, cands: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    uniq = sorted(set(cands), key=_sort_key)
-    if not uniq:
-        return ()
-    high = _high_mask(n)
-    accepted: list[Monomial] = []
-    accepted_packed: list[int] = []
-    for m in uniq:
+    # only earlier (lower-degree-or-equal) accepted gens can divide m, and
+    # one whose support is not inside m's cannot
+    accepted: list[tuple[int, Monomial]] = []
+    for m in sorted(set(cands), key=_sort_key):
         if len(m) != n:
             raise ValueError(f"monomial {m} has length {len(m)}, universe is {n}")
-        pm = pack(m)
-        # only earlier (lower-degree-or-equal) accepted gens can divide m
-        for ap in accepted_packed:
-            if divides_packed(ap, pm, high):
+        if min(m, default=0) < 0:
+            raise ValueError(f"monomial {m} has a negative exponent")
+        sm = support_mask(m)
+        for sa, a in accepted:
+            if not sa & ~sm and all(map(le, a, m)):
                 break
         else:
-            accepted.append(m)
-            accepted_packed.append(pm)
-    return tuple(accepted)
+            accepted.append((sm, m))
+    return tuple(m for _, m in accepted)
 
 
 def minimalize(n: int, monomials: Iterable[Monomial]) -> MonomialIdeal:

@@ -46,9 +46,8 @@ from typing import Optional, Sequence
 
 from .graphs import Graph, cycle, path
 from . import ideals
-from .ideals import (MonomialIdeal, SizeLimitError, _require_square_free_proper, mask_vars,
-                     max_packing)
-from .packing import VerificationError
+from .ideals import (MonomialIdeal, SizeLimitError, VerificationError,
+                     _require_square_free_proper, mask_vars, max_packing)
 from .tconn import cover_ideal
 
 

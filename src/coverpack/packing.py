@@ -67,6 +67,7 @@ from .ideals import (
     Monomial,
     MonomialIdeal,
     SizeLimitError,
+    VerificationError,
     _by_size,
     _require_square_free_proper,
     from_antichain_masks,
@@ -75,10 +76,6 @@ from .ideals import (
     monomial_str,
 )
 from .tconn import cycle_cover_gens
-
-
-class VerificationError(RuntimeError):
-    """A constructed minor failed its own verification duty."""
 
 
 @dataclass(frozen=True)

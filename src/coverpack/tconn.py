@@ -13,18 +13,14 @@ generator description: a subset {i_1 < ... < i_r} is a minimal cover iff
 
 Every emitted cover must have at least floor(n/t) (paths) resp. ceil(n/t)
 (cycles) elements; that bound is re-checked after generation rather than
-used as a filter.
+used as a filter, and a failed check raises VerificationError.
 """
 
 from __future__ import annotations
 
 from .duality import alexander_dual
 from .graphs import Graph, connected_induced_subsets, is_connected
-from .ideals import MonomialIdeal, from_antichain_masks, minimalize
-
-
-class GenerationError(RuntimeError):
-    """A closed-form generator list violated one of its stated properties."""
+from .ideals import MonomialIdeal, VerificationError, from_antichain_masks, minimalize
 
 
 def _validate(g: Graph, t: int):
@@ -57,7 +53,7 @@ def _tuples_to_ideal(n: int, tuples: list[tuple[int, ...]], least: int,
     `least` elements (`bound` names that bound)."""
     for tup in tuples:
         if len(tup) < least:
-            raise GenerationError(f"cover {tup} shorter than {bound}={least}")
+            raise VerificationError(f"cover {tup} shorter than {bound}={least}")
     gens = []
     for tup in tuples:
         m = [0] * n
@@ -67,7 +63,7 @@ def _tuples_to_ideal(n: int, tuples: list[tuple[int, ...]], least: int,
     # closed forms emit an antichain already; minimalize only canonicalises
     ideal = minimalize(n, gens)
     if len(ideal.gens) != len(tuples):
-        raise GenerationError("closed-form cover list was not an antichain")
+        raise VerificationError("closed-form cover list was not an antichain")
     return ideal
 
 

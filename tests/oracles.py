@@ -14,17 +14,26 @@ the library's faster route replaced:
   where the library folds it like any other ideal.
 - `intersect` (with `lcm`): ideal intersection by pairwise lcms, the
   independent route behind the intersection-fold test of `symbolic_power`.
-- `member_power`: membership in A^s by a memoised search for s generators
-  whose product divides m.  The library tests membership in J^s as
+- `member_power` (with `pack` and `divides_packed`): membership in A^s by
+  a memoised search for s generators whose product divides m, on exponent
+  vectors packed in the layout of the symbolic-power fold in
+  `coverpack.duality`.  The library tests membership in J^s as
   nu(B_J, g) >= s with `coverpack.ideals.max_packing`; this is the other
-  route, valid for any monomial ideal, not only square-free ones.
+  route, valid for any monomial ideal, not only square-free ones.  `pack`
+  inverts the fold's `coverpack.duality.unpack` and checks every exponent
+  against the field capacity `FIELD_MAX`, which the library's exponent
+  tuples do not have.  With every field below 2^15, b - a has a field's
+  top bit set exactly when that field of a exceeds the one of b (the
+  lowest such field sees no borrow from below), so a | b is
+  `(b - a) & high == 0` for the mask of top bits.
 - `equal`: ideal equality by canonical generator comparison.
 - `from_masks` and `parse_monomial`: a square-free ideal from any support
   masks, minimalised, and the inverse of `coverpack.ideals.monomial_str`.
   The library builds square-free ideals only from antichains
   (`from_antichain_masks`) and never reads a monomial back.
 - `divides` and `member`: divisibility and ideal membership on exponent
-  tuples, the plain route beside the packed `divides_packed`.
+  tuples, the plain route beside `divides_packed` and beside the
+  support-mask prefilter of `coverpack.ideals.minimalize`.
 - `tau_enum` and `minimal_solutions`: scans of all 2^n 0/1 vectors over
   the support masks of a 0/1 matrix's columns, independent of the minimal
   primes behind `coverpack.lpdual.tau` and of the transversal search
@@ -70,11 +79,12 @@ from typing import Iterator, Optional, Sequence
 
 from coverpack.graphs import (Graph, connected_induced_subsets, cycle, is_connected,
                               is_connected_subset)
-from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError, _high_mask,
-                              mask_to_monomial, mask_vars, minimalize, pack)
+from coverpack.duality import FIELD_MAX, _FIELD, _high_mask
+from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError,
+                              VerificationError, mask_to_monomial, mask_vars, minimalize)
 from coverpack.lpdual import GapSearchResult, nu
 from coverpack.packing import Minor, PackingReport, PackingWitness, minor_from_code, restrict
-from coverpack.tconn import GenerationError, cover_ideal, t_connected_ideal
+from coverpack.tconn import cover_ideal, t_connected_ideal
 
 
 def prime_power_weight(m: Monomial, prime_vars: Sequence[int]) -> int:
@@ -230,6 +240,23 @@ def parse_monomial(text: str, n: int) -> Monomial:
     return tuple(exps)
 
 
+def pack(m: Monomial) -> int:
+    """Pack an exponent tuple into one integer, 16 bits per variable, x1 first."""
+    acc = 0
+    for e in m:
+        if e > FIELD_MAX or e < 0:
+            raise ValueError(
+                f"exponent {e} is negative" if e < 0 else
+                f"exponent {e} exceeds the packed-field capacity {FIELD_MAX}")
+        acc = acc << _FIELD | e
+    return acc
+
+
+def divides_packed(a: int, b: int, high: int) -> bool:
+    """Componentwise a <= b for packed exponent vectors."""
+    return not (b - a) & high
+
+
 def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:
     """Whether m lies in A^s, without expanding A^s.
 
@@ -267,8 +294,7 @@ def member_power(m: Monomial, a: MonomialIdeal, s: int) -> bool:
         for g, d in factors:
             if d > qdeg:
                 continue
-            r = q - g
-            if not r & high and rec(r, k - 1, qdeg - d):
+            if divides_packed(g, q, high) and rec(q - g, k - 1, qdeg - d):
                 ok = True
                 break
         memo[key] = ok
@@ -609,7 +635,7 @@ def cycle_konig_sequence(n: int, t: int) -> tuple[Monomial, ...]:
     for g in gens:
         mask = sum(1 << j for j, e in enumerate(g) if e)
         if mask & used:
-            raise GenerationError("Konig sequence members are not disjoint")
+            raise VerificationError("Konig sequence members are not disjoint")
         used |= mask
     return tuple(gens)
 

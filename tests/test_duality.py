@@ -8,6 +8,7 @@ from conftest import monomials, random_square_free_ideal, square_free_ideals
 import coverpack.ideals
 from coverpack.classify import connected_graphs
 from coverpack.duality import (
+    FIELD_MAX,
     SimisReport,
     alexander_dual,
     simis_check,
@@ -15,18 +16,16 @@ from coverpack.duality import (
 )
 from coverpack.graphs import cycle, path, star
 from coverpack.ideals import (
-    FIELD_MAX,
     MonomialIdeal,
     SizeLimitError,
     mask_vars,
     max_packing,
     minimal_transversals,
     minimalize,
-    pack,
 )
 from coverpack.tconn import cover_ideal, t_connected_ideal
 from oracles import (filtered_minimal_transversals, in_symbolic_shortcut, intersect, member,
-                     member_power, power, prime_power_gens, prime_power_weight,
+                     member_power, pack, power, prime_power_gens, prime_power_weight,
                      symbolic_power_tuples)
 
 

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import coverpack.ideals
 from conftest import monomials, random_square_free_ideal, square_free_ideals
-from oracles import (brute_minimal_transversals, divides, equal, filtered_minimal_transversals,
-                     from_masks, intersect, lcm, member, member_power, mul, parse_monomial,
-                     power, product)
+from oracles import (brute_minimal_transversals, divides, divides_packed, equal,
+                     filtered_minimal_transversals, from_masks, intersect, lcm, member,
+                     member_power, mul, pack, parse_monomial, power, product)
+from coverpack.duality import _high_mask, unpack
 from coverpack.ideals import (
     MonomialIdeal,
     SizeLimitError,
-    divides_packed,
     from_antichain_masks,
     mask_to_monomial,
     mask_vars,
@@ -21,10 +21,7 @@ from coverpack.ideals import (
     minimal_transversals,
     minimalize,
     monomial_str,
-    pack,
     support_mask,
-    unpack,
-    _high_mask,
 )
 
 
@@ -69,7 +66,7 @@ def test_packed_divisibility_matches_plain(n, data):
 @settings(max_examples=200, deadline=None)
 def test_pack_order_is_tuple_order(n, data):
     # x1 sits in the most significant field, so packed integers compare like
-    # exponent tuples and unpack inverts pack
+    # exponent tuples and the fold's unpack inverts the oracle's pack
     a = tuple(data.draw(st.lists(st.integers(0, 900), min_size=n, max_size=n)))
     b = tuple(data.draw(st.lists(st.integers(0, 900), min_size=n, max_size=n)))
     assert unpack(pack(a), n) == a
@@ -112,6 +109,21 @@ def test_generator_length_checked_on_every_path():
         with pytest.raises(ValueError, match="universe is 3"):
             minimalize(3, gens)
     assert MonomialIdeal(3, []).is_zero
+
+
+def test_generator_exponents_checked_for_sign_only():
+    # a negative exponent is rejected on every path, also in a candidate the
+    # unit generator would absorb; exponent tuples have no field capacity,
+    # so 40 000 (past the fold's 15-bit fields) is an exponent like any other
+    bad = [[(-1, 0)], [(1, 0), (2, -1)], [(0, 0), (0, -3)]]
+    for gens in bad:
+        with pytest.raises(ValueError, match="negative"):
+            MonomialIdeal(2, gens)
+        with pytest.raises(ValueError, match="negative"):
+            minimalize(2, gens)
+    big = [(40_000, 0), (40_001, 1), (0, 40_000)]
+    assert MonomialIdeal(2, big).gens == ((0, 40_000), (40_000, 0))
+    assert minimalize(2, big + [(39_999, 1)]).gens == ((0, 40_000), (39_999, 1), (40_000, 0))
 
 
 @given(square_free_ideals())

@@ -11,6 +11,9 @@ not count.  A name that only the tests need belongs in `tests/oracles.py`.
 
 No library function takes a resource limit as a parameter: the guards read
 `DEFAULT_GEN_CAP` and `DEFAULT_SCAN_CAP` from `coverpack.ideals`.
+
+The packed exponent layout is private to the symbolic-power fold: no module
+but `coverpack.duality` defines or imports one of its names.
 """
 
 import ast
@@ -219,3 +222,44 @@ def test_cap_guard_sees_every_kind_of_parameter():
         "    cap = limit\n")}
     # a local named cap is not a parameter
     assert cap_parameters(library) == ["m.<lambda>", "m.f", "m.g", "m.h"]
+
+
+PACKED_LAYOUT = {"FIELD_MAX", "_FIELD", "unpack", "field_shift", "_high_mask", "_ones"}
+
+
+def packed_layout_names(library: dict[str, ast.Module], owner: str = "duality") -> list[str]:
+    """`module.name` for every packed-layout name that a module of `library`
+    other than `owner` defines, assigns at any depth or imports."""
+    out = set()
+    for module, tree in library.items():
+        if module == owner:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {name for a in node.names for name in (a.name, a.asname)}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = {node.id}
+            else:
+                continue
+            out.update(f"{module}.{name}" for name in names & PACKED_LAYOUT)
+    return sorted(out)
+
+
+def test_only_duality_knows_the_packed_layout():
+    assert packed_layout_names(_parse_dir(LIBRARY)) == []
+
+
+def test_packed_layout_guard_sees_every_kind_of_binding():
+    library = {
+        "duality": ast.parse("FIELD_MAX = 1\ndef unpack(p, n):\n    pass\n"),
+        "a": ast.parse("from .duality import FIELD_MAX as cap, unpack\n"),
+        "b": ast.parse("def f():\n    _FIELD = 16\nclass field_shift:\n    pass\n"),
+        "c": ast.parse("import struct\ndef _high_mask(n):\n    return n\n"
+                       "def g(_ones):\n    return _ones.FIELD_MAX\n"),
+    }
+    # an import counts under its own name and its alias; a parameter or an
+    # attribute read is no binding of the module's own
+    assert packed_layout_names(library) == [
+        "a.FIELD_MAX", "a.unpack", "b._FIELD", "b.field_shift", "c._high_mask"]

@@ -10,6 +10,7 @@ from coverpack.graphs import Graph, complete, cycle, path, star
 from coverpack.classify import connected_graphs
 from coverpack.ideals import (
     SizeLimitError,
+    VerificationError,
     minimal_transversals,
     minimalize,
     support_mask,
@@ -19,7 +20,6 @@ import coverpack.tconn
 from coverpack.duality import alexander_dual
 from coverpack.packing import Minor, restrict
 from coverpack.tconn import (
-    GenerationError,
     cover_ideal,
     cycle_cover_gens,
     path_cover_gens,
@@ -242,7 +242,7 @@ def test_closed_form_losing_a_generator_is_rejected(monkeypatch):
     real = coverpack.tconn.minimalize
     monkeypatch.setattr(coverpack.tconn, "minimalize",
                         lambda n, gens: real(n, list(gens)[1:]))
-    with pytest.raises(GenerationError, match="antichain"):
+    with pytest.raises(VerificationError, match="antichain"):
         cycle_cover_gens(9, 3)
 
 
