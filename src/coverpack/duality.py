@@ -58,17 +58,28 @@ Exponent tuples, outside the fold, have no such limit.
 The bounded Simis check compares I^(s) with I^s for s = 2..s_max.  Since
 I^s is always contained in I^(s), equality at s holds iff every minimal
 generator of the symbolic power lies in I^s; that avoids ever expanding I^s.
-Let B have the generator supports of the square-free I as columns.  A
-product of s generators (with repetition) divides g exactly when some z in
-N^r with sum(z) = s has B z <= g, so g lies in I^s iff nu(B, g) >= s: the
-test is `coverpack.ideals.max_packing`, stopped once it reaches s.  The
-minimal primes are the minimal covers of B, so g lies in I^(s) iff
-tau(B, g) >= s, and the Simis check compares tau with nu as the gap search
-does (Simis <=> max-flow min-cut; Gitler, Reyes and Villarreal, Rocky
-Mountain J. Math. 39, 2009).  At the first failing s the check goes on
-through the generators of the first failure's degree and reports them all
-(`SimisReport.failures`); a relabelling of the variables keeps degrees, so
-these give the first failure of every relabelled ideal as well.
+Membership is tested by peeling off one generator (I^k is the ordinary
+power, I^(k) the symbolic one).  I^s = I * I^{s-1}, so g lies in I^s iff
+some generator m of I divides g with g / m in I^{s-1}.  The check climbs s
+in ascending order and stops at the first failure, so it reaches s only
+once every generator of I^(s-1) has passed, that is, when I^(s-1) =
+I^{s-1} (and I^(1) = I by definition).  There g / m lies in I^{s-1} exactly
+when w_P(g) - |m & P| >= s - 1 for every minimal prime P, so g lies in I^s
+iff some generator m has supp m inside supp g and |m & P| <= w_P(g) - s + 1
+for every P.  Without the ascending order the test would decide membership
+in I * I^(s-1), which can be larger than I^s.  Both conditions are bit sets
+over the generators, built once per ideal: per variable the generators
+through it, and per prime P and k the generators m with |m & P| <= k, for k
+below the largest |m & P|, since a prime whose slack w_P(g) - s + 1 reaches
+that rules out no m.  g passes when their intersection is not empty.  The
+membership test needs no packing search, though it agrees with one: with
+B the matrix of generator supports, g lies in I^s iff nu(B, g) >= s, and in
+I^(s) iff tau(B, g) >= s (Simis <=> max-flow min-cut; Gitler, Reyes and
+Villarreal, Rocky Mountain J. Math. 39, 2009).  At the first failing s the
+check goes on through the generators of the first failure's degree and
+reports them all (`SimisReport.failures`); a relabelling of the variables
+keeps degrees, so these give the first failure of every relabelled ideal as
+well.
 """
 
 from __future__ import annotations
@@ -89,7 +100,6 @@ from .ideals import (
     _require_square_free_proper,
     from_antichain_masks,
     mask_vars,
-    max_packing,
     monomial_str,
 )
 
@@ -253,11 +263,35 @@ def simis_check(a: MonomialIdeal, s_max: int) -> SimisReport:
     if all(sum(g) == 1 for g in a.gens) or len(a.gens) == 1:
         # complete intersections are Simis at every s
         return SimisReport(a.n, s_max, "equal_up_to")
-    rows = a.support_rows()
+    masks = a.support_masks()
+    every = (1 << len(masks)) - 1
+    # bit j stands for generator j: `through[v]` holds the generators through
+    # variable v, and `within[k]` of a prime P those m with |m & P| <= k
+    through = [sum(1 << j for j, m in enumerate(masks) if m >> v & 1) for v in range(a.n)]
+    primes = []
+    for p in a.transversal_masks():
+        meets = [(m & p).bit_count() for m in masks]
+        primes.append((mask_vars(p), [sum(1 << j for j, c in enumerate(meets) if c <= k)
+                                      for k in range(max(meets))]))
+
+    def in_power(g: Monomial, s: int) -> bool:
+        # the peel test of the module docstring; needs I^(s-1) = I^{s-1}
+        cand = every
+        for v, e in enumerate(g):
+            if not e:
+                cand &= ~through[v]
+        for p, within in primes:
+            if not cand:
+                break
+            slack = sum(map(g.__getitem__, p)) - s + 1
+            if slack < len(within):
+                cand &= within[slack]
+        return bool(cand)
+
     for s in range(2, s_max + 1):
         # generators come by degree, so the first failing level is complete
         for _d, level in groupby(symbolic_power(a, s).gens, key=sum):
-            failures = tuple(g for g in level if max_packing(rows, g, s)[0] < s)
+            failures = tuple(g for g in level if not in_power(g, s))
             if failures:
                 return SimisReport(a.n, s_max, "witness_at", s, failures[0], failures)
     return SimisReport(a.n, s_max, "equal_up_to")

@@ -14,12 +14,13 @@ exponent tuples.  The packed exponent layout of the symbolic-power fold is
 private to `coverpack.duality`, which unpacks the fold's generators into
 tuples.
 
-Packing search.  `max_packing` is the library's one integer packing search,
-always over the supports of a square-free ideal: `coverpack.lpdual.nu` runs
-it exactly, `coverpack.duality` stopped at s to test membership in J^s, and
-`coverpack.packing` under unit capacity, stopped at the height, for the
-Konig test.  It returns the count and the columns of the packing that
-reached `need`, the Konig certificate.
+Packing search.  `max_packing` is the library's weighted packing search
+over the supports of a square-free ideal: nu(alpha) for `coverpack.lpdual`,
+in `nu` and in the gap search.  Every search counts its steps against
+`DEFAULT_SCAN_CAP`.  `need` stops it once the count reaches a target and
+returns the packing that did.  Neither check of the classification uses
+it: membership in J^s is a bit-set test in `coverpack.duality`, and the
+Konig test's nu(1) a search on support masks in `coverpack.packing`.
 
 Covering.  The minimal transversals cached on an ideal
 (`MonomialIdeal.transversal_masks`) are the library's one covering route:
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from operator import le
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Monomial = tuple  # exponent tuple of length n
 
@@ -227,13 +228,10 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
     the count stays below `need` or no `need` is given.
 
     Skipping a column is a step of the search's loop, not a call, so the
-    recursion nests one level per distinct column in the current packing
-    (at most n under unit capacity); nesting past Python's recursion limit
-    raises SizeLimitError.  So does an exact search (no `need`) past
-    `DEFAULT_SCAN_CAP` steps of its column loop.  A search with `need` (the
-    Konig test, membership in J^s) is not counted: its step count follows
-    the variable order, and the class cache of `coverpack.classify` has no
-    rule for an abort that does.
+    recursion nests one level per distinct column in the current packing;
+    nesting past Python's recursion limit raises SizeLimitError.  So does a
+    search past `DEFAULT_SCAN_CAP` steps of its column loop, read at call
+    time.
     """
     zero = {i for i, x in enumerate(capacity) if not x}
     cols = [c for c in rows if zero.isdisjoint(c)] if zero else rows
@@ -244,20 +242,13 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
     goal = total + 1 if need is None else need
     best = 0
     chosen: list[tuple[int, ...]] = []
-    # a stopped search loops over a plain range, so it pays nothing for the count
-    columns = range
-    if need is None:
-        limit, steps = DEFAULT_SCAN_CAP, itertools.count(1)
-
-        def columns(start: int, stop: int) -> Iterator[int]:
-            for i in range(start, stop):
-                if next(steps) > limit:
-                    raise SizeLimitError(f"packing search exceeds {limit} steps")
-                yield i
+    limit, steps = DEFAULT_SCAN_CAP, itertools.count(1)
 
     def dfs(i: int, count: int, left: int) -> bool:
         nonlocal best
-        for i in columns(i, ncols):
+        for i in range(i, ncols):
+            if next(steps) > limit:
+                raise SizeLimitError(f"packing search exceeds {limit} steps")
             c = cols[i]
             size = len(c)
             if count + left // size <= best:

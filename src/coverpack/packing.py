@@ -11,10 +11,15 @@ minor is deterministic.
 Konig is tau(C, 1) = nu(C, 1) for the clutter C of generator supports
 (Cornuejols, "Combinatorial Optimization: Packing and Covering", SIAM
 2001).  The height tau(1) is the size of the smallest set in the blocker
-b(C), the minimal transversals of C.  nu(1) is `coverpack.ideals.max_packing`
-under unit capacity over the supports in (popcount, mask) order, stopped
-at the height; its include-first search makes the certificate the first
-pairwise-disjoint height-subset of the supports in that order.
+b(C), the minimal transversals of C.  nu(1), the most pairwise-disjoint
+supports, comes from a search on the support masks themselves
+(`_max_disjoint`): depth first over the supports in (popcount, mask)
+order, each tried for inclusion before it is skipped, with the union of
+the chosen supports kept as one mask.  A level stops once the free
+variables over the current support's size cannot lift the count past the
+best so far, and the search stops at the height.  Include-first makes the
+certificate the first pairwise-disjoint height-subset of the supports in
+that order.
 
 The scan is a depth-first search over the variables from n down to 1 that
 tries the digits 0, 1, 2 in turn at each level, so it meets the minors in
@@ -71,8 +76,8 @@ from .ideals import (
     _by_size,
     _require_square_free_proper,
     from_antichain_masks,
+    mask_to_monomial,
     mask_vars,
-    max_packing,
     monomial_str,
 )
 from .tconn import cycle_cover_gens
@@ -133,15 +138,57 @@ def minor_from_code(code: int, n: int) -> Minor:
     return Minor(tuple(zeros), tuple(ones))
 
 
+def _max_disjoint(masks: list[int], n: int, need: int) -> tuple[int, list[int]]:
+    """Most pairwise-disjoint masks, stopped once the count reaches `need`.
+
+    `masks` must be in (popcount, mask) order.  The search is depth first
+    and tries to include each mask before it skips it, carrying the union
+    of the chosen masks in `used`; at mask j it stops its level once
+    count + (n - popcount(used)) // popcount(m_j) <= best, since the masks
+    after j are no smaller.  Returns (count, chosen masks in order) once the
+    count reaches `need`, else the exact maximum and [].  The recursion
+    nests once per chosen mask; past Python's recursion limit it raises
+    SizeLimitError.
+    """
+    size = [m.bit_count() for m in masks]
+    last = len(masks)
+    best = 0
+    chosen: list[int] = []
+
+    def dfs(i: int, count: int, used: int, left: int) -> bool:
+        nonlocal best
+        for j in range(i, last):
+            if count + left // size[j] <= best:
+                return False
+            m = masks[j]
+            if m & used:
+                continue
+            if count + 1 > best:
+                best = count + 1
+                if best >= need:
+                    chosen.append(m)
+                    return True
+            if dfs(j + 1, count + 1, used | m, left - size[j]):
+                chosen.append(m)
+                return True
+        return False
+
+    try:
+        dfs(0, 0, 0, n)
+    except RecursionError:
+        raise SizeLimitError("packing search nests past the recursion limit") from None
+    chosen.reverse()
+    return best, chosen
+
+
 def _konig_masks(masks: Iterable[int], blocker: Iterable[int],
-                 n: int) -> tuple[bool, int, int, list[tuple[int, ...]]]:
-    # returns (konig, height, max_disjoint, certificate columns), the height
-    # read off the blocker; when the packing search misses the height it has
+                 n: int) -> tuple[bool, int, int, list[int]]:
+    # returns (konig, height, max_disjoint, certificate masks), the height
+    # read off the blocker; when the search misses the height it has
     # explored everything, so the count it reports is the exact maximum
     h = min(t.bit_count() for t in blocker)
-    rows = [mask_vars(m) for m in sorted(masks, key=_by_size)]
-    count, cols = max_packing(rows, (1,) * n, need=h)
-    return count >= h, h, count, cols
+    count, chosen = _max_disjoint(sorted(masks, key=_by_size), n, h)
+    return count >= h, h, count, chosen
 
 
 @dataclass(frozen=True)
@@ -171,8 +218,8 @@ def is_konig(a: MonomialIdeal) -> KonigResult:
         return KonigResult(True, None, None, None)
     if not a.is_square_free:
         raise ValueError("Konig property is set up for square-free ideals")
-    ok, h, count, cols = _konig_masks(a.support_masks(), a.transversal_masks(), a.n)
-    cert = tuple(tuple(1 if i in c else 0 for i in range(a.n)) for c in cols) if ok else None
+    ok, h, count, chosen = _konig_masks(a.support_masks(), a.transversal_masks(), a.n)
+    cert = tuple(mask_to_monomial(m, a.n) for m in chosen) if ok else None
     return KonigResult(ok, h, count, cert)
 
 
@@ -259,7 +306,7 @@ def is_packed(a: MonomialIdeal) -> PackingReport:
         if len(memo) >= cap:
             raise SizeLimitError(f"packing scan memo exceeds cap {cap}")
         if k == 0:
-            ok, h, count, _cols = _konig_masks(clutter, blocker, n)
+            ok, h, count, _chosen = _konig_masks(clutter, blocker, n)
             found = None if ok else (0, h, count)
         else:
             bit = 1 << (k - 1)
@@ -278,6 +325,9 @@ def is_packed(a: MonomialIdeal) -> PackingReport:
         return found
 
     found = scan(n, frozenset(masks), frozenset(a.transversal_masks()))
+    # `scan` refers to itself, so the memo would otherwise wait for the
+    # cyclic garbage collector
+    memo.clear()
     if found is None:
         return PackingReport(True, 3 ** n, None)
     code, h, count = found

@@ -17,8 +17,8 @@ the library's faster route replaced:
 - `member_power` (with `pack` and `divides_packed`): membership in A^s by
   a memoised search for s generators whose product divides m, on exponent
   vectors packed in the layout of the symbolic-power fold in
-  `coverpack.duality`.  The library tests membership in J^s as
-  nu(B_J, g) >= s with `coverpack.ideals.max_packing`; this is the other
+  `coverpack.duality`.  The library tests membership of a generator of
+  J^(s) in J^s by peeling one generator of J off it; this is another
   route, valid for any monomial ideal, not only square-free ones.  `pack`
   inverts the fold's `coverpack.duality.unpack` and checks every exponent
   against the field capacity `FIELD_MAX`, which the library's exponent
@@ -51,6 +51,13 @@ the library's faster route replaced:
   closed forms.  The two brute-force routes used to ship in the library
   behind `coverpack gens --brute-force`; they live here now, and the CLI
   has no such flag.
+- `simis_check_by_packing`: the Simis check with membership in J^s tested
+  as nu(B_J, g) >= s by `coverpack.ideals.max_packing`, stopped at s, the
+  route that the peel test of `coverpack.duality.simis_check` replaced.
+- `konig_by_max_packing`: the Konig test with nu(1) from
+  `coverpack.ideals.max_packing` under unit capacity, stopped at the
+  height, the route that the bitmask search `coverpack.packing._max_disjoint`
+  replaced.
 - `flat_is_packed`: the odometer scan that the memoised depth-first scan in
   `coverpack.packing.is_packed` replaced.  It restricts the supports to
   every one of the 3^n minors in ternary-code order and runs the Konig
@@ -58,7 +65,7 @@ the library's faster route replaced:
 - `konig_masks`, with `min_cover_masks` (and `_greedy_cover`) and
   `_max_disjoint_masks`: the Konig search the library ran before it read
   the height off the minimal transversals carried by the scan and nu(1)
-  off `coverpack.ideals.max_packing`.  An unweighted branch and bound for
+  off a packing search.  An unweighted branch and bound for
   the height and a max-disjoint search, sharing no code with the library;
   a subset scan would be too slow at 3^10 minors.
 - `minor_code`: the ternary code of a minor, inverse of
@@ -79,9 +86,10 @@ from typing import Iterator, Optional, Sequence
 
 from coverpack.graphs import (Graph, connected_induced_subsets, cycle, is_connected,
                               is_connected_subset)
-from coverpack.duality import FIELD_MAX, _FIELD, _high_mask
+from coverpack.duality import FIELD_MAX, _FIELD, SimisReport, _high_mask, symbolic_power
 from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError,
-                              VerificationError, mask_to_monomial, mask_vars, minimalize)
+                              VerificationError, _by_size, mask_to_monomial, mask_vars,
+                              max_packing, minimalize)
 from coverpack.lpdual import GapSearchResult, nu
 from coverpack.packing import Minor, PackingReport, PackingWitness, minor_from_code, restrict
 from coverpack.tconn import cover_ideal, t_connected_ideal
@@ -552,6 +560,31 @@ def konig_masks(masks: Sequence[int], n: int) -> tuple[bool, int, int, tuple[int
     h = min_cover_masks(masks, n)
     count, sel = _max_disjoint_masks(masks, need=h)
     return count >= h, h, count, sel
+
+
+def konig_by_max_packing(masks: Sequence[int], blocker: Sequence[int],
+                         n: int) -> tuple[bool, int, int, list[int]]:
+    """(konig, height, max_disjoint, certificate masks) with nu(1) from
+    `max_packing` under unit capacity over the supports in (popcount, mask)
+    order, stopped at the height read off `blocker`."""
+    h = min(t.bit_count() for t in blocker)
+    rows = [mask_vars(m) for m in sorted(masks, key=_by_size)]
+    count, cols = max_packing(rows, (1,) * n, need=h)
+    return count >= h, h, count, [sum(1 << i for i in c) for c in cols]
+
+
+def simis_check_by_packing(a: MonomialIdeal, s_max: int) -> SimisReport:
+    """`coverpack.duality.simis_check` with membership of g in J^s tested as
+    nu(B_J, g) >= s by `max_packing`, stopped at s."""
+    if all(sum(g) == 1 for g in a.gens) or len(a.gens) == 1:
+        return SimisReport(a.n, s_max, "equal_up_to")
+    rows = a.support_rows()
+    for s in range(2, s_max + 1):
+        for _d, level in itertools.groupby(symbolic_power(a, s).gens, key=sum):
+            failures = tuple(g for g in level if max_packing(rows, g, s)[0] < s)
+            if failures:
+                return SimisReport(a.n, s_max, "witness_at", s, failures[0], failures)
+    return SimisReport(a.n, s_max, "equal_up_to")
 
 
 def flat_is_packed(a: MonomialIdeal) -> PackingReport:

@@ -1,8 +1,9 @@
 import functools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import monomials, random_square_free_ideal, square_free_ideals
 import coverpack.ideals
@@ -24,9 +25,9 @@ from coverpack.ideals import (
     minimalize,
 )
 from coverpack.tconn import cover_ideal, t_connected_ideal
-from oracles import (filtered_minimal_transversals, in_symbolic_shortcut, intersect, member,
-                     member_power, pack, power, prime_power_gens, prime_power_weight,
-                     symbolic_power_tuples)
+from oracles import (filtered_minimal_transversals, from_masks, in_symbolic_shortcut, intersect,
+                     member, member_power, pack, power, prime_power_gens, prime_power_weight,
+                     simis_check_by_packing, symbolic_power_tuples)
 
 
 def _prime_tuples(a):
@@ -337,6 +338,35 @@ def test_lowest_failures_match_expanded_power():
         assert rep.failures == want and rep.failures[0] == rep.witness, (g, t)
         seen += len(want) > 1
     assert seen
+
+
+def _assert_same_simis(a, s_max):
+    got, want = simis_check(a, s_max), simis_check_by_packing(a, s_max)
+    assert (got, got.failures) == (want, want.failures), a
+    return got
+
+
+def test_simis_peel_matches_packing_route_small_graphs():
+    # every connected graph on 2..5 vertices at every t, up to s = 4
+    first = Counter()
+    for n in range(2, 6):
+        for _code, g in connected_graphs(n):
+            for t in range(2, n + 1):
+                first[_assert_same_simis(cover_ideal(g, t), 4).s] += 1
+    assert first[2] > 1000 and first[3] > 10
+
+
+@given(square_free_ideals(n_max=7, k_max=12))
+@example(from_masks(6, [50, 22, 47]))               # fails at s = 2
+@example(from_masks(7, [65, 5, 56, 52, 74]))        # fails at s = 3
+@settings(max_examples=150, deadline=None)
+def test_simis_peel_matches_packing_route(a):
+    _assert_same_simis(a, 4)
+
+
+def test_simis_peel_examples_fail_where_claimed():
+    assert simis_check(from_masks(6, [50, 22, 47]), 4).s == 2
+    assert simis_check(from_masks(7, [65, 5, 56, 52, 74]), 4).s == 3
 
 
 def test_simis_report_json():

@@ -252,16 +252,19 @@ def test_max_packing_need_stops_early():
 
 
 def test_max_packing_step_budget(monkeypatch):
-    # an exact search counts its column-loop steps against the scan cap,
-    # read at call time; a search stopped at `need` is not counted
+    # every search counts its column-loop steps against the scan cap, read
+    # at call time, a search stopped at `need` as well
     rows = ((0, 1), (1, 2))
     monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 4)
     assert max_packing(rows, (2, 3, 2)) == (3, [])          # four steps
     monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 3)
     with pytest.raises(SizeLimitError, match="packing search exceeds 3 steps"):
         max_packing(rows, (2, 3, 2))
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 2)
+    assert max_packing(rows, (2, 3, 2), need=3) == (3, [(0, 1), (0, 1), (1, 2)])  # two steps
     monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 1)
-    assert max_packing(rows, (2, 3, 2), need=3) == (3, [(0, 1), (0, 1), (1, 2)])
+    with pytest.raises(SizeLimitError, match="packing search exceeds 1 steps"):
+        max_packing(rows, (2, 3, 2), need=3)
 
 
 def test_member_power_edge_cases():

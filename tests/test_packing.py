@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_square_free_ideal
 from oracles import (_ternary_minor_masks, branching_subset_witness, flat_is_packed, from_masks,
-                     minor_code)
+                     konig_by_max_packing, minor_code)
 from coverpack.classify import connected_graphs
 from coverpack.graphs import complete, cycle, path, star
 from coverpack.ideals import MonomialIdeal, SizeLimitError, minimal_transversals, minimalize
@@ -16,6 +16,7 @@ from coverpack.packing import (
     CycleMinorResult,
     Minor,
     VerificationError,
+    _konig_masks,
     cycle_nonpacking_minor,
     is_konig,
     is_packed,
@@ -254,8 +255,8 @@ def test_konig_runs_once_per_distinct_clutter(monkeypatch, g):
             distinct.add(frozenset(m for m in rest
                                    if not any(s != m and s & m == s for s in rest)))
     calls = []
-    real = coverpack.packing.max_packing
-    monkeypatch.setattr(coverpack.packing, "max_packing",
+    real = coverpack.packing._max_disjoint
+    monkeypatch.setattr(coverpack.packing, "_max_disjoint",
                         lambda *args, **kw: calls.append(1) or real(*args, **kw))
     assert is_packed(J).packed
     assert len(calls) == len(distinct)
@@ -278,6 +279,28 @@ def test_scan_carries_each_leaf_blocker(monkeypatch):
     for a in ideals:
         is_packed(a)
     assert len(leaves) > 1000
+
+
+def test_bitmask_konig_matches_max_packing():
+    # verdict, height, count and certificate agree with max_packing under
+    # unit capacity on the restricted clutter of every minor of J_3(P_8) and
+    # J_3(C_9) (zero and unit minors have no Konig test) and on random
+    # clutters
+    cases = set()
+    for g in (path(8), cycle(9)):
+        masks = cover_ideal(g, 3).support_masks()
+        for _code, zmask, omask in _ternary_minor_masks(g.n):
+            rest = frozenset(m & ~omask for m in masks if not m & zmask)
+            if rest and 0 not in rest:
+                cases.add((g.n, rest))
+    cases |= {(n, frozenset(a.support_masks())) for n, _m, a in _random_clutters(37, 200)}
+    failing = 0
+    for n, clutter in cases:
+        blocker = minimal_transversals(list(clutter), n)
+        got = _konig_masks(clutter, blocker, n)
+        assert got == konig_by_max_packing(clutter, blocker, n), (n, sorted(clutter))
+        failing += not got[0]
+    assert failing >= 10 and len(cases) - failing > 7000
 
 
 def _first_disjoint_combination(masks, h):
