@@ -11,9 +11,11 @@ seed i, base first when i is odd and the working tree first when i is
 even, so a slow stretch of the machine falls on both sides.
 The file records, per workload and end-to-end metric (from BENCHMARK.json),
 each side's median and quartiles, the change of the medians, and the number
-of pairs the working tree won; then one traced run (`--trace 1`, seed 1)
-per side, for the per-layer split.  The file is named after the base
-commit: it measures the change on top of that commit.
+of pairs the working tree won; then the per-layer split: three traced runs
+(`--trace 1`) per side at seeds 1-3, in the same alternating order, with
+each layer's median and its three values (one traced run's raw times move
+too much to show a change).  The file is named after the base commit: it
+measures the change on top of that commit.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+TRACED_SEEDS = (1, 2, 3)
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -69,6 +72,21 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
             "clear": 10 * wins >= 9 * len(pairs) and gain > bq3 - bq1,
         }
     return out
+
+
+def layer_medians(runs: list[dict]) -> dict:
+    """Per metric of the first run, the median over `runs` (one
+    {metric: value} dict per run) and the values in run order."""
+    out = {}
+    for name in runs[0]:
+        values = [r[name] for r in runs]
+        out[name] = {"median": statistics.median(values), "values": values}
+    return out
+
+
+def _order(i: int) -> tuple[str, str]:
+    """The sides of pair or traced run i: base first when i is odd."""
+    return ("base", "head") if i % 2 else ("head", "base")
 
 
 def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -113,16 +131,18 @@ def main(argv=None) -> int:
         for w in workloads:
             pairs = []
             for i in range(1, PAIRS + 1):
-                order = ("base", "head") if i % 2 else ("head", "base")
                 got = {side: _values(run_bench(sides[side], w, i, seconds, 0))
-                       for side in order}
+                       for side in _order(i)}
                 pairs.append((got["base"], got["head"]))
                 print(f"{w} pair {i}: wall_s {got['base']['wall_s']:.3f} -> "
                       f"{got['head']['wall_s']:.3f}", flush=True)
+            traced = {"base": [], "head": []}
+            for i in TRACED_SEEDS:
+                for side in _order(i):
+                    traced[side].append(_values(run_bench(sides[side], w, i, seconds, 1)))
             record["workloads"][w] = {
                 "end_to_end": summarize(pairs, bench["end_to_end"]),
-                "traced": {side: _values(run_bench(sides[side], w, 1, seconds, 1))
-                           for side in ("base", "head")},
+                "traced": {side: layer_medians(runs) for side, runs in traced.items()},
             }
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

@@ -22,45 +22,37 @@ Class cache.  A relabelling sigma of G permutes the variables of J_t(G), so
 the prediction, the packing verdict, the Simis verdict and the first failing
 s are the same for every labelling of an isomorphism class; only the graph6
 string and the witness change.  `verify_theorem` therefore keys a dict on
-(n, canonical edges, t), with the canonical form of `coverpack.canon`, for
-the length of one call.  The first labelling of a class is computed by
-`check_instance` as usual.  Let F be the generators of J^(s) outside J^s at
+(n, canonical edges), with the canonical form of `coverpack.canon`, for the
+length of one call, and runs `check_instance` once per (class, t) on one
+labelling of the class: its canonical graph renumbered depth first from
+vertex 1, lower labels first (`_renumbered`), which is path(n) for a path
+and cycle(n) for a cycle.  Let F be the generators of J^(s) outside J^s at
 the first failing s.  Those of sigma(J)^(s) are sigma(F), so the witness of
 labelling sigma, the first of them in (degree, exponent tuple) order, is
 min sigma(F).  Relabelling keeps degrees, so only the least-degree members
-of F are needed, and the first labelling's fold already found them: they
-are the failures of its Simis check, which the row carries.  Every later
-row relabels that set, sorts it and takes its first member as the witness,
-with no dualization, no fold and no membership test.
+of F are needed, and the class's fold already found them: they are the
+failures of its Simis check, which the row carries.  Every row, the first
+labelling's included, relabels that set, sorts it and takes its first
+member as the witness.
 
-Aborts are the one thing that depends on the labelling: the fold's
+Under a cap.  Where a row aborts depends on the labelling: the fold's
 intermediate sizes follow the order of the minimal primes, and the packing
-scan memo the order of the variables.  So every labelling of a class is
-computed directly when the first one aborted; when a labelling-independent
-bound on the fold's kept + fresh count passes DEFAULT_GEN_CAP at some folded
-s (up to the first failing one, or the bound); or when the scan's ternary
-tree, with (3^(n+1) - 1)/2 nodes, could outgrow DEFAULT_SCAN_CAP memo
-entries.
-The fold bound is C(s+t-1, t-1) candidates per generator (the primes have t
-variables) times C(s+t-1, t-1) generators when J has two primes, or else
-the largest antichain in [0, s]^n, since the generators have exponents at
-most s.  The dualization needs no rule: every labelling has the same number
-of minimal transversals.
+scan memo the order of the variables.  A row of `verify_theorem` is its
+class's outcome on the renumbered labelling, so every labelling of a class
+gets the same outcome, whatever the order of the graphs; `check_instance`
+on the labelling itself can abort where that row does not, or the reverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .canon import canonical_form
 from .duality import simis_check
-from .graphs import (Graph, classify_shape, connected_induced_subsets, encode_graph6,
-                     is_bipartite, is_connected)
-from . import ideals
+from .graphs import Graph, classify_shape, encode_graph6, is_bipartite, is_connected
 from .ideals import Monomial, SizeLimitError, monomial_str
 from .packing import PACKED_CYCLES, is_packed
 from .tconn import cover_ideal
@@ -133,8 +125,8 @@ class HarnessRow:
 class HarnessReport:
     rows: list[HarnessRow] = field(default_factory=list)
     disagreements: list[HarnessRow] = field(default_factory=list)
-    # rows computed by check_instance rather than served from the class
-    # cache; not part of the report
+    # check_instance calls, one per (isomorphism class, t); not part of the
+    # report
     computed: int = field(default=0, compare=False)
 
     def summary(self) -> dict:
@@ -206,62 +198,30 @@ def _row_violations(row: HarnessRow) -> bool:
     return row.simis_verdict == "witness_at" and row.packed
 
 
-@dataclass
-class _ClassEntry:
-    """Cached outcome for one (isomorphism class, t): the first labelling's
-    row and, per canonical label c, the 0-based vertex of that labelling
-    carrying label c + 1."""
-    row: HarnessRow
-    first_of: tuple[int, ...]
-    # whether every labelling is computed; decided at the second labelling
-    direct: Optional[bool] = None
+def _renumbered(n: int, edges: Iterable[tuple[int, int]]) -> tuple[Graph, tuple[int, ...]]:
+    """The graph on `edges` renumbered depth first from vertex 1, lower
+    labels first, and per vertex v its new 0-based label at v - 1."""
+    g = Graph(n, edges)
+    label = [-1] * n
+    order = 0
+    for root in range(n):       # each component in turn
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if label[v] < 0:
+                label[v] = order
+                order += 1
+                stack += [u for u in range(n - 1, -1, -1) if g.adj[v] >> u & 1]
+    return Graph(n, [(label[u - 1] + 1, label[v - 1] + 1) for u, v in g.edges]), tuple(label)
 
 
-def _antichain_width(n: int, s: int) -> int:
-    """Largest antichain of exponent vectors in [0, s]^n: its middle level
-    (de Bruijn, Tengbergen and Kruyswijk, 1951), the coefficient of
-    x^(ns/2) in (1 + x + ... + x^s)^n."""
-    level = [1]
-    for _ in range(n):
-        level = [sum(level[max(0, i - s):i + 1]) for i in range(len(level) + s)]
-    return level[n * s // 2]
-
-
-def _needs_direct(row: HarnessRow, g: Graph, s_max: Optional[int]) -> bool:
-    """Whether some labelling of the class of (g, row.t) could abort where
-    the one of `row` did not, so that every labelling has to be computed.
-    `g` is any labelling of the class: only class invariants are read."""
-    n, t = row.n, row.t
-    if row.simis_verdict == "aborted":
-        return True
-    # the scan memo holds at most one entry per node of the ternary tree
-    if (3 ** (n + 1) - 1) // 2 > ideals.DEFAULT_SCAN_CAP:
-        return True
-    # simis_check folds every s up to the last one it checks, unless J_t(G)
-    # has one prime (the connected t-subsets) and is the maximal ideal; the
-    # bound on a fold step is the one in the module docstring
-    if row.simis_verdict == "witness_at":
-        last = row.simis_s
-    else:
-        last = t if s_max is None else s_max
-    primes = len(connected_induced_subsets(g, t))
-    if primes < 2 or last < 2:
-        return False
-    comps = comb(last + t - 1, t - 1)
-    width = comps if primes == 2 else _antichain_width(n, last)
-    return comps * width > ideals.DEFAULT_GEN_CAP
-
-
-def _cached_row(entry: _ClassEntry, g: Graph, perm: tuple[int, ...]) -> HarnessRow:
-    """The row of labelling g, read off its class entry."""
-    row = entry.row
-    # vertex v of g is the vertex of the first labelling with the same
-    # canonical label
-    relabel = itemgetter(*[entry.first_of[c - 1] for c in perm])
+def _relabelled(row: HarnessRow, graph6: str, relabel) -> HarnessRow:
+    """`row` for the labelling with this graph6 string, whose exponent
+    tuples `relabel` reads off the row's."""
     # one degree, so exponent-tuple order is canonical order
     failures = tuple(sorted(map(relabel, row.failures)))
     wit = monomial_str(failures[0]) if failures else None
-    return HarnessRow(encode_graph6(g), row.n, row.t, row.predicted, row.case, row.packed,
+    return HarnessRow(graph6, row.n, row.t, row.predicted, row.case, row.packed,
                       row.simis_verdict, row.simis_s, wit, failures)
 
 
@@ -272,15 +232,19 @@ def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
 
     With graphs=None, every connected labelled graph with 3 <= n <= n_max is
     enumerated; rows are ordered by (n, edge-subset code, t).  s_max=None
-    bounds each Simis check by the instance's own t.  Rows equal the ones
-    check_instance computes for each graph; repeated isomorphism classes are
-    served from a cache that lives for this call (see the module docstring).
+    bounds each Simis check by the instance's own t.  check_instance runs
+    once per (isomorphism class, t), on one labelling of the class, and
+    every row is read off that one (see the module docstring).  So a row
+    depends only on its own graph, and every labelling of a class shares its
+    outcome: under a cap they all abort or none does.  A row equals
+    check_instance's on its own graph unless one of the two aborted.
     The classification starts at t = 3, so t_min below 3 raises ValueError.
     """
     if t_min < 3:
         raise ValueError(f"t_min must be at least 3, got {t_min}")
     report = HarnessReport()
-    classes: dict[tuple, _ClassEntry] = {}
+    # (n, canonical edges) -> (the renumbered labels, one row per t)
+    classes: dict[tuple, tuple[tuple[int, ...], list[HarnessRow]]] = {}
 
     def run(g: Graph):
         hi = min(g.n, t_max) if t_max is not None else g.n
@@ -288,18 +252,18 @@ def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
         if not ts:
             return
         edges, perm = canonical_form(g)
-        for t in ts:
-            entry = classes.get((g.n, edges, t))
-            if entry is not None and entry.direct is None:
-                entry.direct = _needs_direct(entry.row, g, s_max)
-            if entry is None or entry.direct:
-                row = check_instance(g, t, s_max=s_max)
-                report.computed += 1
-                if entry is None:
-                    first_of = tuple(sorted(range(g.n), key=perm.__getitem__))
-                    classes[g.n, edges, t] = _ClassEntry(row, first_of)
-            else:
-                row = _cached_row(entry, g, perm)
+        entry = classes.get((g.n, edges))
+        if entry is None:
+            h, label = _renumbered(g.n, edges)
+            entry = classes[g.n, edges] = label, [check_instance(h, t, s_max=s_max)
+                                                  for t in ts]
+            report.computed += len(ts)
+        label, rows = entry
+        # vertex v of g is the vertex of h with the same canonical label
+        relabel = itemgetter(*[label[c - 1] for c in perm])
+        graph6 = encode_graph6(g)
+        for row in rows:
+            row = _relabelled(row, graph6, relabel)
             report.rows.append(row)
             if _row_violations(row):
                 report.disagreements.append(row)

@@ -135,7 +135,7 @@ class MonomialIdeal:
     def transversal_masks(self) -> tuple[int, ...]:
         """Minimal transversals of the generator supports, enumerated once."""
         if self._transversals is None:
-            self._transversals = tuple(minimal_transversals(self.support_masks(), self.n))
+            self._transversals = tuple(minimal_transversals(self.support_masks()))
         return self._transversals
 
     def __eq__(self, other):
@@ -280,7 +280,7 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
 # ---------------------------------------------------------------------------
 # minimal transversals of a set system (used by duality, packing and lpdual)
 
-def minimal_transversals(edge_masks: Sequence[int], n: int) -> list[int]:
+def minimal_transversals(edge_masks: Sequence[int]) -> list[int]:
     """Inclusion-minimal hitting sets of the given nonempty supports, as masks.
 
     MMCS (Murakami and Uno, Discrete Appl. Math. 170, 2014).  Edges are bit

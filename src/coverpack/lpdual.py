@@ -15,7 +15,8 @@ So tau is the least alpha-weight of a minimal transversal of the supports,
 that is of a minimal prime of J: `MonomialIdeal.transversal_masks`, which
 on J_t(G) are the I_t(G) supports (`alexander_dual` hands them over), so
 no transversal search runs for it.  nu is the library's one packing
-search, `coverpack.ideals.max_packing`, over `J.support_rows()`.
+search, `coverpack.ideals.max_packing`, over `J.support_rows()`, stopped
+once it reaches tau.
 Neither value changes when B has duplicate or non-minimal columns (a
 superset column's covering row is implied by its subset's, and in a
 packing it can be swapped for its subset), so J's minimal generators
@@ -71,9 +72,13 @@ def tau(j: MonomialIdeal, alpha: Sequence[int]) -> int:
 
 
 def nu(j: MonomialIdeal, alpha: Sequence[int]) -> int:
-    """Exact packing optimum: max sum(z), B z <= alpha, z in N^r."""
+    """Exact packing optimum: max sum(z), B z <= alpha, z in N^r.
+
+    Weak duality gives nu <= tau, so tau is the search's `need`: a search
+    that reaches it has found nu = tau, and one that does not ran to the end.
+    """
     _check_program(j, alpha, "nu")
-    return max_packing(j.support_rows(), alpha)[0]
+    return max_packing(j.support_rows(), alpha, tau(j, alpha))[0]
 
 
 @dataclass(frozen=True)

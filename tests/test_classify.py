@@ -1,19 +1,19 @@
 import random
-from itertools import product
 
 import pytest
 
 from conftest import relabel
 from coverpack import classify, duality, ideals
+from coverpack.canon import canonical_form
 from coverpack.classify import (
     Classification,
-    _antichain_width,
+    _renumbered,
     check_instance,
     connected_graphs,
     theorem_classification,
     verify_theorem,
 )
-from coverpack.graphs import Graph, complete, cycle, path, star
+from coverpack.graphs import Graph, complete, cycle, encode_graph6, path, star
 
 
 def test_classification_n_equals_t():
@@ -184,7 +184,7 @@ def test_class_cache_matches_direct_rows_paths_cycles():
 
 
 def test_class_cache_runs_no_dualization_or_fold(monkeypatch):
-    # a cached row relabels the failures its class's first row carries, so
+    # every row relabels the failures its class's computed row carries, so
     # J_t(G) is built and folded only inside check_instance
     calls = {"cover": 0, "fold": 0, "fold_outside": 0, "inside": 0}
 
@@ -215,8 +215,7 @@ def test_class_cache_runs_no_dualization_or_fold(monkeypatch):
 
 
 def test_labellings_of_a_path_are_served_from_the_cache():
-    # J_t(P_6) has two primes at t = 5 and three at t = 4; the fold bounds
-    # for s = t stay under the default cap, so only the first copy is computed
+    # one computation per t serves every copy
     rng = random.Random(3)
     graphs = [path(6)]
     for _ in range(5):
@@ -228,15 +227,6 @@ def test_labellings_of_a_path_are_served_from_the_cache():
     assert rep.computed == 4 and len(rep.rows) == 24
 
 
-def test_antichain_width_is_the_largest_level():
-    for n in range(1, 5):
-        for s in range(4):
-            levels = [0] * (n * s + 1)
-            for v in product(range(s + 1), repeat=n):
-                levels[sum(v)] += 1
-            assert _antichain_width(n, s) == max(levels), (n, s)
-
-
 @pytest.mark.parametrize("cap", [5, 8])
 def test_class_cache_matches_direct_rows_under_small_caps(cap, monkeypatch):
     graphs = [g for n in range(3, 6) for _code, g in connected_graphs(n)]
@@ -244,8 +234,8 @@ def test_class_cache_matches_direct_rows_under_small_caps(cap, monkeypatch):
     rep = verify_theorem(5)
     assert cached_rows(rep) == direct_rows(graphs)
     rows = [r.to_json() for r in rep.rows]
-    # both fallbacks occur: dualization aborts (packed unknown) and fold
-    # aborts (packed known)
+    # both kinds of abort occur: in the dualization (packed unknown) and in
+    # the fold (packed known)
     assert any(r["packed"] is None for r in rows)
     assert any(r["packed"] is not None and r["simis_verdict"] == "aborted" for r in rows)
     assert all(r["simis_verdict"] == "aborted" for r in rows if r["packed"] is None)
@@ -267,3 +257,82 @@ def test_computed_count_stays_out_of_the_report():
     rep = verify_theorem(4)
     assert rep.computed == 14 and len(rep.rows) == 80
     assert "computed" not in rep.to_json() and "computed" not in rep.summary()
+
+
+def test_renumbering_keeps_the_standard_paths_and_cycles():
+    # the class computation of a path or cycle runs on path(n) or cycle(n)
+    for n in range(3, 16):
+        for g in (path(n), cycle(n)):
+            h, label = _renumbered(n, canonical_form(g)[0])
+            assert h == g, (n, h)
+            assert sorted(label) == list(range(n))
+
+
+def row_graphs(n_max):
+    """The graph of each row of verify_theorem(n_max), in row order."""
+    for n in range(3, n_max + 1):
+        for _code, g in connected_graphs(n):
+            yield from [g] * (n - 2)
+
+
+def renumbered_row(g, t, computed):
+    """check_instance on the renumbered canonical graph of g's class,
+    relabelled onto g, as a (report row, failures) pair; `computed` caches
+    the class rows by (renumbered graph, t)."""
+    edges, perm = canonical_form(g)
+    h, label = _renumbered(g.n, edges)
+    # vertex v of g is vertex to_h[v - 1] of h
+    to_h = [label[c - 1] + 1 for c in perm]
+    assert relabel(g, to_h) == h
+    if (h, t) not in computed:
+        computed[h, t] = check_instance(h, t)
+    row = computed[h, t]
+    failures = tuple(sorted(tuple(m[u - 1] for u in to_h) for m in row.failures))
+    want = row.to_json() | {
+        "graph6": encode_graph6(g),
+        "simis_witness": ideals.monomial_str(failures[0]) if failures else None}
+    return want, failures
+
+
+@pytest.mark.parametrize("cap", [16, 20, 24])
+def test_every_labelling_of_a_class_shares_its_outcome_under_a_cap(cap, monkeypatch):
+    # the fold's intermediate size follows the order of the primes, so
+    # check_instance on one labelling can abort where it does not on another;
+    # verify_theorem's rows are their class's outcome
+    monkeypatch.setattr(ideals, "DEFAULT_GEN_CAP", cap)
+    rep = verify_theorem(5)
+    outcomes = {}
+    for row, g in zip(rep.rows, row_graphs(5)):
+        key = (g.n, canonical_form(g)[0], row.t)
+        outcomes.setdefault(key, set()).add((row.packed, row.simis_verdict, row.simis_s))
+    assert all(len(seen) == 1 for seen in outcomes.values())
+    assert any(row.simis_verdict == "aborted" for row in rep.rows)
+    assert rep.computed == 77 and len(rep.rows) == 2264
+
+
+@pytest.mark.parametrize("cap", [16, 20, 24])
+def test_rows_are_the_renumbered_class_row_under_a_cap(cap, monkeypatch):
+    monkeypatch.setattr(ideals, "DEFAULT_GEN_CAP", cap)
+    rep = verify_theorem(5)
+    computed = {}
+    want = [renumbered_row(g, row.t, computed) for row, g in zip(rep.rows, row_graphs(5))]
+    assert cached_rows(rep) == want
+
+
+def test_relabelled_copies_of_p9_are_computed_once():
+    rng = random.Random(9)
+    graphs = [path(9)]
+    for _ in range(3):
+        perm = list(range(1, 10))
+        rng.shuffle(perm)
+        graphs.append(relabel(path(9), perm))
+    rep = verify_theorem(0, t_max=3, graphs=graphs)
+    assert rep.computed == 1 and len(rep.rows) == 4
+    assert cached_rows(rep) == direct_rows(graphs, t_max=3)
+
+
+def test_verify_theorem_rejects_a_disconnected_graph():
+    # the renumbering walks every component, so the classification's own
+    # error is the one raised
+    with pytest.raises(ValueError, match="classification needs a connected graph"):
+        verify_theorem(0, graphs=[Graph(4, [(1, 2), (3, 4)])])

@@ -65,7 +65,7 @@ def test_dual_is_given_its_minimal_transversals(a):
     # search and the filtering oracle find, order included
     dual = alexander_dual(a)
     masks = dual.support_masks()
-    assert list(dual.transversal_masks()) == minimal_transversals(masks, a.n)
+    assert list(dual.transversal_masks()) == minimal_transversals(masks)
     assert list(dual.transversal_masks()) == filtered_minimal_transversals(masks, a.n)
 
 

@@ -325,14 +325,14 @@ def test_transversal_routes_agree():
     rng = random.Random(13)
     for _ in range(200):
         a = random_square_free_ideal(rng)
-        fast = sorted(minimal_transversals(a.support_masks(), a.n))
+        fast = sorted(minimal_transversals(a.support_masks()))
         slow = sorted(brute_minimal_transversals(a.support_masks(), a.n))
         assert fast == slow
 
 
 def test_transversals_hand_case():
     # supports {1,2} and {2,3}: minimal transversals {2} and {1,3}
-    got = sorted(minimal_transversals((0b011, 0b110), 3))
+    got = sorted(minimal_transversals((0b011, 0b110)))
     assert got == [0b010, 0b101]
 
 
@@ -344,7 +344,7 @@ def test_transversals_match_oracles_on_random_set_systems():
         n = rng.randint(1, 10)
         masks = [rng.getrandbits(n) | 1 << rng.randrange(n)
                  for _ in range(rng.randint(0, 12))]
-        got = minimal_transversals(masks, n)
+        got = minimal_transversals(masks)
         assert got == filtered_minimal_transversals(masks, n), (masks, n)
         assert got == brute_minimal_transversals(masks, n), (masks, n)
 
@@ -353,12 +353,12 @@ def test_transversals_cap(monkeypatch):
     # supports {1,2}, {3,4}, {5,6}: 8 minimal transversals
     masks = (0b000011, 0b001100, 0b110000)
     monkeypatch.setattr(coverpack.ideals, "DEFAULT_GEN_CAP", 8)
-    assert len(minimal_transversals(masks, 6)) == 8
+    assert len(minimal_transversals(masks)) == 8
     monkeypatch.setattr(coverpack.ideals, "DEFAULT_GEN_CAP", 7)
     with pytest.raises(SizeLimitError):
-        minimal_transversals(masks, 6)
+        minimal_transversals(masks)
     with pytest.raises(ValueError):
-        minimal_transversals((0b01, 0), 2)
+        minimal_transversals((0b01, 0))
 
 
 def test_from_antichain_masks_matches_from_masks():

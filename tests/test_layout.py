@@ -10,7 +10,8 @@ read.  A definition's references to itself, as in a recursive function, do
 not count.  A name that only the tests need belongs in `tests/oracles.py`.
 
 No library function takes a resource limit as a parameter: the guards read
-`DEFAULT_GEN_CAP` and `DEFAULT_SCAN_CAP` from `coverpack.ideals`.
+`DEFAULT_GEN_CAP` and `DEFAULT_SCAN_CAP` from `coverpack.ideals`.  Every
+parameter of a library function is read in its body.
 
 The packed exponent layout is private to the symbolic-power fold: no module
 but `coverpack.duality` defines or imports one of its names.
@@ -190,18 +191,24 @@ def test_guard_flags_a_removed_name_put_back(module, cls, name):
 CAP_PARAMETERS = {"cap", "gen_cap", "scan_cap"}
 
 
+def _functions(tree: ast.AST):
+    """Every function and lambda under `tree`, as (node, parameter names)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            yield node, [p.arg for p in params]
+
+
 def cap_parameters(library: dict[str, ast.Module]) -> list[str]:
     """`module.function` for every function or lambda in `library` with a
     parameter named like a resource limit."""
     out = []
     for module, tree in library.items():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                args = node.args
-                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
-                          *filter(None, (args.vararg, args.kwarg))]
-                if CAP_PARAMETERS & {p.arg for p in params}:
-                    out.append(f"{module}.{getattr(node, 'name', '<lambda>')}")
+        for node, params in _functions(tree):
+            if CAP_PARAMETERS & set(params):
+                out.append(f"{module}.{getattr(node, 'name', '<lambda>')}")
     return sorted(out)
 
 
@@ -222,6 +229,43 @@ def test_cap_guard_sees_every_kind_of_parameter():
         "    cap = limit\n")}
     # a local named cap is not a parameter
     assert cap_parameters(library) == ["m.<lambda>", "m.f", "m.g", "m.h"]
+
+
+def unread_parameters(library: dict[str, ast.Module]) -> list[str]:
+    """`module.function.parameter` for every parameter of a function or
+    lambda in `library` that no name in its body reads; a nested function's
+    read counts, an annotation or a default value does not."""
+    out = []
+    for module, tree in library.items():
+        for node, params in _functions(tree):
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            out += [f"{module}.{name}.{p}" for p in params if p not in read]
+    return sorted(out)
+
+
+def test_every_library_parameter_is_read():
+    assert unread_parameters(_parse_dir(LIBRARY)) == []
+
+
+def test_unread_parameter_guard_sees_every_kind_of_parameter():
+    library = {"m": ast.parse(
+        "def f(a, /, b, *args, c, **kw):\n"
+        "    return a + len(kw)\n"
+        "class A:\n"
+        "    def g(self, x):\n"
+        "        def inner():\n"
+        "            return x\n"
+        "        return inner\n"
+        "    def h(self, y: y = y):\n"
+        "        y_ = self\n"
+        "k = lambda z, w: z\n")}
+    # a closure's read counts; `y` in an annotation or a default does not,
+    # nor does a longer name that starts with it
+    assert unread_parameters(library) == [
+        "m.<lambda>.w", "m.f.args", "m.f.b", "m.f.c", "m.g.self", "m.h.y"]
 
 
 PACKED_LAYOUT = {"FIELD_MAX", "_FIELD", "unpack", "field_shift", "_high_mask", "_ones"}

@@ -404,6 +404,15 @@ def test_gap_search_guards(monkeypatch):
         duality_gap_search(cycle(12), 3, 2)
 
 
+def test_nu_stops_at_tau(monkeypatch):
+    # on J_3(C_12) at this alpha an exhaustive search takes more than 10^5
+    # steps to prove nu = 4 = tau; stopped at tau it takes three
+    j = cover_ideal(cycle(12), 3)
+    alpha = (3, 2, 3, 3, 1, 2, 1, 2, 3, 2, 2, 3)
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 100)
+    assert nu(j, alpha) == tau(j, alpha) == 4
+
+
 def test_nu_row_cache_matches_fresh_matrix():
     # nu reads the support rows off the ideal; an ideal reused for many
     # alpha must give what a freshly built one gives

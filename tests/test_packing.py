@@ -269,7 +269,7 @@ def test_scan_carries_each_leaf_blocker(monkeypatch):
     real = coverpack.packing._konig_masks
 
     def checked(masks, blocker, n):
-        assert set(blocker) == set(minimal_transversals(list(masks), n)), masks
+        assert set(blocker) == set(minimal_transversals(list(masks))), masks
         leaves.append(1)
         return real(masks, blocker, n)
 
@@ -296,7 +296,7 @@ def test_bitmask_konig_matches_max_packing():
     cases |= {(n, frozenset(a.support_masks())) for n, _m, a in _random_clutters(37, 200)}
     failing = 0
     for n, clutter in cases:
-        blocker = minimal_transversals(list(clutter), n)
+        blocker = minimal_transversals(list(clutter))
         got = _konig_masks(clutter, blocker, n)
         assert got == konig_by_max_packing(clutter, blocker, n), (n, sorted(clutter))
         failing += not got[0]

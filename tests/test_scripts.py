@@ -1,5 +1,6 @@
 """Smoke tests for the scripts in scripts/: each one runs to exit 0 (the
-benchmark recorder, which needs minutes, has its summary checked instead)."""
+benchmark recorder, which needs minutes, has its summary and per-layer
+medians checked instead)."""
 
 import importlib.util
 import os
@@ -64,3 +65,15 @@ def test_bench_record_summary_needs_gain_beyond_spread():
     # a single pair has no spread: its quartiles are the value itself
     one = summarize([({"wall_s": 2.0}, {"wall_s": 1.0})], metrics)["wall_s"]
     assert one["base"]["q1"] == one["base"]["q3"] == 2.0 and one["clear"]
+
+
+def test_bench_record_layer_medians():
+    layer_medians = _load_bench_record().layer_medians
+    runs = [{"duality.fold_s": 0.166, "packing.konig_evals": 10},
+            {"duality.fold_s": 0.128, "packing.konig_evals": 12},
+            {"duality.fold_s": 0.131, "packing.konig_evals": 11}]
+    out = layer_medians(runs)
+    # the median of three raw runs, with the values in run order
+    assert out["duality.fold_s"] == {"median": 0.131, "values": [0.166, 0.128, 0.131]}
+    assert out["packing.konig_evals"] == {"median": 11, "values": [10, 12, 11]}
+    assert layer_medians(runs[:1])["duality.fold_s"]["median"] == 0.166

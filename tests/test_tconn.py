@@ -82,11 +82,11 @@ def test_cover_ideal_transversal_cache_matches_enumeration():
         for t in range(2, g.n + 1):
             J = cover_ideal(g, t)
             assert J.transversal_masks() == tuple(
-                minimal_transversals(J.support_masks(), g.n)), (g, t)
+                minimal_transversals(J.support_masks())), (g, t)
 
 
 def _assert_transversals_match_oracles(masks, n):
-    got = minimal_transversals(masks, n)
+    got = minimal_transversals(masks)
     assert got == filtered_minimal_transversals(masks, n), (masks, n)
     assert got == brute_minimal_transversals(masks, n), (masks, n)
 
