@@ -39,8 +39,17 @@ Under a cap.  Where a row aborts depends on the labelling: the fold's
 intermediate sizes follow the order of the minimal primes, and the packing
 scan memo the order of the variables.  A row of `verify_theorem` is its
 class's outcome on the renumbered labelling, so every labelling of a class
-gets the same outcome, whatever the order of the graphs; `check_instance`
-on the labelling itself can abort where that row does not, or the reverse.
+gets the same outcome; `check_instance` on the labelling itself can abort
+where that row does not, or the reverse.
+
+One packing-scan memo.  `verify_theorem` hands one memo to every
+`check_instance` call it makes, so a scan reads the subtrees earlier rows
+already scanned (see `coverpack.packing`): a path's or cycle's scan meets
+the previous path's at x_n = 1.  Verdicts and witnesses do not depend on
+it.  The scan guard bounds the entries each row adds, and a memo that
+reached the cap is emptied before the next row, so under a small
+`DEFAULT_SCAN_CAP` whether a row trips depends on the rows computed before
+it, unlike the generator cap, whose outcome is the class's alone.
 """
 
 from __future__ import annotations
@@ -159,12 +168,14 @@ def connected_graphs(n: int) -> Iterator[tuple[int, Graph]]:
             yield code, g
 
 
-def check_instance(g: Graph, t: int, s_max: Optional[int] = None) -> HarnessRow:
+def check_instance(g: Graph, t: int, s_max: Optional[int] = None,
+                   memo: Optional[dict] = None) -> HarnessRow:
     """One harness row: prediction, packing verdict, bounded Simis check.
 
     Past `DEFAULT_GEN_CAP` in the dualization or the symbolic-power fold the
     row's Simis verdict is "aborted", with `packed` None when the
     dualization itself stopped; the packing scan's guard propagates.
+    `memo` is handed to `is_packed`, which reads and extends it.
     """
     bound = t if s_max is None else s_max
     cls = theorem_classification(g, t)
@@ -174,12 +185,14 @@ def check_instance(g: Graph, t: int, s_max: Optional[int] = None) -> HarnessRow:
     except SizeLimitError:
         ideal = None            # too many minimal covers: packed stays None
     if ideal is not None:
-        packed = is_packed(ideal).packed
+        # the fold first, so its working set is gone before this row's scan
+        # adds its entries to a shared memo
         try:
             rep = simis_check(ideal, bound)
             verdict, s, wit, failures = rep.verdict, rep.s, rep.witness, rep.failures
         except SizeLimitError:
             pass
+        packed = is_packed(ideal, memo).packed
     return HarnessRow(
         graph6=encode_graph6(g), n=g.n, t=t,
         predicted=cls.verdict, case=cls.case, packed=packed,
@@ -239,12 +252,17 @@ def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
     outcome: under a cap they all abort or none does.  A row equals
     check_instance's on its own graph unless one of the two aborted.
     The classification starts at t = 3, so t_min below 3 raises ValueError.
+    The packing scans of one call share a memo, and `DEFAULT_SCAN_CAP`
+    bounds the entries each row's scan adds to it; so whether a run trips
+    the scan cap depends on the rows computed before the one that trips.
     """
     if t_min < 3:
         raise ValueError(f"t_min must be at least 3, got {t_min}")
     report = HarnessReport()
     # (n, canonical edges) -> (the renumbered labels, one row per t)
     classes: dict[tuple, tuple[tuple[int, ...], list[HarnessRow]]] = {}
+    # the packing scans' memo, one for every row of the call
+    memo: dict = {}
 
     def run(g: Graph):
         hi = min(g.n, t_max) if t_max is not None else g.n
@@ -255,7 +273,7 @@ def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
         entry = classes.get((g.n, edges))
         if entry is None:
             h, label = _renumbered(g.n, edges)
-            entry = classes[g.n, edges] = label, [check_instance(h, t, s_max=s_max)
+            entry = classes[g.n, edges] = label, [check_instance(h, t, s_max, memo)
                                                   for t in ts]
             report.computed += len(ts)
         label, rows = entry

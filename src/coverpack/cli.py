@@ -31,7 +31,7 @@ from .duality import simis_check
 from .graphs import Graph, Graph6ParseError, complete, cycle, parse_graph6, path, star
 from . import ideals
 from .ideals import MonomialIdeal, SizeLimitError, VerificationError
-from .lpdual import duality_gap_search, nu, tau
+from .lpdual import duality_gap_search, tau_nu
 from .packing import is_konig, is_packed
 from .tconn import cover_ideal
 
@@ -224,8 +224,7 @@ def _lp(args):
             raise UsageError(f"--alpha needs {g.n} entries")
     else:
         alpha = (1,) * g.n
-    tv = tau(j, alpha)
-    nv = nu(j, alpha)
+    tv, nv = tau_nu(j, alpha)
     return {"alpha": list(alpha)}, {"tau": tv, "nu": nv, "alpha": list(alpha), "equal": tv == nv}
 
 

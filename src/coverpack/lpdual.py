@@ -71,14 +71,20 @@ def tau(j: MonomialIdeal, alpha: Sequence[int]) -> int:
     return min(sum(alpha[i] for i in p) for p in _prime_rows(j))
 
 
-def nu(j: MonomialIdeal, alpha: Sequence[int]) -> int:
-    """Exact packing optimum: max sum(z), B z <= alpha, z in N^r.
+def tau_nu(j: MonomialIdeal, alpha: Sequence[int]) -> tuple[int, int]:
+    """(tau, nu) at alpha, with J and alpha checked once, by `tau`.
 
-    Weak duality gives nu <= tau, so tau is the search's `need`: a search
-    that reaches it has found nu = tau, and one that does not ran to the end.
+    Weak duality gives nu <= tau, so tau is the packing search's `need`: a
+    search that reaches it has found nu = tau, and one that does not ran to
+    the end.
     """
-    _check_program(j, alpha, "nu")
-    return max_packing(j.support_rows(), alpha, tau(j, alpha))[0]
+    cover = tau(j, alpha)
+    return cover, max_packing(j.support_rows(), alpha, cover)[0]
+
+
+def nu(j: MonomialIdeal, alpha: Sequence[int]) -> int:
+    """Exact packing optimum: max sum(z), B z <= alpha, z in N^r."""
+    return tau_nu(j, alpha)[1]
 
 
 @dataclass(frozen=True)

@@ -24,21 +24,37 @@ that order.
 The scan is a depth-first search over the variables from n down to 1 that
 tries the digits 0, 1, 2 in turn at each level, so it meets the minors in
 ascending code order.  A node holds the set of support masks left by the
-digits above it, kept an antichain: setting a variable to zero drops the
-supports that contain it, and setting it to one deletes it and drops the
-supports that now contain a shortened one.  Dropping duplicate and
-non-minimal supports changes neither the height nor the largest number of
-pairwise disjoint supports, and it commutes with both operations, so the
-Konig verdict of every minor below a node depends only on that antichain.
-A memo keyed (level, antichain) therefore evaluates each subtree once and
-runs the Konig search once per distinct restricted clutter; it lives for
-one call, and past `coverpack.ideals.DEFAULT_SCAN_CAP` entries, read when
-the scan starts, it raises SizeLimitError.  A failing leaf hands its height
-and exact max-disjoint count up with its code offset, so the witness needs
-no second search.  An empty antichain (the zero ideal) or one holding the
-empty support (the unit ideal) makes its whole subtree vacuous, and a
-variable no support contains is skipped, since its three children are
-equal.
+digits above it, kept an antichain as a tuple sorted by mask value, which
+is canonical for the set: setting a variable to zero filters out the
+supports that contain it, which keeps the order, and setting it to one
+deletes it and drops the supports that now contain a shortened one
+(`_delete_bit`, which sorts once).  Dropping duplicate and non-minimal
+supports changes neither the height nor the largest number of pairwise
+disjoint supports, and it commutes with both operations, so the Konig
+verdict of every minor below a node depends only on that antichain.  A
+memo keyed (level, antichain) therefore evaluates each subtree once and
+runs the Konig search once per distinct restricted clutter.  A failing
+leaf hands its height and exact max-disjoint count up with its code
+offset, so the witness needs no second search.  An empty antichain (the
+zero ideal) or one holding the empty support (the unit ideal, whose 0
+sorts first) makes its whole subtree vacuous, and a variable no support
+contains is skipped, since its three children are equal.
+
+The memo lives for one call unless the caller hands one in; then it is
+read and extended, and `verify_theorem` keeps one for all its rows.
+Sharing is sound because a subtree's result (offset, height,
+max_disjoint) depends on its key alone: the key fixes the variables left
+and the antichain on them, and so the minors below, their order and their
+Konig verdicts.  The number of variables that reaches `_konig_masks` only
+loosens a pruning bound in `_max_disjoint`, never its count.  Sharing
+pays on the families: x_n = 1 takes J_t(P_n), and J_t(C_n) too, onto
+J_t(P_{n-1}) on the same masks, so a packed path or cycle meets the
+previous path's whole scan as one memo entry.  The guard reads
+`coverpack.ideals.DEFAULT_SCAN_CAP` when the call starts: a call raises
+SizeLimitError once it has added that many entries of its own, which is
+the whole memo when the memo is the call's own, and a handed-in memo that
+already holds that many is emptied first, so it never holds twice the
+cap.
 
 Each node also carries the blocker of its antichain, so no leaf searches
 for a cover.  The root takes the ideal's cached minimal transversals,
@@ -116,7 +132,7 @@ def restrict(a: MonomialIdeal, minor: Minor) -> Restriction:
     if not a.is_square_free:
         raise ValueError("minors are set up for square-free ideals")
     zmask = sum(1 << (v - 1) for v in minor.zeros)
-    clutter = frozenset(m for m in a.support_masks() if not m & zmask)
+    clutter = tuple(sorted(m for m in a.support_masks() if not m & zmask))
     for v in minor.ones:
         clutter = _delete_bit(clutter, 1 << (v - 1))
     survivors = tuple(v for v in range(1, a.n + 1)
@@ -258,25 +274,28 @@ class PackingReport:
         }
 
 
-def _delete_bit(clutter: frozenset, bit: int) -> frozenset:
+def _delete_bit(clutter: tuple[int, ...], bit: int) -> tuple[int, ...]:
     """Contract the variable `bit`: delete it from every set, then drop the
     sets that contain a shortened one.  On the supports this sets the
     variable to one; on the blocker it follows setting it to zero.
 
     In an antichain only a shortened support can lie inside another support,
     and only inside one that did not contain the bit, so the result is an
-    antichain again.
+    antichain again, of distinct masks; it is returned sorted.
     """
-    short = [m & ~bit for m in clutter if m & bit]
+    short = [m ^ bit for m in clutter if m & bit]
     kept = [m for m in clutter if not m & bit and not any(s & m == s for s in short)]
-    return frozenset(short + kept)
+    return tuple(sorted(short + kept))
 
 
-def is_packed(a: MonomialIdeal) -> PackingReport:
+def is_packed(a: MonomialIdeal, memo: Optional[dict] = None) -> PackingReport:
     """Scan all 3^n minors in ternary-code order; stop at the first failure.
 
-    More than `DEFAULT_SCAN_CAP` memoised (level, clutter) pairs raise
-    SizeLimitError.
+    `memo`, when given, maps (level, antichain) to earlier scans' subtree
+    results, and this scan reads and extends it (see the module docstring);
+    by default the memo lives for this call.  Adding more than
+    `DEFAULT_SCAN_CAP` memo entries raises SizeLimitError, and a given memo
+    already holding that many is emptied first.
     """
     _require_square_free_proper(a, "is_packed")
     n = a.n
@@ -285,14 +304,19 @@ def is_packed(a: MonomialIdeal) -> PackingReport:
     # unit or zero ideals, all vacuously Konig
     if all(m.bit_count() == 1 for m in masks):
         return PackingReport(True, 0, None)
-    memo: dict[tuple[int, frozenset], Optional[tuple[int, int, int]]] = {}
     cap = ideals.DEFAULT_SCAN_CAP
+    if memo is None:
+        memo = {}
+    elif len(memo) >= cap:
+        memo.clear()
+    limit = len(memo) + cap
 
-    def scan(k: int, clutter: frozenset, blocker: frozenset) -> Optional[tuple[int, int, int]]:
+    def scan(k: int, clutter: tuple[int, ...],
+             blocker: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
         # first failure among the 3^k settings of variables 1..k, as
         # (offset, height, max_disjoint); None when every one is Konig.
         # `blocker` holds the minimal transversals of `clutter`
-        if not clutter or 0 in clutter:
+        if not clutter or not clutter[0]:
             return None                     # zero or unit: vacuous throughout
         union = 0
         for m in clutter:
@@ -303,7 +327,7 @@ def is_packed(a: MonomialIdeal) -> PackingReport:
         key = (k, clutter)
         if key in memo:
             return memo[key]
-        if len(memo) >= cap:
+        if len(memo) >= limit:
             raise SizeLimitError(f"packing scan memo exceeds cap {cap}")
         if k == 0:
             ok, h, count, _chosen = _konig_masks(clutter, blocker, n)
@@ -313,21 +337,21 @@ def is_packed(a: MonomialIdeal) -> PackingReport:
             sub = scan(k - 1, clutter, blocker)
             digit = 0
             if sub is None:
-                sub = scan(k - 1, frozenset(m for m in clutter if not m & bit),
+                sub = scan(k - 1, tuple(m for m in clutter if not m & bit),
                            _delete_bit(blocker, bit))
                 digit = 1
             if sub is None:
                 sub = scan(k - 1, _delete_bit(clutter, bit),
-                           frozenset(t for t in blocker if not t & bit))
+                           tuple(t for t in blocker if not t & bit))
                 digit = 2
             found = None if sub is None else (digit * 3 ** (k - 1) + sub[0], sub[1], sub[2])
         memo[key] = found
         return found
 
-    found = scan(n, frozenset(masks), frozenset(a.transversal_masks()))
-    # `scan` refers to itself, so the memo would otherwise wait for the
-    # cyclic garbage collector
-    memo.clear()
+    found = scan(n, tuple(sorted(masks)), tuple(sorted(a.transversal_masks())))
+    # `scan` refers to itself through its cell; emptying the cell frees the
+    # closure and its reference to the memo without the cyclic collector
+    del scan
     if found is None:
         return PackingReport(True, 3 ** n, None)
     code, h, count = found

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import relabel
-from coverpack import classify, duality, ideals
+from coverpack import classify, duality, ideals, packing
 from coverpack.canon import canonical_form
 from coverpack.classify import (
     Classification,
@@ -14,6 +14,7 @@ from coverpack.classify import (
     verify_theorem,
 )
 from coverpack.graphs import Graph, complete, cycle, encode_graph6, path, star
+from coverpack.tconn import cover_ideal
 
 
 def test_classification_n_equals_t():
@@ -135,8 +136,9 @@ def test_verify_theorem_report_json():
 
 
 def direct_rows(graphs, t_max=None):
-    """verify_theorem's rows computed one check_instance call per row, as
-    (report row, least-degree failures) pairs."""
+    """verify_theorem's rows computed one check_instance call per row, each
+    with a packing-scan memo of its own, as (report row, least-degree
+    failures) pairs."""
     return [_with_failures(check_instance(g, t))
             for g in graphs
             for t in range(3, (g.n if t_max is None else min(g.n, t_max)) + 1)]
@@ -336,3 +338,75 @@ def test_verify_theorem_rejects_a_disconnected_graph():
     # error is the one raised
     with pytest.raises(ValueError, match="classification needs a connected graph"):
         verify_theorem(0, graphs=[Graph(4, [(1, 2), (3, 4)])])
+
+
+def konig_searches(monkeypatch):
+    calls = []
+    real = packing._konig_masks
+    monkeypatch.setattr(packing, "_konig_masks", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_one_scan_memo_per_call(monkeypatch):
+    # J_3(P_9)'s scan meets J_3(P_8) at x9 = 1 and reads the first row's
+    # entries instead of searching again
+    calls = konig_searches(monkeypatch)
+    rep = verify_theorem(0, t_min=3, t_max=3, graphs=[path(8), path(9)])
+    assert all(r.packed for r in rep.rows)
+    shared = len(calls)
+    for g in (path(8), path(9)):
+        assert packing.is_packed(cover_ideal(g, 3)).packed
+    assert (shared, len(calls) - shared) == (863, 1262)
+
+
+def test_shared_memo_rows_do_not_depend_on_graph_order():
+    # the rows of one call equal separate scans whatever comes before them
+    graphs = [g for n in range(3, 11) for g in (path(n), cycle(n))]
+    random.Random(24).shuffle(graphs)
+    graphs.reverse()
+    rep = verify_theorem(0, t_max=4, graphs=graphs)
+    assert cached_rows(rep) == direct_rows(graphs, t_max=4)
+
+
+def test_scan_cap_bounds_each_rows_own_entries(monkeypatch):
+    # under a cap between J_3(P_10)'s needs with and without J_3(P_9)'s
+    # entries, the call passes while the scan on its own trips
+    memo = {}
+    packing.is_packed(cover_ideal(path(9), 3), memo)
+    before = len(memo)
+    packing.is_packed(cover_ideal(path(10), 3), memo)
+    cap = len(memo) - before
+    monkeypatch.setattr(ideals, "DEFAULT_SCAN_CAP", cap)
+    rep = verify_theorem(0, t_min=3, t_max=3, graphs=[path(9), path(10)])
+    assert [r.packed for r in rep.rows] == [True, True]
+    with pytest.raises(ideals.SizeLimitError):
+        packing.is_packed(cover_ideal(path(10), 3))
+
+
+def test_shared_memo_never_holds_twice_the_cap(monkeypatch):
+    # a cap no single row's scan reaches on its own, which the call's memo
+    # outgrows: it is emptied, and stays below twice the cap
+    graphs = [g for n in range(3, 10) for g in (path(n), cycle(n))]
+    cap = 0
+    for g in graphs:
+        for t in range(3, min(g.n, 4) + 1):
+            memo = {}
+            packing.is_packed(cover_ideal(g, t), memo)
+            cap = max(cap, len(memo))
+    monkeypatch.setattr(ideals, "DEFAULT_SCAN_CAP", cap)
+    sizes = []
+    real = packing.is_packed
+
+    def watched(a, memo=None):
+        sizes.append(len(memo))
+        try:
+            return real(a, memo)
+        finally:
+            sizes.append(len(memo))
+
+    monkeypatch.setattr(classify, "is_packed", watched)
+    rep = verify_theorem(0, t_max=4, graphs=graphs)
+    assert not rep.disagreements
+    assert max(sizes) < 2 * cap
+    # emptied at least once: a call ended below where it started
+    assert any(end < start for start, end in zip(sizes[::2], sizes[1::2]))

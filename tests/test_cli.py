@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import coverpack
+import coverpack.cli
 import coverpack.ideals
+import coverpack.lpdual
 from coverpack.cli import (REPORT_SCHEMA, RESULT_KEYS, SchemaError, build_parser, emit_report,
                            main, parse_graph_spec)
 from coverpack.graphs import complete, cycle, encode_graph6, path, star
@@ -121,6 +123,23 @@ def test_lp_command(capsys):
     res = json.loads(out)["result"]
     assert code == 0
     assert res["tau"] == 3 and res["nu"] == 2 and res["equal"] is False
+
+
+def test_lp_computes_tau_once(capsys, monkeypatch):
+    # the reported tau is also the nu search's `need`; `cli.tau` is counted
+    # too, in case the command calls it for the report itself
+    calls = []
+    real = coverpack.lpdual.tau
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coverpack.lpdual, "tau", counted)
+    monkeypatch.setattr(coverpack.cli, "tau", counted, raising=False)
+    code, out, _ = run_cli(capsys, "lp", "--graph", "cycle:7", "--t", "3")
+    assert code == 0 and json.loads(out)["result"]["tau"] == 3
+    assert len(calls) == 1
 
 
 def test_lp_custom_alpha(capsys):

@@ -338,6 +338,76 @@ def test_scan_cap(monkeypatch):
         is_packed(J)
 
 
+class ReadLog(dict):
+    """A memo that records the keys read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("t", [3, 4])
+def test_last_variable_set_to_one_is_the_shorter_path(t):
+    # x_n = 1 takes J_t(P_n) and J_t(C_n) onto J_t(P_{n-1}) on the same
+    # masks, so the scan of a packed path or cycle reads the root entry the
+    # shorter path's scan left in a shared memo
+    met = []
+    for n in range(max(4, t + 1), 11):
+        target = cover_ideal(path(n - 1), t)
+        for g in (path(n), cycle(n)):
+            res = restrict(cover_ideal(g, t), Minor(ones=(n,)))
+            assert res.survivors == tuple(range(1, n)) and res.ideal == target, (g, t)
+        if n - 1 == t:
+            continue                    # the maximal ideal runs no scan
+        memo = ReadLog()
+        is_packed(target, memo)
+        root = (n - 1, tuple(sorted(target.support_masks())))
+        for g in (path(n), cycle(n)):
+            memo.read.clear()
+            if is_packed(cover_ideal(g, t), memo).packed:
+                assert root in memo.read, (g, t)
+                met.append(g == cycle(n))
+    assert True in met and False in met
+
+
+def test_given_memo_is_read_and_extended(monkeypatch):
+    # a fresh memo gives the call's own entries; a second scan of the same
+    # ideal is one memo hit at its root, with the same report
+    J = cover_ideal(cycle(9), 3)
+    calls = []
+    real = coverpack.packing._konig_masks
+    monkeypatch.setattr(coverpack.packing, "_konig_masks",
+                        lambda *args: calls.append(1) or real(*args))
+    want = is_packed(J)
+    alone = len(calls)
+    memo = {}
+    assert is_packed(J, memo) == want and len(calls) == 2 * alone
+    entries = dict(memo)
+    assert is_packed(J, memo) == want and len(calls) == 2 * alone
+    assert memo == entries
+    # a memo holding another ideal's entries gives the same report, witness
+    # included
+    K = cover_ideal(cycle(7), 3)
+    assert is_packed(K, memo) == is_packed(K)
+
+
+def test_full_shared_memo_is_emptied_first(monkeypatch):
+    # a memo holding DEFAULT_SCAN_CAP entries is emptied before the next
+    # call, which may then add that many of its own: J_3(P_10) needs more
+    # on its own and trips with the memo at the cap, not twice it
+    memo = {}
+    is_packed(cover_ideal(path(9), 3), memo)
+    cap = len(memo)
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", cap)
+    with pytest.raises(SizeLimitError):
+        is_packed(cover_ideal(path(10), 3), memo)
+    assert len(memo) == cap
+
+
 # -- explicit cycle minors --------------------------------------------------
 
 def test_cycle_minor_rejects_packed_pairs():
