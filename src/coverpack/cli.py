@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import string
 import sys
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -106,7 +107,7 @@ def parse_graph_spec(spec: str) -> Graph:
         try:
             with open(arg) as fh:
                 for line in fh:
-                    line = line.strip()
+                    line = line.strip(string.whitespace)
                     if line:
                         return parse_graph6(line)
             raise UsageError(f"no graph6 line found in {arg}")
@@ -215,7 +216,7 @@ def _packing(args):
 
 def _lp(args):
     g, j = _cover(args)
-    if args.alpha:
+    if args.alpha is not None:
         try:
             alpha = tuple(int(x) for x in args.alpha.split(","))
         except ValueError:

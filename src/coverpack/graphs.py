@@ -10,6 +10,7 @@ callers want.
 
 from __future__ import annotations
 
+import string
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -112,11 +113,14 @@ def _g6_read_n(data: bytes) -> tuple[int, int]:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 string (optionally prefixed with '>>graph6<<')."""
+    """Decode an ASCII graph6 string (optionally prefixed with '>>graph6<<')."""
     if text.startswith(">>graph6<<"):
         text = text[len(">>graph6<<"):]
-    text = text.strip()
-    data = text.encode("ascii", errors="replace")
+    text = text.strip(string.whitespace)
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as e:
+        raise Graph6ParseError(f"non-ASCII character {text[e.start]!r}", e.start) from None
     n, start = _g6_read_n(data)
     if n < 1:
         raise Graph6ParseError("graph6 with zero vertices not supported here", 0)

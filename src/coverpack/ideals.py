@@ -12,15 +12,8 @@ minor checks built on them) and callers with arbitrary generators.  It
 tests a divisor's support mask against the candidate's before it compares
 exponent tuples.  The packed exponent layout of the symbolic-power fold is
 private to `coverpack.duality`, which unpacks the fold's generators into
-tuples.
-
-Packing search.  `max_packing` is the library's weighted packing search
-over the supports of a square-free ideal: nu(alpha) for `coverpack.lpdual`,
-in `nu` and in the gap search.  Every search counts its steps against
-`DEFAULT_SCAN_CAP`.  `need` stops it once the count reaches a target and
-returns the packing that did.  Neither check of the classification uses
-it: membership in J^s is a bit-set test in `coverpack.duality`, and the
-Konig test's nu(1) a search on support masks in `coverpack.packing`.
+tuples, and the packing search behind nu, with its columns, is private to
+`coverpack.lpdual`, which reads the supports off `support_masks()`.
 
 Covering.  The minimal transversals cached on an ideal
 (`MonomialIdeal.transversal_masks`) are the library's one covering route:
@@ -37,7 +30,6 @@ the CLI does for one command, reaches every guard.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from operator import le
 from typing import Iterable, Optional, Sequence
@@ -70,8 +62,7 @@ def is_square_free_monomial(m: Monomial) -> bool:
 
 @lru_cache(maxsize=1 << 12)
 def mask_vars(mask: int) -> tuple[int, ...]:
-    """The 0-based variables of a support mask, ascending: a `max_packing`
-    column, or a minimal prime's variables."""
+    """The 0-based variables of a support mask, ascending."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
@@ -125,12 +116,6 @@ class MonomialIdeal:
         if self._masks is None:
             self._masks = tuple(support_mask(g) for g in self.gens)
         return self._masks
-
-    def support_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per generator, the 0-based variables of its support, smallest
-        supports first (a stable sort): the columns `max_packing` takes.
-        Not cached: every caller reads them once per ideal."""
-        return tuple(sorted(map(mask_vars, self.support_masks()), key=len))
 
     def transversal_masks(self) -> tuple[int, ...]:
         """Minimal transversals of the generator supports, enumerated once."""
@@ -211,70 +196,6 @@ def from_antichain_masks(n: int, masks: Iterable[int],
     if transversals is not None:
         ideal._transversals = tuple(sorted(transversals, key=_by_size))
     return ideal
-
-
-def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
-                need: Optional[int] = None) -> tuple[int, list[tuple[int, ...]]]:
-    """Largest sum(z) over z in N^r that packs the columns under `capacity`.
-
-    Column j covers the rows in `rows[j]`, which must be nonempty and
-    ordered by ascending size, so the remaining capacity over the size of
-    column i bounds what columns i.. can still add.  Columns through a
-    zero-capacity row are dropped first.  The search is depth first, larger
-    multiplicities first.  With `need` it stops as soon as the count reaches
-    `need`, so the count is exact below `need` and at least `need` above.
-    Returns (count, columns): the columns of the packing that reached
-    `need`, each repeated by its multiplicity in column order, or [] when
-    the count stays below `need` or no `need` is given.
-
-    Skipping a column is a step of the search's loop, not a call, so the
-    recursion nests one level per distinct column in the current packing;
-    nesting past Python's recursion limit raises SizeLimitError.  So does a
-    search past `DEFAULT_SCAN_CAP` steps of its column loop, read at call
-    time.
-    """
-    zero = {i for i, x in enumerate(capacity) if not x}
-    cols = [c for c in rows if zero.isdisjoint(c)] if zero else rows
-    ncols = len(cols)
-    residual = list(capacity)
-    get = residual.__getitem__
-    total = sum(capacity)
-    goal = total + 1 if need is None else need
-    best = 0
-    chosen: list[tuple[int, ...]] = []
-    limit, steps = DEFAULT_SCAN_CAP, itertools.count(1)
-
-    def dfs(i: int, count: int, left: int) -> bool:
-        nonlocal best
-        for i in range(i, ncols):
-            if next(steps) > limit:
-                raise SizeLimitError(f"packing search exceeds {limit} steps")
-            c = cols[i]
-            size = len(c)
-            if count + left // size <= best:
-                return False
-            for z in range(min(map(get, c)), 0, -1):
-                if count + z > best:
-                    best = count + z
-                    if best >= goal:
-                        chosen.extend([c] * z)
-                        return True
-                for r in c:
-                    residual[r] -= z
-                done = dfs(i + 1, count + z, left - z * size)
-                for r in c:
-                    residual[r] += z
-                if done:
-                    chosen.extend([c] * z)
-                    return True
-        return False
-
-    try:
-        dfs(0, 0, total)
-    except RecursionError:
-        raise SizeLimitError("packing search nests past the recursion limit") from None
-    chosen.reverse()
-    return best, chosen
 
 
 # ---------------------------------------------------------------------------

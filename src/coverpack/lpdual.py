@@ -14,9 +14,12 @@ raises the cost), and since alpha >= 0 it can be taken inclusion-minimal.
 So tau is the least alpha-weight of a minimal transversal of the supports,
 that is of a minimal prime of J: `MonomialIdeal.transversal_masks`, which
 on J_t(G) are the I_t(G) supports (`alexander_dual` hands them over), so
-no transversal search runs for it.  nu is the library's one packing
-search, `coverpack.ideals.max_packing`, over `J.support_rows()`, stopped
-once it reaches tau.
+no transversal search runs for it.  nu is the library's one weighted
+packing search, `max_packing`, over the generator supports as columns
+(`_columns`), stopped once it reaches tau.  Both are private to this
+module: neither check of the classification uses them (membership in J^s
+is a bit-set test in `coverpack.duality`, and the Konig test's nu(1) a
+search on support masks in `coverpack.packing`).
 Neither value changes when B has duplicate or non-minimal columns (a
 superset column's covering row is implied by its subset's, and in a
 packing it can be swapped for its subset), so J's minimal generators
@@ -41,14 +44,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, product
+from itertools import compress, count, product
 from operator import itemgetter, or_
 from typing import Optional, Sequence
 
 from .graphs import Graph, cycle, path
 from . import ideals
 from .ideals import (MonomialIdeal, SizeLimitError, VerificationError,
-                     _require_square_free_proper, mask_vars, max_packing)
+                     _require_square_free_proper, mask_vars)
 from .tconn import cover_ideal
 
 
@@ -65,6 +68,77 @@ def _prime_rows(j: MonomialIdeal) -> list[tuple[int, ...]]:
     return [mask_vars(m) for m in j.transversal_masks()]
 
 
+def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
+                need: Optional[int] = None) -> tuple[int, list[tuple[int, ...]]]:
+    """Largest sum(z) over z in N^r that packs the columns under `capacity`.
+
+    Column j covers the rows in `rows[j]`, which must be nonempty and
+    ordered by ascending size, so the remaining capacity over the size of
+    column i bounds what columns i.. can still add.  Columns through a
+    zero-capacity row are dropped first.  The search is depth first, larger
+    multiplicities first.  With `need` it stops as soon as the count reaches
+    `need`, so the count is exact below `need` and at least `need` above.
+    Returns (count, columns): the columns of the packing that reached
+    `need`, each repeated by its multiplicity in column order, or [] when
+    the count stays below `need` or no `need` is given.
+
+    Skipping a column is a step of the search's loop, not a call, so the
+    recursion nests one level per distinct column in the current packing;
+    nesting past Python's recursion limit raises SizeLimitError.  So does a
+    search past `DEFAULT_SCAN_CAP` steps of its column loop, read at call
+    time.
+    """
+    zero = {i for i, x in enumerate(capacity) if not x}
+    cols = [c for c in rows if zero.isdisjoint(c)] if zero else rows
+    ncols = len(cols)
+    residual = list(capacity)
+    get = residual.__getitem__
+    total = sum(capacity)
+    goal = total + 1 if need is None else need
+    best = 0
+    chosen: list[tuple[int, ...]] = []
+    limit, steps = ideals.DEFAULT_SCAN_CAP, count(1)
+
+    def dfs(i: int, count: int, left: int) -> bool:
+        nonlocal best
+        for i in range(i, ncols):
+            if next(steps) > limit:
+                raise SizeLimitError(f"packing search exceeds {limit} steps")
+            c = cols[i]
+            size = len(c)
+            if count + left // size <= best:
+                return False
+            for z in range(min(map(get, c)), 0, -1):
+                if count + z > best:
+                    best = count + z
+                    if best >= goal:
+                        chosen.extend([c] * z)
+                        return True
+                for r in c:
+                    residual[r] -= z
+                done = dfs(i + 1, count + z, left - z * size)
+                for r in c:
+                    residual[r] += z
+                if done:
+                    chosen.extend([c] * z)
+                    return True
+        return False
+
+    try:
+        dfs(0, 0, total)
+    except RecursionError:
+        raise SizeLimitError("packing search nests past the recursion limit") from None
+    chosen.reverse()
+    return best, chosen
+
+
+def _columns(j: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
+    """Per generator of J, the 0-based variables of its support, smallest
+    supports first (a stable sort): the columns `max_packing` takes.  Not
+    cached: every caller reads them once per ideal."""
+    return tuple(sorted(map(mask_vars, j.support_masks()), key=len))
+
+
 def tau(j: MonomialIdeal, alpha: Sequence[int]) -> int:
     """Exact covering optimum: the lightest minimal prime of J under alpha."""
     _check_program(j, alpha, "tau")
@@ -79,7 +153,7 @@ def tau_nu(j: MonomialIdeal, alpha: Sequence[int]) -> tuple[int, int]:
     the end.
     """
     cover = tau(j, alpha)
-    return cover, max_packing(j.support_rows(), alpha, cover)[0]
+    return cover, max_packing(_columns(j), alpha, cover)[0]
 
 
 def nu(j: MonomialIdeal, alpha: Sequence[int]) -> int:
@@ -234,7 +308,7 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
     getters = [itemgetter(*p) for p in _prime_rows(j)]
     masks = j.transversal_masks()
     every = (1 << n) - 1
-    rows = j.support_rows()
+    rows = _columns(j)
     is_cycle = n >= 3 and g == cycle(n)
     is_path = not is_cycle and g == path(n)
     scanned = 0

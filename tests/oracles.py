@@ -52,10 +52,10 @@ the library's faster route replaced:
   behind `coverpack gens --brute-force`; they live here now, and the CLI
   has no such flag.
 - `simis_check_by_packing`: the Simis check with membership in J^s tested
-  as nu(B_J, g) >= s by `coverpack.ideals.max_packing`, stopped at s, the
+  as nu(B_J, g) >= s by `coverpack.lpdual.max_packing`, stopped at s, the
   route that the peel test of `coverpack.duality.simis_check` replaced.
 - `konig_by_max_packing`: the Konig test with nu(1) from
-  `coverpack.ideals.max_packing` under unit capacity, stopped at the
+  `coverpack.lpdual.max_packing` under unit capacity, stopped at the
   height, the route that the bitmask search `coverpack.packing._max_disjoint`
   replaced.
 - `flat_is_packed`: the odometer scan that the memoised depth-first scan in
@@ -89,8 +89,8 @@ from coverpack.graphs import (Graph, connected_induced_subsets, cycle, is_connec
 from coverpack.duality import FIELD_MAX, _FIELD, SimisReport, _high_mask, symbolic_power
 from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimitError,
                               VerificationError, _by_size, mask_to_monomial, mask_vars,
-                              max_packing, minimalize)
-from coverpack.lpdual import GapSearchResult, nu
+                              minimalize)
+from coverpack.lpdual import GapSearchResult, _columns, max_packing, nu
 from coverpack.packing import Minor, PackingReport, PackingWitness, minor_from_code, restrict
 from coverpack.tconn import cover_ideal, t_connected_ideal
 
@@ -578,7 +578,7 @@ def simis_check_by_packing(a: MonomialIdeal, s_max: int) -> SimisReport:
     nu(B_J, g) >= s by `max_packing`, stopped at s."""
     if all(sum(g) == 1 for g in a.gens) or len(a.gens) == 1:
         return SimisReport(a.n, s_max, "equal_up_to")
-    rows = a.support_rows()
+    rows = _columns(a)
     for s in range(2, s_max + 1):
         for _d, level in itertools.groupby(symbolic_power(a, s).gens, key=sum):
             failures = tuple(g for g in level if max_packing(rows, g, s)[0] < s)

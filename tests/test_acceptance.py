@@ -13,8 +13,8 @@ import time
 from coverpack.classify import theorem_classification, verify_theorem
 from coverpack.duality import simis_check, symbolic_power
 from coverpack.graphs import cycle, path, star
-from coverpack.ideals import SizeLimitError, MonomialIdeal, max_packing
-from coverpack.lpdual import duality_gap_search, nu, tau
+from coverpack.ideals import SizeLimitError, MonomialIdeal
+from coverpack.lpdual import _columns, duality_gap_search, max_packing, nu, tau
 from coverpack.packing import cycle_nonpacking_minor, is_konig, is_packed
 from coverpack.tconn import cover_ideal, cycle_cover_gens, path_cover_gens
 from oracles import member, member_power, minor_code, power
@@ -207,7 +207,7 @@ def test_criterion_10_invariant_suite():
             expanded = power(a, s)
             m = tuple(rng.randint(0, 2) for _ in range(a.n))
             assert member_power(m, a, s) == member(m, expanded)
-            assert (max_packing(a.support_rows(), m, s)[0] >= s) == member(m, expanded)
+            assert (max_packing(_columns(a), m, s)[0] >= s) == member(m, expanded)
 
         for _ in range(500):
             n = rng.randint(2, 7)

@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 
 from conftest import relabel
-from coverpack import classify, duality, ideals, packing
+from coverpack import classify, cli, duality, ideals, packing
 from coverpack.canon import canonical_form
 from coverpack.classify import (
     Classification,
@@ -126,6 +127,45 @@ def test_verify_theorem_rejects_t_min_below_three(t_min):
     # silently raised to 3
     with pytest.raises(ValueError, match=f"t_min must be at least 3, got {t_min}"):
         verify_theorem(0, t_min=t_min, graphs=[path(4)])
+
+
+def test_verify_theorem_empty_t_range():
+    # no t in [t_min, n]: the graph adds no row and nothing is computed
+    rep = verify_theorem(0, graphs=[path(3)], t_min=4)
+    assert rep.rows == [] and rep.computed == 0
+
+
+def _flip_prediction(monkeypatch):
+    real = classify.theorem_classification
+
+    def flipped(g, t):
+        c = real(g, t)
+        return Classification(not c.verdict, c.case, c.reason)
+
+    monkeypatch.setattr(classify, "theorem_classification", flipped)
+
+
+def _witness_on_every_row(monkeypatch):
+    def witness(a, s_max):
+        w = (2,) + (0,) * (a.n - 1)
+        return duality.SimisReport(a.n, s_max, "witness_at", 2, w, (w,))
+
+    monkeypatch.setattr(classify, "simis_check", witness)
+
+
+@pytest.mark.parametrize("force", [_flip_prediction, _witness_on_every_row],
+                         ids=["flipped-prediction", "witness-on-packed-row"])
+def test_forced_disagreement_is_reported(force, monkeypatch, capsys):
+    # P_3 and C_3 at t = 3 are packed and predicted so; a flipped prediction
+    # or a Simis witness on a packed row makes each row a disagreement
+    force(monkeypatch)
+    rep = verify_theorem(0, graphs=[path(3), cycle(3)])
+    assert len(rep.rows) == 2 and all(r.packed for r in rep.rows)
+    assert rep.disagreements == rep.rows
+    assert rep.to_json()["disagreements"] == 2
+    code = cli.main(["verify-theorem", "--paths-cycles", "3"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["result"]["disagreements"] == 2
 
 
 def test_verify_theorem_report_json():

@@ -273,6 +273,33 @@ def test_unwritable_out_is_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lp", "--graph", "path:4", "--t", "2", "--alpha", "1,x"], "error: bad --alpha '1,x'"),
+    (["lp", "--graph", "path:4", "--t", "2", "--alpha", ""], "error: bad --alpha ''"),
+    (["gens", "--graph", "file:TMP/blank.g6", "--t", "3"],
+     "error: no graph6 line found in TMP/blank.g6"),
+    (["gens", "--graph", "file:TMP/bad.g6", "--t", "3"],
+     "error: bad graph6 in TMP/bad.g6: invalid graph6 byte 33 (byte offset 1)"),
+    (["gens", "--graph", "file:TMP/nbsp.g6", "--t", "3"],
+     "error: bad graph6 in TMP/nbsp.g6: non-ASCII character"),
+    # K_5 (D~{) with one byte corrupted: no longer read as the star K_{1,4}
+    (["konig", "--graph", "D\u00e9{", "--t", "2"], "error: unrecognised graph spec"),
+], ids=["alpha-not-integer", "alpha-empty", "file-without-graph6", "file-bad-graph6",
+        "file-non-ascii-space", "graph6-non-ascii"])
+def test_bad_input_is_usage_error(tmp_path, argv, message):
+    # run as a process so an uncaught exception would show as a traceback;
+    # TMP stands for the test's directory, which holds the graph6 files
+    (tmp_path / "blank.g6").write_text("\n  \n")
+    (tmp_path / "bad.g6").write_text("\nD!c\n")
+    (tmp_path / "nbsp.g6").write_text("DQc\u00a0\n")
+    proc = run_cli_process([arg.replace("TMP", str(tmp_path)) for arg in argv])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(message.replace("TMP", str(tmp_path)))
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("tmin", ["2", "0", "-1"])
 def test_tmin_below_three_is_usage_error(tmin):
     # the harness starts at t = 3; verify_theorem refuses a lower t_min,

@@ -20,10 +20,10 @@ from coverpack.ideals import (
     MonomialIdeal,
     SizeLimitError,
     mask_vars,
-    max_packing,
     minimal_transversals,
     minimalize,
 )
+from coverpack.lpdual import _columns, max_packing
 from coverpack.tconn import cover_ideal, t_connected_ideal
 from oracles import (filtered_minimal_transversals, from_masks, in_symbolic_shortcut, intersect,
                      member, member_power, pack, power, prime_power_gens, prime_power_weight,
@@ -163,7 +163,7 @@ def _check_fold_against_oracle(g, t):
             for m in sym.gens:
                 want = member(m, ordinary)
                 assert member_power(m, J, s) == want, (g, t, s, m)
-                assert (max_packing(J.support_rows(), m, s)[0] >= s) == want, (g, t, s, m)
+                assert (max_packing(_columns(J), m, s)[0] >= s) == want, (g, t, s, m)
 
 
 def test_packed_fold_matches_tuple_oracle_small_graphs():
@@ -338,6 +338,11 @@ def test_lowest_failures_match_expanded_power():
         assert rep.failures == want and rep.failures[0] == rep.witness, (g, t)
         seen += len(want) > 1
     assert seen
+
+
+def test_simis_check_needs_a_positive_bound():
+    with pytest.raises(ValueError, match="simis_check needs s_max >= 1"):
+        simis_check(cover_ideal(path(4), 3), 0)
 
 
 def _assert_same_simis(a, s_max):

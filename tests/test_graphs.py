@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +128,24 @@ def test_graph6_parse_errors():
     except Graph6ParseError as e:
         err = e
     assert err is not None and err.offset is not None
+
+
+@pytest.mark.parametrize("text, offset, message", [
+    ("Bé", 1, "non-ASCII character 'é'"),
+    ("Dé{", 1, "non-ASCII character 'é'"),     # K_5 (D~{) with one byte corrupted
+    ("DQc\u00a0", 3, r"non-ASCII character '\xa0'"),  # not stripped as whitespace
+    ("~??", 3, "truncated extended size header"),
+    ("~~??", 1, "beyond 2^18 vertices"),
+    ("~?>?", 2, "invalid graph6 byte 62"),     # an extended-header byte
+    ("!A", 0, "invalid graph6 byte 33"),       # the size byte
+    ("D!c", 1, "invalid graph6 byte 33"),      # an edge byte
+], ids=["non-ascii", "non-ascii-k5", "non-ascii-space", "truncated-extended-header",
+        "double-tilde-header", "extended-header-byte", "size-byte", "edge-byte"])
+def test_graph6_error_offsets(text, offset, message):
+    with pytest.raises(Graph6ParseError, match=re.escape(message)) as info:
+        parse_graph6(text)
+    assert info.value.offset == offset
+    assert str(info.value).endswith(f"(byte offset {offset})")
 
 
 @given(st.integers(1, 7), st.data())

@@ -1,12 +1,11 @@
 import itertools
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import coverpack.ideals
-from conftest import monomials, random_square_free_ideal, square_free_ideals
+from conftest import monomials, packing_fits, random_square_free_ideal, square_free_ideals
 from oracles import (brute_minimal_transversals, divides, divides_packed, equal,
                      filtered_minimal_transversals, from_masks, intersect, lcm, member,
                      member_power, mul, pack, parse_monomial, power, product)
@@ -17,12 +16,12 @@ from coverpack.ideals import (
     from_antichain_masks,
     mask_to_monomial,
     mask_vars,
-    max_packing,
     minimal_transversals,
     minimalize,
     monomial_str,
     support_mask,
 )
+from coverpack.lpdual import _columns, max_packing
 
 
 # -- monomial helpers -------------------------------------------------------
@@ -188,12 +187,6 @@ def test_member():
     assert not member((0, 0), a)
 
 
-def _fits(cols, rows, capacity):
-    # every column is a given row and no row is loaded past its capacity
-    load = Counter(r for c in cols for r in c)
-    return all(c in rows for c in cols) and all(load[r] <= x for r, x in enumerate(capacity))
-
-
 @given(square_free_ideals(n_max=5, k_max=4), st.integers(1, 3), st.data())
 @settings(max_examples=100, deadline=None)
 def test_member_power_matches_expansion(a, s, data):
@@ -201,30 +194,16 @@ def test_member_power_matches_expansion(a, s, data):
     # and the oracle's factor search, against the expanded power
     ps = power(a, s)
     m = data.draw(monomials(a.n, max_exp=3))
-    rows = a.support_rows()
+    rows = _columns(a)
     count, cols = max_packing(rows, m, s)
     assert member_power(m, a, s) == member(m, ps)
     assert (count >= s) == member(m, ps)
     assert (max_packing(rows, m)[0] >= s) == member(m, ps)
     # a packing that reached s comes back with its columns, else none do
     if count >= s:
-        assert len(cols) == count and _fits(cols, rows, m)
+        assert len(cols) == count and packing_fits(cols, rows, m)
     else:
         assert cols == []
-
-
-def test_support_rows_in_size_order():
-    a = minimalize(4, [(1, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 0, 1)])
-    rows = a.support_rows()
-    # one row tuple per generator support, smallest first, ties in
-    # canonical generator order
-    assert rows == ((2, 3), (1, 3), (0, 3), (0, 1, 2))
-    assert [len(r) for r in rows] == sorted(len(r) for r in rows)
-    # a non-square-free ideal: support size is not degree, so the sort moves
-    # x1^3 (support size 1) ahead of x2*x3 (size 2)
-    b = minimalize(3, [(0, 1, 1), (3, 0, 0)])
-    assert b.gens == ((0, 1, 1), (3, 0, 0))
-    assert b.support_rows() == ((0,), (1, 2))
 
 
 def test_mask_vars():
@@ -237,43 +216,13 @@ def test_mask_vars():
     assert [mask_vars(m) for m in a.transversal_masks()] == [(0, 2), (1, 2), (1, 3)]
 
 
-def test_max_packing_need_stops_early():
-    # supports {1,2} and {2,3} under capacity (2, 3, 2): nu = 3
-    rows = ((0, 1), (1, 2))
-    assert max_packing(rows, (2, 3, 2)) == (3, [])
-    for need in (1, 2, 3):
-        count, cols = max_packing(rows, (2, 3, 2), need=need)
-        assert count >= need and len(cols) == count
-        assert _fits(cols, rows, (2, 3, 2))
-    assert max_packing(rows, (2, 3, 2), need=4) == (3, [])
-    assert max_packing(rows, (0, 3, 2)) == (2, [])     # {1,2} is blocked
-    assert max_packing(rows, (0, 3, 2), need=2) == (2, [(1, 2), (1, 2)])
-    assert max_packing((), (1, 1)) == (0, [])
-
-
-def test_max_packing_step_budget(monkeypatch):
-    # every search counts its column-loop steps against the scan cap, read
-    # at call time, a search stopped at `need` as well
-    rows = ((0, 1), (1, 2))
-    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 4)
-    assert max_packing(rows, (2, 3, 2)) == (3, [])          # four steps
-    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 3)
-    with pytest.raises(SizeLimitError, match="packing search exceeds 3 steps"):
-        max_packing(rows, (2, 3, 2))
-    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 2)
-    assert max_packing(rows, (2, 3, 2), need=3) == (3, [(0, 1), (0, 1), (1, 2)])  # two steps
-    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 1)
-    with pytest.raises(SizeLimitError, match="packing search exceeds 1 steps"):
-        max_packing(rows, (2, 3, 2), need=3)
-
-
 def test_member_power_edge_cases():
     a = minimalize(2, [(1, 0)])
     assert member_power((0, 0), a, 0)
     assert not member_power((0, 0), a, 1)
     assert member_power((3, 1), a, 3)
     assert not member_power((2, 5), a, 3)
-    rows = a.support_rows()
+    rows = _columns(a)
     assert max_packing(rows, (0, 0), 1)[0] < 1
     assert max_packing(rows, (3, 1), 3)[0] >= 3
     assert max_packing(rows, (2, 5), 3)[0] < 3

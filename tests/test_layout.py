@@ -13,8 +13,9 @@ No library function takes a resource limit as a parameter: the guards read
 `DEFAULT_GEN_CAP` and `DEFAULT_SCAN_CAP` from `coverpack.ideals`.  Every
 parameter of a library function is read in its body.
 
-The packed exponent layout is private to the symbolic-power fold: no module
-but `coverpack.duality` defines or imports one of its names.
+A private format has one owner: no module but `coverpack.duality` defines or
+imports a name of the fold's packed exponent layout, and none but
+`coverpack.lpdual` the packing search behind nu or its column builder.
 """
 
 import ast
@@ -268,16 +269,23 @@ def test_unread_parameter_guard_sees_every_kind_of_parameter():
         "m.<lambda>.w", "m.f.args", "m.f.b", "m.f.c", "m.g.self", "m.h.y"]
 
 
-PACKED_LAYOUT = {"FIELD_MAX", "_FIELD", "unpack", "field_shift", "_high_mask", "_ones"}
+# each private format, by the one module that may define or import its names:
+# the packed exponent layout of the symbolic-power fold, and the packing
+# program behind nu with its columns
+PRIVATE_FORMATS = {
+    "duality": {"FIELD_MAX", "_FIELD", "unpack", "field_shift", "_high_mask", "_ones"},
+    "lpdual": {"max_packing", "_columns"},
+}
 
 
-def packed_layout_names(library: dict[str, ast.Module], owner: str = "duality") -> list[str]:
-    """`module.name` for every packed-layout name that a module of `library`
-    other than `owner` defines, assigns at any depth or imports."""
+def foreign_format_names(library: dict[str, ast.Module],
+                         formats: dict[str, set[str]] = PRIVATE_FORMATS) -> list[str]:
+    """`module.name` for every name of a private format in `formats` that a
+    module of `library` other than its owner defines, assigns at any depth
+    or imports."""
     out = set()
     for module, tree in library.items():
-        if module == owner:
-            continue
+        foreign = set().union(*(names for owner, names in formats.items() if owner != module))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = {node.name}
@@ -287,23 +295,31 @@ def packed_layout_names(library: dict[str, ast.Module], owner: str = "duality") 
                 names = {node.id}
             else:
                 continue
-            out.update(f"{module}.{name}" for name in names & PACKED_LAYOUT)
+            out.update(f"{module}.{name}" for name in names & foreign)
     return sorted(out)
 
 
-def test_only_duality_knows_the_packed_layout():
-    assert packed_layout_names(_parse_dir(LIBRARY)) == []
+def test_each_private_format_stays_with_its_owner():
+    assert foreign_format_names(_parse_dir(LIBRARY)) == []
 
 
-def test_packed_layout_guard_sees_every_kind_of_binding():
+def test_private_format_guard_sees_every_kind_of_binding():
     library = {
-        "duality": ast.parse("FIELD_MAX = 1\ndef unpack(p, n):\n    pass\n"),
+        "duality": ast.parse("FIELD_MAX = 1\ndef unpack(p, n):\n    pass\n"
+                             "from .lpdual import max_packing\n"),
+        "lpdual": ast.parse("def max_packing(rows, capacity):\n    pass\n"
+                            "def _columns(j):\n    pass\nfrom .duality import unpack\n"),
         "a": ast.parse("from .duality import FIELD_MAX as cap, unpack\n"),
         "b": ast.parse("def f():\n    _FIELD = 16\nclass field_shift:\n    pass\n"),
         "c": ast.parse("import struct\ndef _high_mask(n):\n    return n\n"
                        "def g(_ones):\n    return _ones.FIELD_MAX\n"),
+        "d": ast.parse("from .lpdual import _columns as cols\n"
+                       "def max_packing(rows):\n    pass\n"),
+        "e": ast.parse("def f(max_packing):\n    return max_packing._columns\n"),
     }
     # an import counts under its own name and its alias; a parameter or an
-    # attribute read is no binding of the module's own
-    assert packed_layout_names(library) == [
-        "a.FIELD_MAX", "a.unpack", "b._FIELD", "b.field_shift", "c._high_mask"]
+    # attribute read is no binding of the module's own; an owner may bind
+    # its own format's names and no other's
+    assert foreign_format_names(library) == [
+        "a.FIELD_MAX", "a.unpack", "b._FIELD", "b.field_shift", "c._high_mask",
+        "d._columns", "d.max_packing", "duality.max_packing", "lpdual.unpack"]

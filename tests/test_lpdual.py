@@ -6,15 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 import coverpack.ideals
 import coverpack.lpdual
-from conftest import random_square_free_ideal, square_free_ideals
+from conftest import packing_fits, random_square_free_ideal, square_free_ideals
 from oracles import (cycle_incidence_formula, from_masks, gap_search_unpruned, minimal_solutions,
                      parse_monomial, path_incidence_formula, tau_enum)
 from coverpack.canon import canonical_form
 from coverpack.classify import connected_graphs, verify_theorem
 from coverpack.duality import alexander_dual, simis_check
 from coverpack.graphs import Graph, cycle, parse_graph6, path, star
-from coverpack.ideals import MonomialIdeal, SizeLimitError
-from coverpack.lpdual import _necklaces_by_sum, _vectors_by_sum, duality_gap_search, nu, tau
+from coverpack.ideals import MonomialIdeal, SizeLimitError, minimalize
+from coverpack.lpdual import (_columns, _necklaces_by_sum, _vectors_by_sum, duality_gap_search,
+                              max_packing, nu, tau)
 from coverpack.tconn import cover_ideal, t_connected_ideal
 
 
@@ -212,6 +213,52 @@ def test_nu_alpha_one_equals_max_disjoint_columns():
             if ok:
                 best = max(best, len(chosen))
         assert nu(from_masks(n, masks), alpha) == best
+
+
+# -- packing search ---------------------------------------------------------
+
+def test_packing_columns_in_size_order():
+    a = minimalize(4, [(1, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 0, 1)])
+    rows = _columns(a)
+    # one row tuple per generator support, smallest first, ties in
+    # canonical generator order
+    assert rows == ((2, 3), (1, 3), (0, 3), (0, 1, 2))
+    assert [len(r) for r in rows] == sorted(len(r) for r in rows)
+    # a non-square-free ideal: support size is not degree, so the sort moves
+    # x1^3 (support size 1) ahead of x2*x3 (size 2)
+    b = minimalize(3, [(0, 1, 1), (3, 0, 0)])
+    assert b.gens == ((0, 1, 1), (3, 0, 0))
+    assert _columns(b) == ((0,), (1, 2))
+
+
+def test_max_packing_need_stops_early():
+    # supports {1,2} and {2,3} under capacity (2, 3, 2): nu = 3
+    rows = ((0, 1), (1, 2))
+    assert max_packing(rows, (2, 3, 2)) == (3, [])
+    for need in (1, 2, 3):
+        count, cols = max_packing(rows, (2, 3, 2), need=need)
+        assert count >= need and len(cols) == count
+        assert packing_fits(cols, rows, (2, 3, 2))
+    assert max_packing(rows, (2, 3, 2), need=4) == (3, [])
+    assert max_packing(rows, (0, 3, 2)) == (2, [])     # {1,2} is blocked
+    assert max_packing(rows, (0, 3, 2), need=2) == (2, [(1, 2), (1, 2)])
+    assert max_packing((), (1, 1)) == (0, [])
+
+
+def test_max_packing_step_budget(monkeypatch):
+    # every search counts its column-loop steps against the scan cap, read
+    # at call time, a search stopped at `need` as well
+    rows = ((0, 1), (1, 2))
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 4)
+    assert max_packing(rows, (2, 3, 2)) == (3, [])          # four steps
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 3)
+    with pytest.raises(SizeLimitError, match="packing search exceeds 3 steps"):
+        max_packing(rows, (2, 3, 2))
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 2)
+    assert max_packing(rows, (2, 3, 2), need=3) == (3, [(0, 1), (0, 1), (1, 2)])  # two steps
+    monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", 1)
+    with pytest.raises(SizeLimitError, match="packing search exceeds 1 steps"):
+        max_packing(rows, (2, 3, 2), need=3)
 
 
 # -- gap search -------------------------------------------------------------
@@ -420,7 +467,7 @@ def test_nu_row_cache_matches_fresh_matrix():
     for g in (cycle(9), path(10), cycle(11), star(6)):
         j = cover_ideal(g, 3)
         # square-free generators in canonical order are already sorted by size
-        assert j.support_rows() == tuple(
+        assert _columns(j) == tuple(
             tuple(i for i in range(j.n) if c[i]) for c in j.gens)
         for _ in range(15):
             alpha = tuple(rng.randint(0, 3) for _ in range(j.n))
