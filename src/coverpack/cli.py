@@ -94,13 +94,23 @@ class UsageError(ValueError):
     pass
 
 
+def _decimal(text: str) -> int:
+    """An integer written as an optional minus sign and ASCII digits; int()
+    alone also reads other scripts' digits, surrounding spaces and
+    underscores."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 def parse_graph_spec(spec: str) -> Graph:
     """path:N | cycle:N | star:N | complete:N | file:PATH | graph6 literal."""
     kind, _, arg = spec.partition(":")
     makers = {"path": path, "cycle": cycle, "star": star, "complete": complete}
     if kind in makers:
         try:
-            return makers[kind](int(arg))
+            return makers[kind](_decimal(arg))
         except ValueError as e:
             raise UsageError(f"bad graph spec {spec!r}: {e}")
     if kind == "file":
@@ -218,7 +228,7 @@ def _lp(args):
     g, j = _cover(args)
     if args.alpha is not None:
         try:
-            alpha = tuple(int(x) for x in args.alpha.split(","))
+            alpha = tuple(map(_decimal, args.alpha.split(",")))
         except ValueError:
             raise UsageError(f"bad --alpha {args.alpha!r}")
         if len(alpha) != g.n:

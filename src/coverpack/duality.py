@@ -18,14 +18,15 @@ other, its first prime by the same step as the rest.
 Packed form.  The fold works on one integer per monomial, a layout private
 to this module: 16 bits per variable, x1 in the most significant field and
 x_n in the least, so for equal n integer order is lexicographic order on
-exponent tuples.  The fold state is a sorted list of (degree, packed)
-pairs, which is the canonical (degree, exponent tuple) order, and the
-result is unpacked into tuples once.  A prime's weight on a generator is
-one mask of its fields and one multiply by the all-ones pattern, which sums
-the fields into the top one.  Folding in P^s keeps every generator g with
-weight w(g) >= s and replaces the others by g times each composition of
-s - w(g) over P's variables (the composition offsets are packed once per
-(P's field positions, s - w) and cached; see `_offsets`).
+exponent tuples.  The fold state is a sorted list of (degree, packed) pairs,
+which is the canonical (degree, exponent tuple) order.  `_fold` returns that
+list, the private packed entry point: `symbolic_power` unpacks it into
+tuples once, and the Simis check reads it as it is.  A prime's weight on a
+generator is one mask of its fields and one multiply by the all-ones
+pattern, which sums the fields into the top one.  Folding in P^s keeps every
+generator g with weight w(g) >= s and replaces the others by g times each
+composition of s - w(g) over P's variables (the composition offsets are
+packed once per (P's field positions, s - w) and cached; see `_offsets`).
 Kept generators need no test: if a new candidate g*m divided a kept h, then
 g | h inside the previous antichain, so g = h, which w(g) < s <= w(h) rules
 out.  The new candidates are tested by weight, not by divisibility (the
@@ -51,7 +52,7 @@ candidates are built, and a fold past the cap raises SizeLimitError.
 
 Exponent limit.  Every exponent in the fold stays at most s and a prime's
 weight at most s times its size, so s * (largest prime size) must not pass
-the 15-bit field capacity FIELD_MAX = 32767.  `symbolic_power` raises
+the 15-bit field capacity FIELD_MAX = 32767.  `_fold` raises
 ValueError past it, checked per call; nothing is allowed to wrap silently.
 Exponent tuples, outside the fold, have no such limit.
 
@@ -67,11 +68,16 @@ I^{s-1} (and I^(1) = I by definition).  There g / m lies in I^{s-1} exactly
 when w_P(g) - |m & P| >= s - 1 for every minimal prime P, so g lies in I^s
 iff some generator m has supp m inside supp g and |m & P| <= w_P(g) - s + 1
 for every P.  Without the ascending order the test would decide membership
-in I * I^(s-1), which can be larger than I^s.  Both conditions are bit sets
-over the generators, built once per ideal: per variable the generators
-through it, and per prime P and k the generators m with |m & P| <= k, for k
-below the largest |m & P|, since a prime whose slack w_P(g) - s + 1 reaches
-that rules out no m.  g passes when their intersection is not empty.  The
+in I * I^(s-1), which can be larger than I^s.  The test runs on the packed
+generators of `_fold`, and both conditions are bit sets over the
+generators of I.  The generators with support inside supp g are looked up
+by g's support, the top bits (g + FIELD_MAX * ones) & high, in a table
+filled on first use of each support, which the generators of every level
+and every s share.  Per prime P and k, built once per ideal, come the
+generators m with |m & P| <= k, for k below the largest |m & P|, since a
+prime whose slack w_P(g) - s + 1 reaches that rules out no m; w_P(g) is
+the fold's own mask and multiply.  g passes when the intersection is not
+empty, and only the failures are unpacked into exponent tuples.  The
 membership test needs no packing search, though it agrees with one: with
 B the matrix of generator supports, g lies in I^s iff nu(B, g) >= s, and in
 I^(s) iff tau(B, g) >= s (Simis <=> max-flow min-cut; Gitler, Reyes and
@@ -90,6 +96,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
 from math import comb
+from operator import itemgetter
 from typing import Optional
 
 from . import ideals
@@ -172,6 +179,12 @@ def symbolic_power(a: MonomialIdeal, s: int) -> MonomialIdeal:
         raise ValueError("symbolic_power needs s >= 1")
     if s == 1:
         return a
+    return MonomialIdeal(a.n, [unpack(g, a.n) for _, g in _fold(a, s)], _trusted=True)
+
+
+def _fold(a: MonomialIdeal, s: int) -> list[tuple[int, int]]:
+    """The minimal generators of I^(s), s >= 2, as the sorted (degree,
+    packed) list the fold builds: canonical order."""
     primes = sorted(map(mask_vars, a.transversal_masks()), key=lambda p: (len(p), p))
     if s * len(primes[-1]) > FIELD_MAX:
         raise ValueError(
@@ -226,7 +239,7 @@ def symbolic_power(a: MonomialIdeal, s: int) -> MonomialIdeal:
         current = kept + list(fresh)
         current.sort()
         folded.append((pmask, psupp))
-    return MonomialIdeal(n, [unpack(g, n) for _, g in current], _trusted=True)
+    return current
 
 
 @dataclass(frozen=True)
@@ -263,35 +276,42 @@ def simis_check(a: MonomialIdeal, s_max: int) -> SimisReport:
     if all(sum(g) == 1 for g in a.gens) or len(a.gens) == 1:
         # complete intersections are Simis at every s
         return SimisReport(a.n, s_max, "equal_up_to")
+    n = a.n
+    ones, top = _ones(n), field_shift(0, n)
+    fill, high = FIELD_MAX * ones, _high_mask(n)
     masks = a.support_masks()
-    every = (1 << len(masks)) - 1
-    # bit j stands for generator j: `through[v]` holds the generators through
-    # variable v, and `within[k]` of a prime P those m with |m & P| <= k
-    through = [sum(1 << j for j, m in enumerate(masks) if m >> v & 1) for v in range(a.n)]
+    # the generator supports in the fold's layout, a top bit per variable
+    supports = [sum((FIELD_MAX + 1) << field_shift(v, n) for v in mask_vars(m)) for m in masks]
+    # bit j stands for generator j: `within[k]` of a prime P holds those m
+    # with |m & P| <= k, and `inside[supp]` those with support inside supp,
+    # filled for each support the fold meets
     primes = []
     for p in a.transversal_masks():
         meets = [(m & p).bit_count() for m in masks]
-        primes.append((mask_vars(p), [sum(1 << j for j, c in enumerate(meets) if c <= k)
-                                      for k in range(max(meets))]))
+        primes.append((sum(FIELD_MAX << field_shift(v, n) for v in mask_vars(p)),
+                       [sum(1 << j for j, c in enumerate(meets) if c <= k)
+                        for k in range(max(meets))]))
+    inside: dict[int, int] = {}
 
-    def in_power(g: Monomial, s: int) -> bool:
-        # the peel test of the module docstring; needs I^(s-1) = I^{s-1}
-        cand = every
-        for v, e in enumerate(g):
-            if not e:
-                cand &= ~through[v]
-        for p, within in primes:
+    def in_power(g: int, s: int) -> bool:
+        # the peel test of the module docstring on a packed g; needs
+        # I^(s-1) = I^{s-1}
+        supp = (g + fill) & high
+        cand = inside.get(supp)
+        if cand is None:
+            cand = inside[supp] = sum(1 << j for j, m in enumerate(supports) if not m & ~supp)
+        for pmask, within in primes:
             if not cand:
                 break
-            slack = sum(map(g.__getitem__, p)) - s + 1
+            slack = (((g & pmask) * ones >> top) & FIELD_MAX) - s + 1
             if slack < len(within):
                 cand &= within[slack]
         return bool(cand)
 
     for s in range(2, s_max + 1):
         # generators come by degree, so the first failing level is complete
-        for _d, level in groupby(symbolic_power(a, s).gens, key=sum):
-            failures = tuple(g for g in level if not in_power(g, s))
+        for _d, level in groupby(_fold(a, s), key=itemgetter(0)):
+            failures = tuple(unpack(g, n) for _d, g in level if not in_power(g, s))
             if failures:
-                return SimisReport(a.n, s_max, "witness_at", s, failures[0], failures)
-    return SimisReport(a.n, s_max, "equal_up_to")
+                return SimisReport(n, s_max, "witness_at", s, failures[0], failures)
+    return SimisReport(n, s_max, "equal_up_to")

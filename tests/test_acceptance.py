@@ -5,15 +5,14 @@ as they complete; they are also written unbuffered so they survive capture.
 """
 
 import contextlib
-import math
 import random
 import sys
 import time
 
-from coverpack.classify import theorem_classification, verify_theorem
+from coverpack.classify import verify_theorem
 from coverpack.duality import simis_check, symbolic_power
 from coverpack.graphs import cycle, path, star
-from coverpack.ideals import SizeLimitError, MonomialIdeal
+from coverpack.ideals import MonomialIdeal
 from coverpack.lpdual import _columns, duality_gap_search, max_packing, nu, tau
 from coverpack.packing import cycle_nonpacking_minor, is_konig, is_packed
 from coverpack.tconn import cover_ideal, cycle_cover_gens, path_cover_gens

@@ -246,7 +246,7 @@ def test_class_cache_runs_no_dualization_or_fold(monkeypatch):
             calls["inside"] -= 1
 
     monkeypatch.setattr(classify, "cover_ideal", counted("cover", classify.cover_ideal))
-    monkeypatch.setattr(duality, "symbolic_power", counted("fold", duality.symbolic_power))
+    monkeypatch.setattr(duality, "_fold", counted("fold", duality._fold))
     monkeypatch.setattr(classify, "check_instance", inside)
     rep = verify_theorem(5)
     assert rep.computed == 77 and len(rep.rows) == 2264

@@ -284,8 +284,12 @@ def test_unwritable_out_is_usage_error(tmp_path):
      "error: bad graph6 in TMP/nbsp.g6: non-ASCII character"),
     # K_5 (D~{) with one byte corrupted: no longer read as the star K_{1,4}
     (["konig", "--graph", "D\u00e9{", "--t", "2"], "error: unrecognised graph spec"),
+    # int() alone reads an Arabic-Indic one as 1, and strips the space
+    (["lp", "--graph", "path:3", "--t", "2", "--alpha", "\u0661,1,1"],
+     "error: bad --alpha '\u0661,1,1'"),
+    (["gens", "--graph", "path: 3", "--t", "2"], "error: bad graph spec 'path: 3'"),
 ], ids=["alpha-not-integer", "alpha-empty", "file-without-graph6", "file-bad-graph6",
-        "file-non-ascii-space", "graph6-non-ascii"])
+        "file-non-ascii-space", "graph6-non-ascii", "alpha-non-ascii-digit", "graph-size-space"])
 def test_bad_input_is_usage_error(tmp_path, argv, message):
     # run as a process so an uncaught exception would show as a traceback;
     # TMP stands for the test's directory, which holds the graph6 files

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import monomials, random_square_free_ideal, square_free_ideals
+import coverpack.duality
 import coverpack.ideals
 from coverpack.classify import connected_graphs
 from coverpack.duality import (
@@ -359,6 +360,26 @@ def test_simis_peel_matches_packing_route_small_graphs():
             for t in range(2, n + 1):
                 first[_assert_same_simis(cover_ideal(g, t), 4).s] += 1
     assert first[2] > 1000 and first[3] > 10
+
+
+def test_simis_peel_matches_packing_route_paths_cycles():
+    # every row of the paths-and-cycles report: the large ideals, with many
+    # supports and deep levels, up to s = t
+    for n in range(3, 11):
+        for g in (path(n), cycle(n)):
+            for t in range(3, min(n, 4) + 1):
+                _assert_same_simis(cover_ideal(g, t), t)
+
+
+@pytest.mark.parametrize("g, t, failures", [(path(10), 4, 0), (cycle(7), 4, 1), (cycle(9), 4, 27)])
+def test_simis_check_unpacks_only_its_failures(monkeypatch, g, t, failures):
+    # the peel test reads the fold's packed generators; only the failures
+    # of the first failing level become exponent tuples
+    unpack = coverpack.duality.unpack
+    calls = []
+    monkeypatch.setattr(coverpack.duality, "unpack", lambda p, n: calls.append(p) or unpack(p, n))
+    rep = simis_check(cover_ideal(g, t), t)
+    assert len(rep.failures) == len(calls) == failures
 
 
 @given(square_free_ideals(n_max=7, k_max=12))

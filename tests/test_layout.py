@@ -13,9 +13,10 @@ No library function takes a resource limit as a parameter: the guards read
 `DEFAULT_GEN_CAP` and `DEFAULT_SCAN_CAP` from `coverpack.ideals`.  Every
 parameter of a library function is read in its body.
 
-A private format has one owner: no module but `coverpack.duality` defines or
-imports a name of the fold's packed exponent layout, and none but
-`coverpack.lpdual` the packing search behind nu or its column builder.
+A private format has one owner: no module but `coverpack.duality` defines,
+imports or reads (as an attribute of the owner module) a name of the fold's
+packed exponent layout, and none but `coverpack.lpdual` the packing search
+behind nu or its column builder.
 """
 
 import ast
@@ -273,7 +274,7 @@ def test_unread_parameter_guard_sees_every_kind_of_parameter():
 # the packed exponent layout of the symbolic-power fold, and the packing
 # program behind nu with its columns
 PRIVATE_FORMATS = {
-    "duality": {"FIELD_MAX", "_FIELD", "unpack", "field_shift", "_high_mask", "_ones"},
+    "duality": {"FIELD_MAX", "_FIELD", "unpack", "field_shift", "_high_mask", "_ones", "_fold"},
     "lpdual": {"max_packing", "_columns"},
 }
 
@@ -281,11 +282,14 @@ PRIVATE_FORMATS = {
 def foreign_format_names(library: dict[str, ast.Module],
                          formats: dict[str, set[str]] = PRIVATE_FORMATS) -> list[str]:
     """`module.name` for every name of a private format in `formats` that a
-    module of `library` other than its owner defines, assigns at any depth
-    or imports."""
+    module of `library` other than its owner defines, assigns at any depth,
+    imports, or reads as an attribute of the imported owner module."""
     out = set()
     for module, tree in library.items():
         foreign = set().union(*(names for owner, names in formats.items() if owner != module))
+        bound = _bindings(tree, "coverpack")
+        reads = {f"coverpack.{owner}.{name}"
+                 for owner, names in formats.items() if owner != module for name in names}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = {node.name}
@@ -293,6 +297,8 @@ def foreign_format_names(library: dict[str, ast.Module],
                 names = {name for a in node.names for name in (a.name, a.asname)}
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 names = {node.id}
+            elif isinstance(node, ast.Attribute) and _dotted(node, bound) in reads:
+                names = {node.attr}
             else:
                 continue
             out.update(f"{module}.{name}" for name in names & foreign)
@@ -316,10 +322,14 @@ def test_private_format_guard_sees_every_kind_of_binding():
         "d": ast.parse("from .lpdual import _columns as cols\n"
                        "def max_packing(rows):\n    pass\n"),
         "e": ast.parse("def f(max_packing):\n    return max_packing._columns\n"),
+        "f": ast.parse("from . import lpdual\nlpdual.max_packing((), ())\n"),
+        "g": ast.parse("from . import duality, tconn\nduality._fold(None, 2)\ntconn._fold\n"),
     }
     # an import counts under its own name and its alias; a parameter or an
-    # attribute read is no binding of the module's own; an owner may bind
-    # its own format's names and no other's
+    # attribute read is no binding of the module's own, but a read through
+    # the imported owner module counts; an owner may bind its own format's
+    # names and no other's
     assert foreign_format_names(library) == [
         "a.FIELD_MAX", "a.unpack", "b._FIELD", "b.field_shift", "c._high_mask",
-        "d._columns", "d.max_packing", "duality.max_packing", "lpdual.unpack"]
+        "d._columns", "d.max_packing", "duality.max_packing", "f.max_packing", "g._fold",
+        "lpdual.unpack"]
