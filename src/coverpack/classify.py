@@ -71,10 +71,6 @@ from .tconn import cover_ideal
 class Classification:
     verdict: bool
     case: str          # "n_equals_t" | "path" | "cycle_special" | "bipartite" | "no"
-    reason: str = ""
-
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict, "case": self.case, "reason": self.reason}
 
 
 def theorem_classification(g: Graph, t: int) -> Classification:
@@ -86,19 +82,16 @@ def theorem_classification(g: Graph, t: int) -> Classification:
         raise ValueError("classification needs a connected graph")
     if t == 2:
         if is_bipartite(g):
-            return Classification(True, "bipartite", "t=2 and G bipartite")
-        return Classification(False, "no", "t=2 and G not bipartite")
+            return Classification(True, "bipartite")
+        return Classification(False, "no")
     if n == t:
-        return Classification(True, "n_equals_t", "J is the maximal ideal")
+        return Classification(True, "n_equals_t")     # J is the maximal ideal
     shape = classify_shape(g)
     if shape == "path":
-        return Classification(True, "path", "paths are packed for every t")
-    if shape == "cycle":
-        if (n, t) in PACKED_CYCLES:
-            return Classification(True, "cycle_special", f"cycle pair (t={t}, n={n})")
-        return Classification(False, "no",
-                              f"cycle with n={n} outside the packed list for t={t}")
-    return Classification(False, "no", "not a path or cycle and n > t")
+        return Classification(True, "path")
+    if shape == "cycle" and (n, t) in PACKED_CYCLES:
+        return Classification(True, "cycle_special")
+    return Classification(False, "no")
 
 
 @dataclass(frozen=True)

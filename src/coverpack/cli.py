@@ -97,7 +97,8 @@ class UsageError(ValueError):
 def _decimal(text: str) -> int:
     """An integer written as an optional minus sign and ASCII digits; int()
     alone also reads other scripts' digits, surrounding spaces and
-    underscores."""
+    underscores.  Every integer the CLI reads, from an option, a graph spec
+    or a cap variable, goes through it."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{text!r} is not a decimal integer")
@@ -152,7 +153,7 @@ def emit_report(payload: dict, pretty: bool = False, out: Optional[str] = None) 
 def _add_common(p: argparse.ArgumentParser, needs_graph: bool = True):
     if needs_graph:
         p.add_argument("--graph", required=True, help="path:N, cycle:N, star:N, complete:N, file:PATH or graph6")
-        p.add_argument("--t", type=int, required=True, help="connectedness size t")
+        p.add_argument("--t", type=_decimal, required=True, help="connectedness size t")
     p.add_argument("--pretty", action="store_true", help="indent the JSON report")
     p.add_argument("--out", help="write the report to this file instead of stdout")
 
@@ -170,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simis", help="bounded symbolic vs ordinary power comparison for J_t(G)")
     _add_common(p)
-    p.add_argument("--smax", type=int, default=None, help="bound (default t)")
+    p.add_argument("--smax", type=_decimal, default=None, help="bound (default t)")
 
     p = sub.add_parser("konig", help="Konig property of J_t(G)")
     _add_common(p)
@@ -184,14 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap-search", help="first alpha with tau != nu")
     _add_common(p)
-    p.add_argument("--entry-bound", type=int, default=2)
+    p.add_argument("--entry-bound", type=_decimal, default=2)
 
     p = sub.add_parser("verify-theorem", help="classification harness")
-    p.add_argument("--nmax", type=int, default=5, help="largest vertex count")
-    p.add_argument("--tmin", type=int, default=3, help="smallest t (at least 3)")
-    p.add_argument("--tmax", type=int, default=None)
-    p.add_argument("--smax", type=int, default=None, help="Simis bound (default t per instance)")
-    p.add_argument("--paths-cycles", type=int, default=None, metavar="N",
+    p.add_argument("--nmax", type=_decimal, default=5, help="largest vertex count")
+    p.add_argument("--tmin", type=_decimal, default=3, help="smallest t (at least 3)")
+    p.add_argument("--tmax", type=_decimal, default=None)
+    p.add_argument("--smax", type=_decimal, default=None,
+                   help="Simis bound (default t per instance)")
+    p.add_argument("--paths-cycles", type=_decimal, default=None, metavar="N",
                    help="check canonical paths and cycles up to N instead of all graphs")
     _add_common(p, needs_graph=False)
     p.add_argument("--rows", action="store_true", help="include per-instance rows in the report")
@@ -276,7 +278,7 @@ def _env_int(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        value = int(raw)
+        value = _decimal(raw)
     except ValueError:
         raise UsageError(f"{name} must be an integer, got {raw!r}")
     if value < 1:

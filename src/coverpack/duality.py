@@ -245,7 +245,6 @@ def _fold(a: MonomialIdeal, s: int) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class SimisReport:
     """Outcome of the bounded symbolic-vs-ordinary power comparison."""
-    n: int
     s_max: int
     verdict: str                      # "equal_up_to" or "witness_at"
     s: Optional[int] = None
@@ -275,7 +274,7 @@ def simis_check(a: MonomialIdeal, s_max: int) -> SimisReport:
         raise ValueError("simis_check needs s_max >= 1")
     if all(sum(g) == 1 for g in a.gens) or len(a.gens) == 1:
         # complete intersections are Simis at every s
-        return SimisReport(a.n, s_max, "equal_up_to")
+        return SimisReport(s_max, "equal_up_to")
     n = a.n
     ones, top = _ones(n), field_shift(0, n)
     fill, high = FIELD_MAX * ones, _high_mask(n)
@@ -313,5 +312,5 @@ def simis_check(a: MonomialIdeal, s_max: int) -> SimisReport:
         for _d, level in groupby(_fold(a, s), key=itemgetter(0)):
             failures = tuple(unpack(g, n) for _d, g in level if not in_power(g, s))
             if failures:
-                return SimisReport(n, s_max, "witness_at", s, failures[0], failures)
-    return SimisReport(n, s_max, "equal_up_to")
+                return SimisReport(s_max, "witness_at", s, failures[0], failures)
+    return SimisReport(s_max, "equal_up_to")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import string
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class Graph6ParseError(ValueError):
@@ -26,7 +26,7 @@ class Graph6ParseError(ValueError):
 class Graph:
     """Immutable simple graph on {1..n}."""
 
-    __slots__ = ("n", "edges", "adj", "_g6")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -45,7 +45,6 @@ class Graph:
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
         self.adj = tuple(adj)
-        self._g6: Optional[str] = None
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -152,8 +151,6 @@ def parse_graph6(text: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """Inverse of parse_graph6 (no '>>graph6<<' prefix)."""
-    if g._g6 is not None:
-        return g._g6
     n = g.n
     if n <= 62:
         head = bytes([n + 63])
@@ -170,9 +167,7 @@ def encode_graph6(g: Graph) -> str:
     nbytes = (nbits + 5) // 6
     bits <<= nbytes * 6 - nbits
     body = bytes(((bits >> (6 * (nbytes - 1 - i))) & 63) + 63 for i in range(nbytes))
-    out = (head + body).decode("ascii")
-    g._g6 = out
-    return out
+    return (head + body).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

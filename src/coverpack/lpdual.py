@@ -16,7 +16,10 @@ that is of a minimal prime of J: `MonomialIdeal.transversal_masks`, which
 on J_t(G) are the I_t(G) supports (`alexander_dual` hands them over), so
 no transversal search runs for it.  nu is the library's one weighted
 packing search, `max_packing`, over the generator supports as columns
-(`_columns`), stopped once it reaches tau.  Both are private to this
+(`_columns`).  It returns a count only, and its one stopping rule is a
+`need` the count may reach: `tau_nu` passes tau, which by weak duality
+nu never passes, and the gap search tau + 1, which keeps nu exact up to
+tau and still shows a violation.  Both are private to this
 module: neither check of the classification uses them (membership in J^s
 is a bit-set test in `coverpack.duality`, and the Konig test's nu(1) a
 search on support masks in `coverpack.packing`).
@@ -31,11 +34,11 @@ scans every vector (`_vectors_by_sum`); on the standard-labelled cycle(n)
 it generates only the rotation-least one of each rotation class
 (`_necklaces_by_sum`), and no other vector is built.  Its `scanned`
 counts the alpha scanned up to that one, taken before the reflection and
-reversal pruning below.  It builds J_t(G) and checks it once, then
-evaluates tau directly, and only at an alpha that is least in its orbit
-under the rotations and reflections of cycle(n) or the reversal of
-path(n): tau and nu are constant on an orbit, so the rest cannot hold the
-first gap.  It runs the packing search for nu only where tau does not
+reversal pruning below.  It builds J_t(G) once, square-free and proper
+by construction, then evaluates tau directly, and only at an alpha that
+is least in its orbit under the rotations and reflections of cycle(n) or
+the reversal of path(n): tau and nu are constant on an orbit, so the rest
+cannot hold the first gap.  It runs the packing search for nu only where tau does not
 already decide it: nu(alpha) = tau(alpha) whenever the primes of weight
 tau(alpha) miss a vertex (see `duality_gap_search`).
 """
@@ -68,19 +71,16 @@ def _prime_rows(j: MonomialIdeal) -> list[tuple[int, ...]]:
     return [mask_vars(m) for m in j.transversal_masks()]
 
 
-def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
-                need: Optional[int] = None) -> tuple[int, list[tuple[int, ...]]]:
-    """Largest sum(z) over z in N^r that packs the columns under `capacity`.
+def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int], need: int) -> int:
+    """Largest sum(z) over z in N^r that packs the columns under `capacity`,
+    counted up to `need`.
 
     Column j covers the rows in `rows[j]`, which must be nonempty and
     ordered by ascending size, so the remaining capacity over the size of
     column i bounds what columns i.. can still add.  Columns through a
     zero-capacity row are dropped first.  The search is depth first, larger
-    multiplicities first.  With `need` it stops as soon as the count reaches
-    `need`, so the count is exact below `need` and at least `need` above.
-    Returns (count, columns): the columns of the packing that reached
-    `need`, each repeated by its multiplicity in column order, or [] when
-    the count stays below `need` or no `need` is given.
+    multiplicities first, and its one stopping rule is the count reaching
+    `need`: the count is exact below `need` and at least `need` otherwise.
 
     Skipping a column is a step of the search's loop, not a call, so the
     recursion nests one level per distinct column in the current packing;
@@ -93,13 +93,11 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
     ncols = len(cols)
     residual = list(capacity)
     get = residual.__getitem__
-    total = sum(capacity)
-    goal = total + 1 if need is None else need
     best = 0
-    chosen: list[tuple[int, ...]] = []
     limit, steps = ideals.DEFAULT_SCAN_CAP, count(1)
 
     def dfs(i: int, count: int, left: int) -> bool:
+        # True once the count reaches `need`; nothing reads `residual` then
         nonlocal best
         for i in range(i, ncols):
             if next(steps) > limit:
@@ -111,25 +109,21 @@ def max_packing(rows: Sequence[tuple[int, ...]], capacity: Sequence[int],
             for z in range(min(map(get, c)), 0, -1):
                 if count + z > best:
                     best = count + z
-                    if best >= goal:
-                        chosen.extend([c] * z)
+                    if best >= need:
                         return True
                 for r in c:
                     residual[r] -= z
-                done = dfs(i + 1, count + z, left - z * size)
+                if dfs(i + 1, count + z, left - z * size):
+                    return True
                 for r in c:
                     residual[r] += z
-                if done:
-                    chosen.extend([c] * z)
-                    return True
         return False
 
     try:
-        dfs(0, 0, total)
+        dfs(0, 0, sum(capacity))
     except RecursionError:
         raise SizeLimitError("packing search nests past the recursion limit") from None
-    chosen.reverse()
-    return best, chosen
+    return best
 
 
 def _columns(j: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
@@ -153,7 +147,7 @@ def tau_nu(j: MonomialIdeal, alpha: Sequence[int]) -> tuple[int, int]:
     the end.
     """
     cover = tau(j, alpha)
-    return cover, max_packing(_columns(j), alpha, cover)[0]
+    return cover, max_packing(_columns(j), alpha, cover)
 
 
 def nu(j: MonomialIdeal, alpha: Sequence[int]) -> int:
@@ -288,11 +282,12 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
     lightest prime through v, so through u or nearer to it than P.  Either
     way the choice of P is contradicted.
 
-    Otherwise `max_packing` computes nu(alpha) exactly, as `nu` does, and a
-    weak-duality violation raises `VerificationError`.  The first gap is
-    never settled by tau, so its nu is computed.  The argument holds on every
-    graph, so the witness, tau, nu and `scanned` are those of the unpruned
-    scan.
+    Otherwise `max_packing` computes nu(alpha) with need tau(alpha) + 1:
+    exactly when nu(alpha) <= tau(alpha), and above tau(alpha) on a
+    weak-duality violation, which raises `VerificationError`.  The first
+    gap is never settled by tau, so its nu is computed.  The argument holds
+    on every graph, so the witness, tau, nu and `scanned` are those of the
+    unpruned scan.
     """
     if entry_bound < 1:
         raise ValueError("entry_bound must be >= 1")
@@ -303,7 +298,6 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
         raise SizeLimitError(
             f"alpha space {space} exceeds scan cap {scan_cap}")
     j = cover_ideal(g, t)
-    _require_square_free_proper(j, "duality_gap_search")
     # t >= 2, so every getter returns a tuple
     getters = [itemgetter(*p) for p in _prime_rows(j)]
     masks = j.transversal_masks()
@@ -320,7 +314,7 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
         tv, tight = _lightest(getters, masks, alpha)
         if tight != every:
             continue                                     # nu(alpha) = tau(alpha)
-        nv = max_packing(rows, alpha)[0]                 # nu(j, alpha)
+        nv = max_packing(rows, alpha, tv + 1)            # nu(j, alpha) when <= tv
         if nv > tv:
             raise VerificationError(f"weak duality violated at alpha={alpha}")
         if tv != nv:

@@ -367,22 +367,10 @@ def is_packed(a: MonomialIdeal, memo: Optional[dict] = None) -> PackingReport:
 
 @dataclass(frozen=True)
 class CycleMinorResult:
-    n: int
-    t: int
     kind: str                        # "not_konig" or "minor"
     minor: Optional[Minor]
     target: Optional[tuple[int, int]]  # (n', t') of the collapsed cover instance
     verified: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "kind": self.kind,
-            "minor": self.minor.to_json() if self.minor else None,
-            "target": list(self.target) if self.target else None,
-            "verified": self.verified,
-        }
 
 
 # (n, t) with n > t >= 3 and J_t(C_n) packed; n = t is packed for every graph
@@ -435,11 +423,11 @@ def cycle_nonpacking_minor(n: int, t: int) -> CycleMinorResult:
         if is_konig(cycle_cover_gens(n, t)).konig:
             raise VerificationError(
                 f"J_{t}(C_{n}) unexpectedly Konig despite t not dividing n")
-        return CycleMinorResult(n, t, "not_konig", Minor(), None, True)
+        return CycleMinorResult("not_konig", Minor(), None, True)
     zeros, target = _cycle_zero_set(n, t)
     minor = Minor(zeros=zeros)
     if restrict(cycle_cover_gens(n, t), minor).ideal != cycle_cover_gens(*target):
         raise VerificationError(
             f"restriction of J_{t}(C_{n}) by zeros {zeros} is not "
             f"J_{target[1]}(C_{target[0]})")
-    return CycleMinorResult(n, t, "minor", minor, target, True)
+    return CycleMinorResult("minor", minor, target, True)

@@ -1,7 +1,6 @@
 """Shared strategies and helpers for the test suite."""
 
 import random
-from collections import Counter
 
 from hypothesis import strategies as st
 
@@ -12,12 +11,6 @@ from coverpack.ideals import MonomialIdeal, mask_to_monomial, minimalize
 def relabel(g: Graph, perm) -> Graph:
     """g with vertex v renamed perm[v - 1]."""
     return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
-
-
-def packing_fits(cols, rows, capacity) -> bool:
-    """Every column is a given row and no row is loaded past its capacity."""
-    load = Counter(r for c in cols for r in c)
-    return all(c in rows for c in cols) and all(load[r] <= x for r, x in enumerate(capacity))
 
 
 def random_square_free_ideal(rng: random.Random, n_min: int = 2, n_max: int = 7,

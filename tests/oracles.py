@@ -57,7 +57,9 @@ the library's faster route replaced:
 - `konig_by_max_packing`: the Konig test with nu(1) from
   `coverpack.lpdual.max_packing` under unit capacity, stopped at the
   height, the route that the bitmask search `coverpack.packing._max_disjoint`
-  replaced.
+  replaced.  It returns the verdict, height and count only, as the search
+  returns no packing; the bitmask search's certificate is checked against
+  `konig_masks`.
 - `flat_is_packed`: the odometer scan that the memoised depth-first scan in
   `coverpack.packing.is_packed` replaced.  It restricts the supports to
   every one of the 3^n minors in ternary-code order and runs the Konig
@@ -563,28 +565,28 @@ def konig_masks(masks: Sequence[int], n: int) -> tuple[bool, int, int, tuple[int
 
 
 def konig_by_max_packing(masks: Sequence[int], blocker: Sequence[int],
-                         n: int) -> tuple[bool, int, int, list[int]]:
-    """(konig, height, max_disjoint, certificate masks) with nu(1) from
-    `max_packing` under unit capacity over the supports in (popcount, mask)
-    order, stopped at the height read off `blocker`."""
+                         n: int) -> tuple[bool, int, int]:
+    """(konig, height, max_disjoint) with nu(1) from `max_packing` under
+    unit capacity over the supports in (popcount, mask) order, stopped at
+    the height read off `blocker`."""
     h = min(t.bit_count() for t in blocker)
     rows = [mask_vars(m) for m in sorted(masks, key=_by_size)]
-    count, cols = max_packing(rows, (1,) * n, need=h)
-    return count >= h, h, count, [sum(1 << i for i in c) for c in cols]
+    count = max_packing(rows, (1,) * n, h)
+    return count >= h, h, count
 
 
 def simis_check_by_packing(a: MonomialIdeal, s_max: int) -> SimisReport:
     """`coverpack.duality.simis_check` with membership of g in J^s tested as
     nu(B_J, g) >= s by `max_packing`, stopped at s."""
     if all(sum(g) == 1 for g in a.gens) or len(a.gens) == 1:
-        return SimisReport(a.n, s_max, "equal_up_to")
+        return SimisReport(s_max, "equal_up_to")
     rows = _columns(a)
     for s in range(2, s_max + 1):
         for _d, level in itertools.groupby(symbolic_power(a, s).gens, key=sum):
-            failures = tuple(g for g in level if max_packing(rows, g, s)[0] < s)
+            failures = tuple(g for g in level if max_packing(rows, g, s) < s)
             if failures:
-                return SimisReport(a.n, s_max, "witness_at", s, failures[0], failures)
-    return SimisReport(a.n, s_max, "equal_up_to")
+                return SimisReport(s_max, "witness_at", s, failures[0], failures)
+    return SimisReport(s_max, "equal_up_to")
 
 
 def flat_is_packed(a: MonomialIdeal) -> PackingReport:

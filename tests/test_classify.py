@@ -64,11 +64,6 @@ def test_classification_guards():
         theorem_classification(Graph(4, [(1, 2), (3, 4)]), 2)
 
 
-def test_classification_json():
-    c = Classification(True, "path", "why")
-    assert c.to_json() == {"verdict": True, "case": "path", "reason": "why"}
-
-
 def test_connected_graph_counts():
     # labelled connected graph counts: 1, 1, 4, 38, 728
     for n, expect in [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728)]:
@@ -140,7 +135,7 @@ def _flip_prediction(monkeypatch):
 
     def flipped(g, t):
         c = real(g, t)
-        return Classification(not c.verdict, c.case, c.reason)
+        return Classification(not c.verdict, c.case)
 
     monkeypatch.setattr(classify, "theorem_classification", flipped)
 
@@ -148,7 +143,7 @@ def _flip_prediction(monkeypatch):
 def _witness_on_every_row(monkeypatch):
     def witness(a, s_max):
         w = (2,) + (0,) * (a.n - 1)
-        return duality.SimisReport(a.n, s_max, "witness_at", 2, w, (w,))
+        return duality.SimisReport(s_max, "witness_at", 2, w, (w,))
 
     monkeypatch.setattr(classify, "simis_check", witness)
 

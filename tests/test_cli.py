@@ -288,19 +288,55 @@ def test_unwritable_out_is_usage_error(tmp_path):
     (["lp", "--graph", "path:3", "--t", "2", "--alpha", "\u0661,1,1"],
      "error: bad --alpha '\u0661,1,1'"),
     (["gens", "--graph", "path: 3", "--t", "2"], "error: bad graph spec 'path: 3'"),
+    # every integer option and cap variable reads the graph sizes' grammar
+    (["gens", "--graph", "path:3", "--t", "\u0662"],
+     "coverpack gens: error: argument --t: invalid _decimal value: '\u0662'"),
+    (["simis", "--graph", "path:3", "--t", "2", "--smax", " 3"],
+     "coverpack simis: error: argument --smax: invalid _decimal value: ' 3'"),
+    (["gap-search", "--graph", "path:3", "--t", "2", "--entry-bound", "1_0"],
+     "coverpack gap-search: error: argument --entry-bound: invalid _decimal value: '1_0'"),
+    (["verify-theorem", "--nmax", "\u0663"],
+     "coverpack verify-theorem: error: argument --nmax: invalid _decimal value: '\u0663'"),
+    (["verify-theorem", "--tmin", "\u0663"],
+     "coverpack verify-theorem: error: argument --tmin: invalid _decimal value: '\u0663'"),
+    (["verify-theorem", "--tmax", "4 "],
+     "coverpack verify-theorem: error: argument --tmax: invalid _decimal value: '4 '"),
+    (["verify-theorem", "--smax", "\u0662"],
+     "coverpack verify-theorem: error: argument --smax: invalid _decimal value: '\u0662'"),
+    (["verify-theorem", "--paths-cycles", "\u0665"],
+     "coverpack verify-theorem: error: argument --paths-cycles: "
+     "invalid _decimal value: '\u0665'"),
+    (["COVERPACK_GEN_CAP= 7_0 ", "gens", "--graph", "path:3", "--t", "2"],
+     "error: COVERPACK_GEN_CAP must be an integer, got ' 7_0 '"),
+    (["COVERPACK_SCAN_CAP=\u0667", "gens", "--graph", "path:3", "--t", "2"],
+     "error: COVERPACK_SCAN_CAP must be an integer, got '\u0667'"),
 ], ids=["alpha-not-integer", "alpha-empty", "file-without-graph6", "file-bad-graph6",
-        "file-non-ascii-space", "graph6-non-ascii", "alpha-non-ascii-digit", "graph-size-space"])
+        "file-non-ascii-space", "graph6-non-ascii", "alpha-non-ascii-digit", "graph-size-space",
+        "t-non-ascii-digit", "smax-space", "entry-bound-underscore", "nmax-non-ascii-digit",
+        "tmin-non-ascii-digit", "tmax-space", "harness-smax-non-ascii-digit",
+        "paths-cycles-non-ascii-digit", "gen-cap-env-space-underscore",
+        "scan-cap-env-non-ascii-digit"])
 def test_bad_input_is_usage_error(tmp_path, argv, message):
     # run as a process so an uncaught exception would show as a traceback;
-    # TMP stands for the test's directory, which holds the graph6 files
+    # TMP stands for the test's directory, which holds the graph6 files,
+    # and leading NAME=VALUE words set the environment, as in a shell
     (tmp_path / "blank.g6").write_text("\n  \n")
     (tmp_path / "bad.g6").write_text("\nD!c\n")
     (tmp_path / "nbsp.g6").write_text("DQc\u00a0\n")
-    proc = run_cli_process([arg.replace("TMP", str(tmp_path)) for arg in argv])
+    env = dict(arg.split("=", 1) for arg in argv if arg.startswith("COVERPACK_"))
+    proc = run_cli_process([arg.replace("TMP", str(tmp_path)) for arg in argv
+                            if not arg.startswith("COVERPACK_")], **env)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith(message.replace("TMP", str(tmp_path)))
+    lines = proc.stderr.splitlines()
+    if message.startswith("coverpack "):
+        # argparse writes its usage, wrapped over indented lines, before the
+        # one error line
+        assert lines[0].startswith("usage: " + message.split(":")[0])
+        assert all(line.startswith(" ") for line in lines[1:-1])
+        lines = lines[-1:]
+    assert len(lines) == 1
+    assert lines[0].startswith(message.replace("TMP", str(tmp_path)))
     assert "Traceback" not in proc.stderr
 
 
@@ -427,7 +463,7 @@ def test_field_capacity_exit(capsys, monkeypatch):
 
 def test_weak_duality_violation_exit(capsys, monkeypatch):
     import coverpack.lpdual
-    monkeypatch.setattr(coverpack.lpdual, "max_packing", lambda rows, alpha: (sum(alpha) + 1, []))
+    monkeypatch.setattr(coverpack.lpdual, "max_packing", lambda rows, alpha, need: sum(alpha) + 1)
     code, out, err = run_cli(capsys, "gap-search", "--graph", "cycle:6", "--t", "3",
                              "--entry-bound", "1")
     assert code == 1 and out == ""

@@ -1,13 +1,18 @@
-"""Every library name has a caller outside the tests.
+"""Every library name and import has a reader outside the tests.
 
-A top-level function or class of `src/coverpack`, or a method (other than a
-dunder) of one of its classes, must be referenced from `src/coverpack`,
-`scripts/` or `perfbench/`, not only from `tests/`.  A top-level name is
-referenced by a name read in its own module, or by an import (the
-`__init__` exports included) or a module attribute, such as
-`classify.connected_graphs`, that resolves to it; a method by any attribute
-read.  A definition's references to itself, as in a recursive function, do
-not count.  A name that only the tests need belongs in `tests/oracles.py`.
+A value only the tests read belongs in the tests.  So a top-level function
+or class of `src/coverpack`, or a method (other than a dunder) of one of
+its classes, must be referenced from `src/coverpack`, `scripts/` or
+`perfbench/`, not only from `tests/`.  A top-level name is referenced by a
+name read in its own module, or by an import (the `__init__` exports
+included) or a module attribute, such as `classify.connected_graphs`, that
+resolves to it; a method by any attribute read.  A definition's references
+to itself, as in a recursive function, do not count.  A name that only the
+tests need belongs in `tests/oracles.py`.
+
+No module under `src/`, `tests/` or `scripts/` imports a name it never
+reads; `__future__` imports and the re-exports of an `__init__` module are
+exempt.
 
 No library function takes a resource limit as a parameter: the guards read
 `DEFAULT_GEN_CAP` and `DEFAULT_SCAN_CAP` from `coverpack.ideals`.  Every
@@ -28,6 +33,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LIBRARY = os.path.join(ROOT, "src", "coverpack")
 OTHERS = (os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench"))
+TESTS = os.path.join(ROOT, "tests")
 
 
 def _parse_dir(path: str) -> dict[str, ast.Module]:
@@ -188,6 +194,58 @@ def test_guard_flags_a_removed_name_put_back(module, cls, name):
         body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == cls).body
     body.append(ast.parse(f"def {name}(*args):\n    pass\n").body[0])
     assert unreferenced(library, others) == [".".join(filter(None, (module, cls, name)))]
+
+
+def unused_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.name` for every name an import in a module of `trees` binds
+    that the module never reads: a name read anywhere in it, or for
+    `import a.b` the chain `a.b` read as an attribute.  `__future__` imports
+    and `__init__` modules (by the last part of their key) are skipped."""
+    out = []
+    for module, tree in trees.items():
+        if module.rpartition("/")[2] == "__init__":
+            continue
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        # and every attribute chain on a name, such as `coverpack.ideals`
+        identity = {name: name for name in read}
+        read |= {_dotted(n, identity) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                out += [f"{module}.{alias.asname or alias.name}" for alias in node.names
+                        if (alias.asname or alias.name) not in read]
+    return sorted(out)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    trees = {}
+    for path in (LIBRARY, TESTS, OTHERS[0]):
+        trees.update({f"{os.path.basename(path)}/{name}": tree
+                      for name, tree in _parse_dir(path).items()})
+    assert unused_imports(trees) == []
+
+
+def test_unused_import_guard_flags_a_planted_import():
+    trees = {"m": ast.parse(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import collections.abc\n"
+        "import collections\n"
+        "import itertools as it\n"
+        "from typing import Optional, Sequence\n"
+        "from math import comb as choose\n"
+        "def f(x: Optional[int]):\n"
+        "    from string import digits\n"
+        "    return it.chain(digits, collections.OrderedDict(), comb)\n"),
+        "__init__": ast.parse("from .m import f\n")}
+    # an annotation, an attribute chain and a nested function's read count;
+    # `import a.b` needs `a.b` read, and a name read under another binding
+    # does not count
+    assert unused_imports(trees) == ["m.Sequence", "m.choose", "m.collections.abc", "m.json"]
+    trees["m"].body.append(ast.parse("print(json.dumps(collections.abc.Sized, Sequence))").body[0])
+    assert unused_imports(trees) == ["m.choose"]
 
 
 CAP_PARAMETERS = {"cap", "gen_cap", "scan_cap"}

@@ -2,18 +2,16 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import random_square_free_ideal
 from oracles import (_ternary_minor_masks, branching_subset_witness, flat_is_packed, from_masks,
-                     konig_by_max_packing, minor_code)
+                     konig_by_max_packing, konig_masks, minor_code)
 from coverpack.classify import connected_graphs
 from coverpack.graphs import complete, cycle, path, star
 from coverpack.ideals import MonomialIdeal, SizeLimitError, minimal_transversals, minimalize
 import coverpack.ideals
 import coverpack.packing
 from coverpack.packing import (
-    CycleMinorResult,
     Minor,
     VerificationError,
     _konig_masks,
@@ -282,10 +280,11 @@ def test_scan_carries_each_leaf_blocker(monkeypatch):
 
 
 def test_bitmask_konig_matches_max_packing():
-    # verdict, height, count and certificate agree with max_packing under
-    # unit capacity on the restricted clutter of every minor of J_3(P_8) and
-    # J_3(C_9) (zero and unit minors have no Konig test) and on random
-    # clutters
+    # verdict, height and count agree with max_packing under unit capacity
+    # on the restricted clutter of every minor of J_3(P_8) and J_3(C_9)
+    # (zero and unit minors have no Konig test) and on random clutters; the
+    # certificate, given on Konig clutters only, agrees with the oracle's
+    # max-disjoint search
     cases = set()
     for g in (path(8), cycle(9)):
         masks = cover_ideal(g, 3).support_masks()
@@ -297,9 +296,10 @@ def test_bitmask_konig_matches_max_packing():
     failing = 0
     for n, clutter in cases:
         blocker = minimal_transversals(list(clutter))
-        got = _konig_masks(clutter, blocker, n)
-        assert got == konig_by_max_packing(clutter, blocker, n), (n, sorted(clutter))
-        failing += not got[0]
+        ok, h, count, cert = _konig_masks(clutter, blocker, n)
+        assert (ok, h, count) == konig_by_max_packing(clutter, blocker, n), (n, sorted(clutter))
+        assert cert == (list(konig_masks(clutter, n)[3]) if ok else []), (n, sorted(clutter))
+        failing += not ok
     assert failing >= 10 and len(cases) - failing > 7000
 
 
@@ -451,10 +451,9 @@ def test_cycle_minor_wrong_zero_set_fails_verification(monkeypatch):
         cycle_nonpacking_minor(12, 3)
 
 
-def test_cycle_minor_json():
+def test_cycle_minor_target():
     r = cycle_nonpacking_minor(10, 5)
-    j = r.to_json()
-    assert j["kind"] == "minor" and j["target"] == [5, 2] and j["verified"]
+    assert r.kind == "minor" and r.target == (5, 2) and r.verified
 
 
 # -- connected subsets with many non-cut vertices ----------------------------
