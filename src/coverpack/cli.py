@@ -94,11 +94,12 @@ class UsageError(ValueError):
     pass
 
 
-def _decimal(text: str) -> int:
+def integer(text: str) -> int:
     """An integer written as an optional minus sign and ASCII digits; int()
     alone also reads other scripts' digits, surrounding spaces and
     underscores.  Every integer the CLI reads, from an option, a graph spec
-    or a cap variable, goes through it."""
+    or a cap variable, goes through it.  argparse names an option's type
+    function in its error, so a bad --t reads "invalid integer value"."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{text!r} is not a decimal integer")
@@ -111,7 +112,7 @@ def parse_graph_spec(spec: str) -> Graph:
     makers = {"path": path, "cycle": cycle, "star": star, "complete": complete}
     if kind in makers:
         try:
-            return makers[kind](_decimal(arg))
+            return makers[kind](integer(arg))
         except ValueError as e:
             raise UsageError(f"bad graph spec {spec!r}: {e}")
     if kind == "file":
@@ -153,7 +154,7 @@ def emit_report(payload: dict, pretty: bool = False, out: Optional[str] = None) 
 def _add_common(p: argparse.ArgumentParser, needs_graph: bool = True):
     if needs_graph:
         p.add_argument("--graph", required=True, help="path:N, cycle:N, star:N, complete:N, file:PATH or graph6")
-        p.add_argument("--t", type=_decimal, required=True, help="connectedness size t")
+        p.add_argument("--t", type=integer, required=True, help="connectedness size t")
     p.add_argument("--pretty", action="store_true", help="indent the JSON report")
     p.add_argument("--out", help="write the report to this file instead of stdout")
 
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simis", help="bounded symbolic vs ordinary power comparison for J_t(G)")
     _add_common(p)
-    p.add_argument("--smax", type=_decimal, default=None, help="bound (default t)")
+    p.add_argument("--smax", type=integer, default=None, help="bound (default t)")
 
     p = sub.add_parser("konig", help="Konig property of J_t(G)")
     _add_common(p)
@@ -185,15 +186,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap-search", help="first alpha with tau != nu")
     _add_common(p)
-    p.add_argument("--entry-bound", type=_decimal, default=2)
+    p.add_argument("--entry-bound", type=integer, default=2)
 
     p = sub.add_parser("verify-theorem", help="classification harness")
-    p.add_argument("--nmax", type=_decimal, default=5, help="largest vertex count")
-    p.add_argument("--tmin", type=_decimal, default=3, help="smallest t (at least 3)")
-    p.add_argument("--tmax", type=_decimal, default=None)
-    p.add_argument("--smax", type=_decimal, default=None,
+    p.add_argument("--nmax", type=integer, default=5, help="largest vertex count")
+    p.add_argument("--tmin", type=integer, default=3, help="smallest t (at least 3)")
+    p.add_argument("--tmax", type=integer, default=None)
+    p.add_argument("--smax", type=integer, default=None,
                    help="Simis bound (default t per instance)")
-    p.add_argument("--paths-cycles", type=_decimal, default=None, metavar="N",
+    p.add_argument("--paths-cycles", type=integer, default=None, metavar="N",
                    help="check canonical paths and cycles up to N instead of all graphs")
     _add_common(p, needs_graph=False)
     p.add_argument("--rows", action="store_true", help="include per-instance rows in the report")
@@ -230,7 +231,7 @@ def _lp(args):
     g, j = _cover(args)
     if args.alpha is not None:
         try:
-            alpha = tuple(map(_decimal, args.alpha.split(",")))
+            alpha = tuple(map(integer, args.alpha.split(",")))
         except ValueError:
             raise UsageError(f"bad --alpha {args.alpha!r}")
         if len(alpha) != g.n:
@@ -278,7 +279,7 @@ def _env_int(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        value = _decimal(raw)
+        value = integer(raw)
     except ValueError:
         raise UsageError(f"{name} must be an integer, got {raw!r}")
     if value < 1:

@@ -40,15 +40,18 @@ is least in its orbit under the rotations and reflections of cycle(n) or
 the reversal of path(n): tau and nu are constant on an orbit, so the rest
 cannot hold the first gap.  It runs the packing search for nu only where tau does not
 already decide it: nu(alpha) = tau(alpha) whenever the primes of weight
-tau(alpha) miss a vertex (see `duality_gap_search`).
+tau(alpha) miss a vertex (see `duality_gap_search`).  Both tests read one
+int per alpha that packs every prime's weight in a field of its own
+(`_weight_kernel`): tau is its least field, found by bisection with one add
+and one mask per step, and the lightest primes are its fields equal to
+tau.  That layout is private to this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress, count, product
-from operator import itemgetter, or_
+from itertools import count, product
+from operator import mul
 from typing import Optional, Sequence
 
 from .graphs import Graph, cycle, path
@@ -288,6 +291,13 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
     gap is never settled by tau, so its nu is computed.  The argument holds
     on every graph, so the witness, tau, nu and `scanned` are those of the
     unpruned scan.
+
+    tau and the test on its primes run on packed weights, in exact integer
+    arithmetic: `_weight_kernel` gives each minimal prime a field wide
+    enough for t * entry_bound plus a guard bit, once per call, and
+    `_lightest` sums one table entry per variable of alpha into every
+    prime's weight at once, then reads tau and the lightest primes off the
+    guard bits.
     """
     if entry_bound < 1:
         raise ValueError("entry_bound must be >= 1")
@@ -298,10 +308,7 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
         raise SizeLimitError(
             f"alpha space {space} exceeds scan cap {scan_cap}")
     j = cover_ideal(g, t)
-    # t >= 2, so every getter returns a tuple
-    getters = [itemgetter(*p) for p in _prime_rows(j)]
-    masks = j.transversal_masks()
-    every = (1 << n) - 1
+    kernel = _weight_kernel(j.transversal_masks(), n, entry_bound)
     rows = _columns(j)
     is_cycle = n >= 3 and g == cycle(n)
     is_path = not is_cycle and g == path(n)
@@ -311,8 +318,8 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
         scanned += 1
         if is_cycle and _reflection_below(alpha) or is_path and alpha[::-1] < alpha:
             continue
-        tv, tight = _lightest(getters, masks, alpha)
-        if tight != every:
+        tv, covers_every = _lightest(kernel, alpha)
+        if not covers_every:
             continue                                     # nu(alpha) = tau(alpha)
         nv = max_packing(rows, alpha, tv + 1)            # nu(j, alpha) when <= tv
         if nv > tv:
@@ -322,15 +329,52 @@ def duality_gap_search(g: Graph, t: int, entry_bound: int) -> GapSearchResult:
     return GapSearchResult(None, None, None, scanned)
 
 
-def _lightest(getters: list[itemgetter], masks: tuple[int, ...],
-              alpha: tuple[int, ...]) -> tuple[int, int]:
-    """tau(J, alpha) and the union of the minimal primes of weight tau.
+def _weight_kernel(masks: Sequence[int], n: int, entry_bound: int):
+    """The packed prime weights for alpha in {0..entry_bound}^n.
 
-    `getters[k]` reads the entries of alpha on the prime with mask `masks[k]`.
+    Prime k gets a field of w bits: the low w - 1 hold the heaviest weight,
+    `top`, and the top bit is a guard.  With H = 2^(w-1), returns:
+
+      * `through[i]`: 1 in the field of every prime through variable i, so
+        sum(map(mul, alpha, through), base) packs H - 1 plus each prime's
+        weight;
+      * `base`: H - 1 in every field;
+      * `ones`: 1 in every field;
+      * `top`;
+      * `guard`: every guard bit;
+      * `incidence[i]`: the guard bits of the primes through variable i.
+
+    Subtracting m * ones, for m in 0..top, leaves a field's guard bit set
+    exactly when its weight is above m, with no borrow or carry between
+    fields: each field stays in H - 1 - top .. H - 1 + top, within 0..2H - 1.
+    Nothing here grows with entry_bound but the field width.
     """
-    weights = [sum(get(alpha)) for get in getters]
-    tv = min(weights)
-    return tv, reduce(or_, compress(masks, map(tv.__eq__, weights)))
+    top = entry_bound * max(map(int.bit_count, masks))
+    w = top.bit_length() + 1
+    ones = sum(1 << k * w for k in range(len(masks)))
+    through = [sum(1 << k * w for k, m in enumerate(masks) if m >> i & 1) for i in range(n)]
+    high = 1 << w - 1
+    return through, (high - 1) * ones, ones, top, high * ones, [high * p for p in through]
+
+
+def _lightest(kernel, alpha: tuple[int, ...]) -> tuple[int, bool]:
+    """tau(J, alpha), and whether the minimal primes of weight tau cover
+    every variable, on `_weight_kernel`'s packed weights.
+
+    tau is the least m with a field at most m, found by bisection; the
+    fields equal to tau are then those whose guard bit is clear.
+    """
+    through, base, ones, top, guard, incidence = kernel
+    weights = sum(map(mul, alpha, through), base)
+    lo, hi = 0, top
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if (weights - mid * ones) & guard != guard:
+            hi = mid
+        else:
+            lo = mid + 1
+    tight = guard & ~(weights - lo * ones)
+    return lo, all(map(tight.__and__, incidence))
 
 
 def _reflection_below(alpha: tuple[int, ...]) -> bool:

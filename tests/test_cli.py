@@ -159,6 +159,21 @@ def test_gap_search_command(capsys):
     assert res["witness"] == [0, 1, 1, 0, 1, 1, 1]
 
 
+@pytest.mark.parametrize("spec, result", [
+    ("cycle:12", '{"witness":[0,1,1,1,0,1,1,1,0,1,1,1],"tau":2,"nu":1,"scanned":8436}'),
+    ("path:9", '{"witness":null,"tau":null,"nu":null,"scanned":19683}'),
+    ("cycle:9", '{"witness":null,"tau":null,"nu":null,"scanned":2195}'),
+    ("cycle:10", '{"witness":[0,1,1,0,1,1,0,1,1,1],"tau":2,"nu":1,"scanned":1000}'),
+])
+def test_gap_search_reports_pinned(capsys, spec, result):
+    # the exact stdout of the dual_lp benchmark's four gap searches
+    code, out, err = run_cli(capsys, "gap-search", "--graph", spec, "--t", "3",
+                             "--entry-bound", "2")
+    assert (code, err) == (0, "")
+    assert out == ('{"command":"gap-search","config":{"graph":"%s","t":3,"entry_bound":2},'
+                   '"result":%s}\n' % (spec, result))
+
+
 def test_verify_theorem_command(capsys):
     code, out, _ = run_cli(capsys, "verify-theorem", "--nmax", "4")
     assert code == 0
@@ -290,22 +305,22 @@ def test_unwritable_out_is_usage_error(tmp_path):
     (["gens", "--graph", "path: 3", "--t", "2"], "error: bad graph spec 'path: 3'"),
     # every integer option and cap variable reads the graph sizes' grammar
     (["gens", "--graph", "path:3", "--t", "\u0662"],
-     "coverpack gens: error: argument --t: invalid _decimal value: '\u0662'"),
+     "coverpack gens: error: argument --t: invalid integer value: '\u0662'"),
     (["simis", "--graph", "path:3", "--t", "2", "--smax", " 3"],
-     "coverpack simis: error: argument --smax: invalid _decimal value: ' 3'"),
+     "coverpack simis: error: argument --smax: invalid integer value: ' 3'"),
     (["gap-search", "--graph", "path:3", "--t", "2", "--entry-bound", "1_0"],
-     "coverpack gap-search: error: argument --entry-bound: invalid _decimal value: '1_0'"),
+     "coverpack gap-search: error: argument --entry-bound: invalid integer value: '1_0'"),
     (["verify-theorem", "--nmax", "\u0663"],
-     "coverpack verify-theorem: error: argument --nmax: invalid _decimal value: '\u0663'"),
+     "coverpack verify-theorem: error: argument --nmax: invalid integer value: '\u0663'"),
     (["verify-theorem", "--tmin", "\u0663"],
-     "coverpack verify-theorem: error: argument --tmin: invalid _decimal value: '\u0663'"),
+     "coverpack verify-theorem: error: argument --tmin: invalid integer value: '\u0663'"),
     (["verify-theorem", "--tmax", "4 "],
-     "coverpack verify-theorem: error: argument --tmax: invalid _decimal value: '4 '"),
+     "coverpack verify-theorem: error: argument --tmax: invalid integer value: '4 '"),
     (["verify-theorem", "--smax", "\u0662"],
-     "coverpack verify-theorem: error: argument --smax: invalid _decimal value: '\u0662'"),
+     "coverpack verify-theorem: error: argument --smax: invalid integer value: '\u0662'"),
     (["verify-theorem", "--paths-cycles", "\u0665"],
      "coverpack verify-theorem: error: argument --paths-cycles: "
-     "invalid _decimal value: '\u0665'"),
+     "invalid integer value: '\u0665'"),
     (["COVERPACK_GEN_CAP= 7_0 ", "gens", "--graph", "path:3", "--t", "2"],
      "error: COVERPACK_GEN_CAP must be an integer, got ' 7_0 '"),
     (["COVERPACK_SCAN_CAP=\u0667", "gens", "--graph", "path:3", "--t", "2"],

@@ -21,7 +21,7 @@ parameter of a library function is read in its body.
 A private format has one owner: no module but `coverpack.duality` defines,
 imports or reads (as an attribute of the owner module) a name of the fold's
 packed exponent layout, and none but `coverpack.lpdual` the packing search
-behind nu or its column builder.
+behind nu, its column builder, or the gap search's packed prime weights.
 """
 
 import ast
@@ -333,7 +333,7 @@ def test_unread_parameter_guard_sees_every_kind_of_parameter():
 # program behind nu with its columns
 PRIVATE_FORMATS = {
     "duality": {"FIELD_MAX", "_FIELD", "unpack", "field_shift", "_high_mask", "_ones", "_fold"},
-    "lpdual": {"max_packing", "_columns"},
+    "lpdual": {"max_packing", "_columns", "_weight_kernel", "_lightest"},
 }
 
 

@@ -14,8 +14,8 @@ from coverpack.classify import connected_graphs, verify_theorem
 from coverpack.duality import alexander_dual, simis_check
 from coverpack.graphs import Graph, cycle, parse_graph6, path, star
 from coverpack.ideals import MonomialIdeal, SizeLimitError, minimalize
-from coverpack.lpdual import (_columns, _necklaces_by_sum, _vectors_by_sum, duality_gap_search,
-                              max_packing, nu, tau)
+from coverpack.lpdual import (_columns, _lightest, _necklaces_by_sum, _vectors_by_sum,
+                              _weight_kernel, duality_gap_search, max_packing, nu, tau)
 from coverpack.tconn import cover_ideal, t_connected_ideal
 
 
@@ -328,9 +328,9 @@ def _count_evaluations(monkeypatch):
     taus, packings = [], []
     lightest, search = coverpack.lpdual._lightest, coverpack.lpdual.max_packing
 
-    def counted_tau(getters, masks, alpha):
-        taus.append(alpha)
-        return lightest(getters, masks, alpha)
+    def counted_tau(*args):
+        taus.append(args[-1])
+        return lightest(*args)
 
     def counted_nu(rows, alpha, *args):
         packings.append(alpha)
@@ -362,6 +362,34 @@ def test_gap_search_matches_unpruned_oracle_without_pruning(monkeypatch):
     # standard one only the 18 rotation classes up to its own
     assert duality_gap_search(graphs[1], 3, 1).scanned == 102
     assert duality_gap_search(cycle(7), 3, 1).scanned == 18
+
+
+@pytest.mark.parametrize("entry_bound", [1, 2, 100, 10**6])
+def test_weight_kernel_matches_tau_and_lightest_primes(entry_bound):
+    # the packed weights give tau and whether the lightest primes cover every
+    # variable; fields are 3 bits wide at bound 1 on t = 3, 10 bits at
+    # 100, and J_3(C_20)'s 20 fields of 23 bits at 10**6 pass 64 bits in total
+    rng = random.Random(entry_bound)
+    cases = [(cycle(20), 3), (cycle(12), 3), (path(9), 3), (star(6), 3), (cycle(7), 2),
+             (path(6), 6), (parse_graph6("DQc"), 3)]
+    for g, t in cases:
+        j = cover_ideal(g, t)
+        masks = j.transversal_masks()
+        kernel = _weight_kernel(masks, g.n, entry_bound)
+        top = entry_bound * t
+        alphas = [(0,) * g.n, (entry_bound,) * g.n]
+        alphas += [tuple(rng.randint(0, entry_bound) for _ in range(g.n)) for _ in range(40)]
+        # small entries make ties, and so primes of equal weight, likely
+        alphas += [tuple(rng.choice((0, 1, entry_bound)) for _ in range(g.n)) for _ in range(40)]
+        for alpha in alphas:
+            tv = tau(j, alpha)
+            weights = [sum(alpha[i] for i in range(g.n) if m >> i & 1) for m in masks]
+            union = 0
+            for m, w in zip(masks, weights):
+                if w == tv:
+                    union |= m
+            assert 0 <= tv <= top
+            assert _lightest(kernel, alpha) == (tv, union == (1 << g.n) - 1), (g, t, alpha)
 
 
 def _rotation_least(alpha):
