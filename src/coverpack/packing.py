@@ -31,30 +31,42 @@ deletes it and drops the supports that now contain a shortened one
 (`_delete_bit`, which sorts once).  Dropping duplicate and non-minimal
 supports changes neither the height nor the largest number of pairwise
 disjoint supports, and it commutes with both operations, so the Konig
-verdict of every minor below a node depends only on that antichain.  A
-memo keyed (level, antichain) therefore evaluates each subtree once and
-runs the Konig search once per distinct restricted clutter.  A failing
-leaf hands its height and exact max-disjoint count up with its code
-offset, so the witness needs no second search.  An empty antichain (the
-zero ideal) or one holding the empty support (the unit ideal, whose 0
-sorts first) makes its whole subtree vacuous, and a variable no support
-contains is skipped, since its three children are equal.
+verdict of every minor below a node depends only on that antichain.  An
+empty antichain (the zero ideal) or one holding the empty support (the
+unit ideal, whose 0 sorts first) makes its whole subtree vacuous, and a
+variable no support contains is skipped, since its three children are
+equal.  A failing leaf hands its height and exact max-disjoint count up
+with its code offset, so the witness needs no second search.
+
+The variables above a node's level are the kept ones: no minor below sets
+them.  Once the level k has dropped to the highest undecided variable
+that some support uses, the node closes the run of bits right above k
+that no support uses, shifting the higher bits down onto bit k in the
+clutter and the blocker alike, so the lowest used kept variable sits at
+bit k.  The closed bits are empty in every mask, so both tuples stay
+sorted.  The renaming is one to one and leaves variables 1..k alone, so
+it maps every minor below onto an isomorphic minor with the same code
+offset, Konig verdict, height and max-disjoint count.  A memo keyed
+(level, packed antichain) therefore evaluates each subtree once, two
+subtrees whose kept variables differ only in position share one entry,
+and the Konig search runs at most once per distinct restricted clutter.
 
 The memo lives for one call unless the caller hands one in; then it is
 read and extended, and `verify_theorem` keeps one for all its rows.
 Sharing is sound because a subtree's result (offset, height,
-max_disjoint) depends on its key alone: the key fixes the variables left
-and the antichain on them, and so the minors below, their order and their
-Konig verdicts.  The number of variables that reaches `_konig_masks` only
-loosens a pruning bound in `_max_disjoint`, never its count.  Sharing
-pays on the families: x_n = 1 takes J_t(P_n), and J_t(C_n) too, onto
-J_t(P_{n-1}) on the same masks, so a packed path or cycle meets the
-previous path's whole scan as one memo entry.  The guard reads
-`coverpack.ideals.DEFAULT_SCAN_CAP` when the call starts: a call raises
-SizeLimitError once it has added that many entries of its own, which is
-the whole memo when the memo is the call's own, and a handed-in memo that
-already holds that many is emptied first, so it never holds twice the
-cap.
+max_disjoint) depends on its key alone: the key fixes the undecided
+variables and the antichain on them up to the names of the kept ones,
+and so the minors below, their order and their Konig verdicts, whatever
+the ideal's number of variables.  That number, which reaches
+`_konig_masks`, only loosens a pruning bound in `_max_disjoint`, never
+its count.  Sharing pays on the families: x_n = 1 takes J_t(P_n), and
+J_t(C_n) too, onto J_t(P_{n-1}) on the same masks, so a packed path or
+cycle meets the previous path's whole scan as one memo entry.  The guard
+reads `coverpack.ideals.DEFAULT_SCAN_CAP` when the call starts and sits
+on each insertion: a call raises SizeLimitError instead of adding an
+entry past that many of its own, which is the whole memo when the memo
+is the call's own, and a handed-in memo that already holds that many is
+emptied first, so it never holds twice the cap.
 
 Each node also carries the blocker of its antichain, so no leaf searches
 for a cover.  The root takes the ideal's cached minimal transversals,
@@ -291,9 +303,9 @@ def _delete_bit(clutter: tuple[int, ...], bit: int) -> tuple[int, ...]:
 def is_packed(a: MonomialIdeal, memo: Optional[dict] = None) -> PackingReport:
     """Scan all 3^n minors in ternary-code order; stop at the first failure.
 
-    `memo`, when given, maps (level, antichain) to earlier scans' subtree
-    results, and this scan reads and extends it (see the module docstring);
-    by default the memo lives for this call.  Adding more than
+    `memo`, when given, maps (level, packed antichain) to earlier scans'
+    subtree results, and this scan reads and extends it (see the module
+    docstring); by default the memo lives for this call.  Adding more than
     `DEFAULT_SCAN_CAP` memo entries raises SizeLimitError, and a given memo
     already holding that many is emptied first.
     """
@@ -324,11 +336,19 @@ def is_packed(a: MonomialIdeal, memo: Optional[dict] = None) -> PackingReport:
         # variables no support contains leave three equal children, and their
         # digit is 0 at the first failure, so skip straight past them
         k = (union & ((1 << k) - 1)).bit_length()
+        # no minor below touches the kept variables above k, so shift them
+        # down onto bit k: bits k .. k+gap-1 are empty in every mask, so
+        # closing them keeps both tuples sorted
+        high = union >> k
+        gap = (high & -high).bit_length() - 1
+        if gap > 0:
+            low = (1 << k) - 1
+            shift = k + gap
+            clutter = tuple(m & low | m >> shift << k for m in clutter)
+            blocker = tuple(t & low | t >> shift << k for t in blocker)
         key = (k, clutter)
         if key in memo:
             return memo[key]
-        if len(memo) >= limit:
-            raise SizeLimitError(f"packing scan memo exceeds cap {cap}")
         if k == 0:
             ok, h, count, _chosen = _konig_masks(clutter, blocker, n)
             found = None if ok else (0, h, count)
@@ -345,6 +365,10 @@ def is_packed(a: MonomialIdeal, memo: Optional[dict] = None) -> PackingReport:
                            tuple(t for t in blocker if not t & bit))
                 digit = 2
             found = None if sub is None else (digit * 3 ** (k - 1) + sub[0], sub[1], sub[2])
+        # guard the insertion itself, so a call that trips holds no more
+        # entries than its cap
+        if len(memo) >= limit:
+            raise SizeLimitError(f"packing scan memo exceeds cap {cap}")
         memo[key] = found
         return found
 

@@ -391,7 +391,7 @@ def test_one_scan_memo_per_call(monkeypatch):
     shared = len(calls)
     for g in (path(8), path(9)):
         assert packing.is_packed(cover_ideal(g, 3)).packed
-    assert (shared, len(calls) - shared) == (863, 1262)
+    assert (shared, len(calls) - shared) == (189, 284)
 
 
 def test_shared_memo_rows_do_not_depend_on_graph_order():
@@ -404,13 +404,17 @@ def test_shared_memo_rows_do_not_depend_on_graph_order():
 
 
 def test_scan_cap_bounds_each_rows_own_entries(monkeypatch):
-    # under a cap between J_3(P_10)'s needs with and without J_3(P_9)'s
-    # entries, the call passes while the scan on its own trips
+    # under a cap one above the most entries either row adds to the call's
+    # memo (a memo at the cap would be emptied before J_3(P_10)), below what
+    # J_3(P_10) needs without J_3(P_9)'s entries, the call passes while the
+    # scan on its own trips
     memo = {}
-    packing.is_packed(cover_ideal(path(9), 3), memo)
-    before = len(memo)
-    packing.is_packed(cover_ideal(path(10), 3), memo)
-    cap = len(memo) - before
+    added = []
+    for n in (9, 10):
+        before = len(memo)
+        packing.is_packed(cover_ideal(path(n), 3), memo)
+        added.append(len(memo) - before)
+    cap = max(added) + 1
     monkeypatch.setattr(ideals, "DEFAULT_SCAN_CAP", cap)
     rep = verify_theorem(0, t_min=3, t_max=3, graphs=[path(9), path(10)])
     assert [r.packed for r in rep.rows] == [True, True]

@@ -232,18 +232,35 @@ def _random_clutters(seed: int, count: int):
 
 
 def test_scan_matches_flat_scan_on_random_clutters():
+    # each scan on its own, and one memo through all of them: the clutters
+    # have different numbers of variables, and a key one ideal left gives
+    # another the same subtree result
+    memo = {}
     verdicts = set()
     for n, masks, a in _random_clutters(11, 500):
         rep = is_packed(a)
         assert rep == flat_is_packed(a), (n, masks)
+        assert is_packed(a, memo) == rep, (n, masks)
         verdicts.add(rep.packed)
     assert verdicts == {True, False}
 
 
+def _compacted(clutter):
+    # the clutter with its unused variables deleted: its used ones renumbered
+    # onto 1..m in ascending order
+    used = 0
+    for m in clutter:
+        used |= m
+    bits = [i for i in range(used.bit_length()) if used >> i & 1]
+    return frozenset(sum(1 << j for j, i in enumerate(bits) if m >> i & 1) for m in clutter)
+
+
 @pytest.mark.parametrize("g", [path(8), cycle(9)], ids=["P8", "C9"])
 def test_konig_runs_once_per_distinct_clutter(monkeypatch, g):
-    # a full scan of a packed ideal evaluates each distinct minimalised
-    # restricted clutter exactly once
+    # a full scan of a packed ideal never evaluates the same clutter twice;
+    # it evaluates fewer than the distinct minimalised restricted clutters,
+    # since the scan packs the kept variables down, but no fewer than those
+    # clutters with their unused variables deleted
     J = cover_ideal(g, 3)
     masks = J.support_masks()
     distinct = set()
@@ -252,12 +269,15 @@ def test_konig_runs_once_per_distinct_clutter(monkeypatch, g):
         if rest and 0 not in rest:
             distinct.add(frozenset(m for m in rest
                                    if not any(s != m and s & m == s for s in rest)))
+    compacted = {_compacted(c) for c in distinct}
     calls = []
     real = coverpack.packing._max_disjoint
     monkeypatch.setattr(coverpack.packing, "_max_disjoint",
-                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+                        lambda masks, *args: calls.append(frozenset(masks))
+                        or real(masks, *args))
     assert is_packed(J).packed
-    assert len(calls) == len(distinct)
+    assert len(set(calls)) == len(calls)
+    assert len(compacted) <= len(calls) < len(distinct)
 
 
 def test_scan_carries_each_leaf_blocker(monkeypatch):
@@ -393,6 +413,19 @@ def test_given_memo_is_read_and_extended(monkeypatch):
     # included
     K = cover_ideal(cycle(7), 3)
     assert is_packed(K, memo) == is_packed(K)
+
+
+@pytest.mark.parametrize("n, t", [(9, 3), (10, 3), (10, 4)])
+def test_scan_cap_is_exact(monkeypatch, n, t):
+    # a scan that trips the cap holds exactly the cap's entries: the guard
+    # sits on the insertion, after the node's children have returned
+    J = cover_ideal(path(n), t)
+    for cap in range(1, 400, 3):
+        monkeypatch.setattr(coverpack.ideals, "DEFAULT_SCAN_CAP", cap)
+        memo = {}
+        with pytest.raises(SizeLimitError):
+            is_packed(J, memo)
+        assert len(memo) == cap, cap
 
 
 def test_full_shared_memo_is_emptied_first(monkeypatch):
