@@ -4,11 +4,11 @@
     python3 scripts/bench_record.py [--base HEAD]
 
 The base commit is extracted with `git archive` into a temporary directory,
-and each side runs its own `perfbench/run.py`.  Every workload in
-BENCHMARK.json is run for its run_seconds, in ten pairs of runs: the number
-a claimed gain is judged on.  Pair i runs the workload once per side at
-seed i, base first when i is odd and the working tree first when i is
-even, so a slow stretch of the machine falls on both sides.
+and each side runs BENCHMARK.json's `command` in its own checkout.  Every
+workload in BENCHMARK.json is run for its run_seconds, in ten pairs of
+runs: the number a claimed gain is judged on.  Pair i runs the workload
+once per side at seed i, base first when i is odd and the working tree
+first when i is even, so a slow stretch of the machine falls on both sides.
 The file records, per workload and end-to-end metric (from BENCHMARK.json),
 each side's median and quartiles, the change of the medians, and the number
 of pairs the working tree won; then the per-layer split: three traced runs
@@ -89,11 +89,13 @@ def _order(i: int) -> tuple[str, str]:
     return ("base", "head") if i % 2 else ("head", "base")
 
 
-def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in `root`; returns its JSON result line."""
+def run_bench(command: list[str], root: str, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
+    """One run of the benchmark's `command` in `root`; returns its JSON
+    result line."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+        command + ["--workload", workload, "--seed", str(seed),
+                   "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: {workload} seed {seed} exited {proc.returncode}\n"
@@ -114,7 +116,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = bench["run_seconds"]
+    command, seconds = bench["command"], bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     sha = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, capture_output=True,
                          text=True, check=True).stdout.strip()
@@ -131,7 +133,7 @@ def main(argv=None) -> int:
         for w in workloads:
             pairs = []
             for i in range(1, PAIRS + 1):
-                got = {side: _values(run_bench(sides[side], w, i, seconds, 0))
+                got = {side: _values(run_bench(command, sides[side], w, i, seconds, 0))
                        for side in _order(i)}
                 pairs.append((got["base"], got["head"]))
                 print(f"{w} pair {i}: wall_s {got['base']['wall_s']:.3f} -> "
@@ -139,7 +141,7 @@ def main(argv=None) -> int:
             traced = {"base": [], "head": []}
             for i in TRACED_SEEDS:
                 for side in _order(i):
-                    traced[side].append(_values(run_bench(sides[side], w, i, seconds, 1)))
+                    traced[side].append(_values(run_bench(command, sides[side], w, i, seconds, 1)))
             record["workloads"][w] = {
                 "end_to_end": summarize(pairs, bench["end_to_end"]),
                 "traced": {side: layer_medians(runs) for side, runs in traced.items()},

@@ -244,24 +244,28 @@ def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
     depends only on its own graph, and every labelling of a class shares its
     outcome: under a cap they all abort or none does.  A row equals
     check_instance's on its own graph unless one of the two aborted.
-    The classification starts at t = 3, so t_min below 3 raises ValueError.
-    The packing scans of one call share a memo, and `DEFAULT_SCAN_CAP`
-    bounds the entries each row's scan adds to it; so whether a run trips
-    the scan cap depends on the rows computed before the one that trips.
+    The classification starts at t = 3, so t_min below 3 raises ValueError,
+    and so does s_max below 1, before any graph is read.  The packing scans
+    of one call share a memo, and `DEFAULT_SCAN_CAP` bounds the entries
+    each row's scan adds to it; so whether a run trips the scan cap depends
+    on the rows computed before the one that trips.
     """
     if t_min < 3:
         raise ValueError(f"t_min must be at least 3, got {t_min}")
+    if s_max is not None and s_max < 1:
+        raise ValueError(f"s_max must be at least 1, got {s_max}")
+    if graphs is None:
+        graphs = (g for n in range(3, n_max + 1) for _code, g in connected_graphs(n))
     report = HarnessReport()
     # (n, canonical edges) -> (the renumbered labels, one row per t)
     classes: dict[tuple, tuple[tuple[int, ...], list[HarnessRow]]] = {}
     # the packing scans' memo, one for every row of the call
     memo: dict = {}
-
-    def run(g: Graph):
+    for g in graphs:
         hi = min(g.n, t_max) if t_max is not None else g.n
         ts = range(t_min, hi + 1)
         if not ts:
-            return
+            continue
         edges, perm = canonical_form(g)
         entry = classes.get((g.n, edges))
         if entry is None:
@@ -278,12 +282,4 @@ def verify_theorem(n_max: int, t_min: int = 3, t_max: Optional[int] = None,
             report.rows.append(row)
             if _row_violations(row):
                 report.disagreements.append(row)
-
-    if graphs is not None:
-        for g in graphs:
-            run(g)
-    else:
-        for n in range(3, n_max + 1):
-            for _code, g in connected_graphs(n):
-                run(g)
     return report

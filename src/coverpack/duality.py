@@ -114,13 +114,11 @@ _FIELD = 16
 FIELD_MAX = (1 << (_FIELD - 1)) - 1
 
 
-@lru_cache(maxsize=64)
 def _high_mask(n: int) -> int:
     """Top bit of each of the n packed fields."""
     return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
 
 
-@lru_cache(maxsize=64)
 def _ones(n: int) -> int:
     """A 1 in each of the n packed fields."""
     return sum(1 << (_FIELD * i) for i in range(n))

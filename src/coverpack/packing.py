@@ -15,11 +15,11 @@ b(C), the minimal transversals of C.  nu(1), the most pairwise-disjoint
 supports, comes from a search on the support masks themselves
 (`_max_disjoint`): depth first over the supports in (popcount, mask)
 order, each tried for inclusion before it is skipped, with the union of
-the chosen supports kept as one mask.  A level stops once the free
-variables over the current support's size cannot lift the count past the
-best so far, and the search stops at the height.  Include-first makes the
-certificate the first pairwise-disjoint height-subset of the supports in
-that order.
+the chosen supports kept as one mask.  A level stops once the variables of
+the supports' union left free, over the current support's size, cannot
+lift the count past the best so far, and the search stops at the height.
+Include-first makes the certificate the first pairwise-disjoint
+height-subset of the supports in that order.
 
 The scan is a depth-first search over the variables from n down to 1 that
 tries the digits 0, 1, 2 in turn at each level, so it meets the minors in
@@ -56,17 +56,16 @@ read and extended, and `verify_theorem` keeps one for all its rows.
 Sharing is sound because a subtree's result (offset, height,
 max_disjoint) depends on its key alone: the key fixes the undecided
 variables and the antichain on them up to the names of the kept ones,
-and so the minors below, their order and their Konig verdicts, whatever
-the ideal's number of variables.  That number, which reaches
-`_konig_masks`, only loosens a pruning bound in `_max_disjoint`, never
-its count.  Sharing pays on the families: x_n = 1 takes J_t(P_n), and
-J_t(C_n) too, onto J_t(P_{n-1}) on the same masks, so a packed path or
-cycle meets the previous path's whole scan as one memo entry.  The guard
-reads `coverpack.ideals.DEFAULT_SCAN_CAP` when the call starts and sits
-on each insertion: a call raises SizeLimitError instead of adding an
-entry past that many of its own, which is the whole memo when the memo
-is the call's own, and a handed-in memo that already holds that many is
-emptied first, so it never holds twice the cap.
+and so the minors below, their order and their Konig verdicts, and the
+Konig search reads nothing but the clutter and its blocker.  Sharing
+pays on the families: x_n = 1 takes J_t(P_n), and J_t(C_n) too, onto
+J_t(P_{n-1}) on the same masks, so a packed path or cycle meets the
+previous path's whole scan as one memo entry.  The guard reads
+`coverpack.ideals.DEFAULT_SCAN_CAP` when the call starts and sits on
+each insertion: a call raises SizeLimitError instead of adding an entry
+past that many of its own, which is the whole memo when the memo is the
+call's own, and a handed-in memo that already holds that many is emptied
+first, so it never holds twice the cap.
 
 Each node also carries the blocker of its antichain, so no leaf searches
 for a cover.  The root takes the ideal's cached minimal transversals,
@@ -166,20 +165,24 @@ def minor_from_code(code: int, n: int) -> Minor:
     return Minor(tuple(zeros), tuple(ones))
 
 
-def _max_disjoint(masks: list[int], n: int, need: int) -> tuple[int, list[int]]:
+def _max_disjoint(masks: list[int], need: int) -> tuple[int, list[int]]:
     """Most pairwise-disjoint masks, stopped once the count reaches `need`.
 
     `masks` must be in (popcount, mask) order.  The search is depth first
     and tries to include each mask before it skips it, carrying the union
     of the chosen masks in `used`; at mask j it stops its level once
-    count + (n - popcount(used)) // popcount(m_j) <= best, since the masks
-    after j are no smaller.  Returns (count, chosen masks in order) once the
-    count reaches `need`, else the exact maximum and [].  The recursion
-    nests once per chosen mask; past Python's recursion limit it raises
-    SizeLimitError.
+    count + (popcount(union) - popcount(used)) // popcount(m_j) <= best,
+    where `union` is the union of all the masks, since the masks after j
+    are no smaller and use no variable outside it.  Returns (count, chosen
+    masks in order) once the count reaches `need`, else the exact maximum
+    and [].  The recursion nests once per chosen mask; past Python's
+    recursion limit it raises SizeLimitError.
     """
     size = [m.bit_count() for m in masks]
     last = len(masks)
+    union = 0
+    for m in masks:
+        union |= m
     best = 0
     chosen: list[int] = []
 
@@ -202,20 +205,20 @@ def _max_disjoint(masks: list[int], n: int, need: int) -> tuple[int, list[int]]:
         return False
 
     try:
-        dfs(0, 0, 0, n)
+        dfs(0, 0, 0, union.bit_count())
     except RecursionError:
         raise SizeLimitError("packing search nests past the recursion limit") from None
     chosen.reverse()
     return best, chosen
 
 
-def _konig_masks(masks: Iterable[int], blocker: Iterable[int],
-                 n: int) -> tuple[bool, int, int, list[int]]:
+def _konig_masks(masks: Iterable[int],
+                 blocker: Iterable[int]) -> tuple[bool, int, int, list[int]]:
     # returns (konig, height, max_disjoint, certificate masks), the height
     # read off the blocker; when the search misses the height it has
     # explored everything, so the count it reports is the exact maximum
     h = min(t.bit_count() for t in blocker)
-    count, chosen = _max_disjoint(sorted(masks, key=_by_size), n, h)
+    count, chosen = _max_disjoint(sorted(masks, key=_by_size), h)
     return count >= h, h, count, chosen
 
 
@@ -246,7 +249,7 @@ def is_konig(a: MonomialIdeal) -> KonigResult:
         return KonigResult(True, None, None, None)
     if not a.is_square_free:
         raise ValueError("Konig property is set up for square-free ideals")
-    ok, h, count, chosen = _konig_masks(a.support_masks(), a.transversal_masks(), a.n)
+    ok, h, count, chosen = _konig_masks(a.support_masks(), a.transversal_masks())
     cert = tuple(mask_to_monomial(m, a.n) for m in chosen) if ok else None
     return KonigResult(ok, h, count, cert)
 
@@ -350,7 +353,7 @@ def is_packed(a: MonomialIdeal, memo: Optional[dict] = None) -> PackingReport:
         if key in memo:
             return memo[key]
         if k == 0:
-            ok, h, count, _chosen = _konig_masks(clutter, blocker, n)
+            ok, h, count, _chosen = _konig_masks(clutter, blocker)
             found = None if ok else (0, h, count)
         else:
             bit = 1 << (k - 1)
@@ -394,7 +397,6 @@ class CycleMinorResult:
     kind: str                        # "not_konig" or "minor"
     minor: Optional[Minor]
     target: Optional[tuple[int, int]]  # (n', t') of the collapsed cover instance
-    verified: bool
 
 
 # (n, t) with n > t >= 3 and J_t(C_n) packed; n = t is packed for every graph
@@ -447,11 +449,11 @@ def cycle_nonpacking_minor(n: int, t: int) -> CycleMinorResult:
         if is_konig(cycle_cover_gens(n, t)).konig:
             raise VerificationError(
                 f"J_{t}(C_{n}) unexpectedly Konig despite t not dividing n")
-        return CycleMinorResult("not_konig", Minor(), None, True)
+        return CycleMinorResult("not_konig", Minor(), None)
     zeros, target = _cycle_zero_set(n, t)
     minor = Minor(zeros=zeros)
     if restrict(cycle_cover_gens(n, t), minor).ideal != cycle_cover_gens(*target):
         raise VerificationError(
             f"restriction of J_{t}(C_{n}) by zeros {zeros} is not "
             f"J_{target[1]}(C_{target[0]})")
-    return CycleMinorResult("minor", minor, target, True)
+    return CycleMinorResult("minor", minor, target)

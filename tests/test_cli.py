@@ -321,6 +321,13 @@ def test_unwritable_out_is_usage_error(tmp_path):
     (["verify-theorem", "--paths-cycles", "\u0665"],
      "coverpack verify-theorem: error: argument --paths-cycles: "
      "invalid integer value: '\u0665'"),
+    # verify_theorem refuses s_max < 1 whether or not any row is computed
+    (["verify-theorem", "--nmax", "2", "--smax", "0"], "error: s_max must be at least 1, got 0"),
+    (["verify-theorem", "--paths-cycles", "2", "--smax", "0"],
+     "error: s_max must be at least 1, got 0"),
+    (["verify-theorem", "--nmax", "4", "--tmax", "2", "--smax", "-3"],
+     "error: s_max must be at least 1, got -3"),
+    (["verify-theorem", "--nmax", "3", "--smax", "0"], "error: s_max must be at least 1, got 0"),
     (["COVERPACK_GEN_CAP= 7_0 ", "gens", "--graph", "path:3", "--t", "2"],
      "error: COVERPACK_GEN_CAP must be an integer, got ' 7_0 '"),
     (["COVERPACK_SCAN_CAP=\u0667", "gens", "--graph", "path:3", "--t", "2"],
@@ -329,7 +336,8 @@ def test_unwritable_out_is_usage_error(tmp_path):
         "file-non-ascii-space", "graph6-non-ascii", "alpha-non-ascii-digit", "graph-size-space",
         "t-non-ascii-digit", "smax-space", "entry-bound-underscore", "nmax-non-ascii-digit",
         "tmin-non-ascii-digit", "tmax-space", "harness-smax-non-ascii-digit",
-        "paths-cycles-non-ascii-digit", "gen-cap-env-space-underscore",
+        "paths-cycles-non-ascii-digit", "smax-zero-no-graphs", "smax-zero-no-families",
+        "smax-negative-no-t", "smax-zero-computed", "gen-cap-env-space-underscore",
         "scan-cap-env-non-ascii-digit"])
 def test_bad_input_is_usage_error(tmp_path, argv, message):
     # run as a process so an uncaught exception would show as a traceback;

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conftest import random_square_free_ideal
-from oracles import (_ternary_minor_masks, branching_subset_witness, flat_is_packed, from_masks,
-                     konig_by_max_packing, konig_masks, minor_code)
+from oracles import (_max_disjoint_masks, _ternary_minor_masks, branching_subset_witness,
+                     flat_is_packed, from_masks, konig_by_max_packing, konig_masks, minor_code)
 from coverpack.classify import connected_graphs
 from coverpack.graphs import complete, cycle, path, star
 from coverpack.ideals import MonomialIdeal, SizeLimitError, minimal_transversals, minimalize
@@ -15,6 +15,7 @@ from coverpack.packing import (
     Minor,
     VerificationError,
     _konig_masks,
+    _max_disjoint,
     cycle_nonpacking_minor,
     is_konig,
     is_packed,
@@ -286,10 +287,10 @@ def test_scan_carries_each_leaf_blocker(monkeypatch):
     leaves = []
     real = coverpack.packing._konig_masks
 
-    def checked(masks, blocker, n):
+    def checked(masks, blocker):
         assert set(blocker) == set(minimal_transversals(list(masks))), masks
         leaves.append(1)
-        return real(masks, blocker, n)
+        return real(masks, blocker)
 
     monkeypatch.setattr(coverpack.packing, "_konig_masks", checked)
     ideals = [cover_ideal(path(8), 3), cover_ideal(cycle(9), 3)]
@@ -316,11 +317,51 @@ def test_bitmask_konig_matches_max_packing():
     failing = 0
     for n, clutter in cases:
         blocker = minimal_transversals(list(clutter))
-        ok, h, count, cert = _konig_masks(clutter, blocker, n)
+        ok, h, count, cert = _konig_masks(clutter, blocker)
         assert (ok, h, count) == konig_by_max_packing(clutter, blocker, n), (n, sorted(clutter))
         assert cert == (list(konig_masks(clutter, n)[3]) if ok else []), (n, sorted(clutter))
         failing += not ok
     assert failing >= 10 and len(cases) - failing > 7000
+
+
+def _moved(mask, place):
+    # bit i of `mask` moved to bit place(i)
+    return sum(1 << place(i) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_konig_search_reads_only_its_clutter():
+    # the search sees no universe size: moving every mask and transversal up
+    # by s bits, or spreading them over unused variables, moves the
+    # certificate and leaves verdict, height and count alone; the increasing
+    # renamings keep the (popcount, mask) order.  Its count agrees with the
+    # oracle's max-disjoint search, and so do the chosen masks once the
+    # count reaches `need`
+    rng = random.Random(41)
+    spread = 0
+    for n, _masks, a in _random_clutters(29, 300):
+        clutter, blocker = a.support_masks(), a.transversal_masks()
+        ok, h, count, cert = _konig_masks(clutter, blocker)
+        gaps = [rng.randint(0, 3) for _ in range(n)]
+        places = [lambda i, s=s: i + s for s in (1, 5, 40)]
+        places.append(lambda i: i + sum(gaps[:i + 1]))
+        variants = [clutter]
+        for place in places:
+            moved = [_moved(m, place) for m in clutter]
+            got = _konig_masks(moved, [_moved(t, place) for t in blocker])
+            assert got == (ok, h, count, [_moved(m, place) for m in cert]), (n, clutter)
+            variants.append(moved)
+        spread += any(gaps)
+        for masks in variants:
+            ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
+            for need in range(1, h + 2):
+                got, chosen = _max_disjoint(ordered, need)
+                want, sel = _max_disjoint_masks(masks, need)
+                assert got == want, (masks, need)
+                if got >= need:
+                    assert tuple(chosen) == sel, (masks, need)
+                else:
+                    assert chosen == [], (masks, need)
+    assert spread > 200
 
 
 def _first_disjoint_combination(masks, h):
@@ -453,7 +494,7 @@ def test_cycle_minor_rejects_packed_pairs():
 
 def test_cycle_minor_indivisible_kind():
     r = cycle_nonpacking_minor(8, 3)
-    assert r.kind == "not_konig" and r.verified
+    assert r.kind == "not_konig"
     assert r.minor == Minor() and r.target is None
 
 
@@ -465,7 +506,7 @@ def test_cycle_minor_divisible_grid():
             if (n, t) in {(6, 3), (9, 3), (8, 4)}:
                 continue
             r = cycle_nonpacking_minor(n, t)
-            assert r.kind == "minor" and r.verified, (n, t)
+            assert r.kind == "minor", (n, t)
             n2, t2 = r.target
             # the target instance is itself outside the packed family
             assert not theorem_classification(cycle(n2), t2).verdict, (n, t)
@@ -486,7 +527,7 @@ def test_cycle_minor_wrong_zero_set_fails_verification(monkeypatch):
 
 def test_cycle_minor_target():
     r = cycle_nonpacking_minor(10, 5)
-    assert r.kind == "minor" and r.target == (5, 2) and r.verified
+    assert r.kind == "minor" and r.target == (5, 2)
 
 
 # -- connected subsets with many non-cut vertices ----------------------------

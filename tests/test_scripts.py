@@ -1,11 +1,14 @@
 """Smoke tests for the scripts in scripts/: each one runs to exit 0 (the
 benchmark recorder, which needs minutes, has its summary and per-layer
-medians checked instead)."""
+medians checked instead, and its runs' argv with the runs stubbed)."""
 
 import importlib.util
+import io
+import json
 import os
 import subprocess
 import sys
+import tarfile
 
 import pytest
 
@@ -77,3 +80,42 @@ def test_bench_record_layer_medians():
     assert out["duality.fold_s"] == {"median": 0.131, "values": [0.166, 0.128, 0.131]}
     assert out["packing.konig_evals"] == {"median": 11, "values": [10, 12, 11]}
     assert layer_medians(runs[:1])["duality.fold_s"]["median"] == 0.166
+
+
+
+def test_bench_record_runs_the_benchmark_command(monkeypatch, tmp_path):
+    # every run is BENCHMARK.json's own command, in the side's checkout: the
+    # base's extracted tree or the working tree
+    module = _load_bench_record()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    bench["workloads"] = bench["workloads"][:1]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    empty = io.BytesIO()
+    tarfile.open(fileobj=empty, mode="w").close()
+    metrics = {m["name"]: {"value": 1.0} for m in bench["end_to_end"]}
+    runs = []
+
+    def fake_run(argv, **kwargs):
+        if argv[0] == "git":
+            out = "f" * 40 + "\n" if argv[1] == "rev-parse" else empty.getvalue()
+            return subprocess.CompletedProcess(argv, 0, stdout=out)
+        runs.append((argv, kwargs["cwd"]))
+        line = json.dumps({"correct": True, "failed": 0, "metrics": metrics})
+        return subprocess.CompletedProcess(argv, 0, stdout=f"progress\n{line}\n", stderr="")
+
+    monkeypatch.setattr(module, "ROOT", str(tmp_path))
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    assert module.main([]) == 0
+    assert (tmp_path / f"BENCH_{'f' * 7}.json").exists()
+    workload = bench["workloads"][0]["name"]
+    seconds = str(bench["run_seconds"])
+    assert len(runs) == 2 * (module.PAIRS + len(module.TRACED_SEEDS))
+    base = [cwd for _argv, cwd in runs if cwd != str(tmp_path)]
+    assert len(base) == len(runs) // 2
+    assert all(os.path.basename(cwd).startswith("bench-base-") for cwd in base)
+    for argv, _cwd in runs:
+        n = len(bench["command"])
+        assert argv[:n] == bench["command"], argv
+        assert argv[n:n + 2] == ["--workload", workload]
+        assert argv[n + 4:n + 6] == ["--seconds", seconds]
