@@ -77,7 +77,8 @@ contracts it in the clutter and drops the transversals through v.  The
 blocker is a function of the antichain, so the memo key stays as it is.
 
 `restrict` applies a minor with the scan's own two steps, so minors have
-one implementation; the witness minor is rebuilt with it.
+one implementation; the report rebuilds the witness minor with it when the
+witness is first read.
 
 For cycles with t | n, `cycle_nonpacking_minor` builds the explicit
 zero-sets that collapse J_t(C_n) onto the cover ideal of a smaller odd
@@ -92,6 +93,7 @@ some dihedral relabelling exactly when it equals it outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from . import ideals
@@ -275,11 +277,31 @@ class PackingWitness:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackingReport:
+    """A scan's verdict and the number of minors it met.  A failing scan
+    keeps the ideal and its first failing (code, height, max_disjoint), and
+    `witness` restricts the ideal by that minor the first time it is read,
+    so a caller that reads only `packed` runs no restriction.  Reports are
+    equal when their verdicts, counts and witnesses are."""
     packed: bool
     scanned: int
-    witness: Optional[PackingWitness] = None
+    ideal: Optional[MonomialIdeal] = None
+    failure: Optional[tuple[int, int, int]] = None
+
+    @cached_property
+    def witness(self) -> Optional[PackingWitness]:
+        if self.failure is None:
+            return None
+        code, h, count = self.failure
+        minor = minor_from_code(code, self.ideal.n)
+        restriction = restrict(self.ideal, minor)
+        return PackingWitness(minor, restriction.survivors, restriction.ideal, h, count)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PackingReport)
+                and (self.packed, self.scanned, self.witness)
+                == (other.packed, other.scanned, other.witness))
 
     def to_json(self) -> dict:
         return {
@@ -318,7 +340,7 @@ def is_packed(a: MonomialIdeal, memo: Optional[dict] = None) -> PackingReport:
     # a variable-generated ideal only ever restricts to variable-generated,
     # unit or zero ideals, all vacuously Konig
     if all(m.bit_count() == 1 for m in masks):
-        return PackingReport(True, 0, None)
+        return PackingReport(True, 0)
     cap = ideals.DEFAULT_SCAN_CAP
     if memo is None:
         memo = {}
@@ -380,13 +402,8 @@ def is_packed(a: MonomialIdeal, memo: Optional[dict] = None) -> PackingReport:
     # closure and its reference to the memo without the cyclic collector
     del scan
     if found is None:
-        return PackingReport(True, 3 ** n, None)
-    code, h, count = found
-    minor = minor_from_code(code, n)
-    restriction = restrict(a, minor)
-    return PackingReport(False, code + 1,
-                         PackingWitness(minor, restriction.survivors,
-                                        restriction.ideal, h, count))
+        return PackingReport(True, 3 ** n)
+    return PackingReport(False, found[0] + 1, a, found)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,10 @@ the library's faster route replaced:
   when t divides n.
 - `non_cut_vertices` and `branching_subset_witness`: connected (t+1)-subsets
   with three or more non-cut vertices.
+- `flood_fill_connected_subsets`: the connected t-subsets by testing every
+  t-subset, in lexicographic order, with the flood fill of
+  `coverpack.graphs.is_connected_subset`, the filter that the growth of
+  connected sets in `coverpack.graphs.connected_induced_subsets` replaced.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ from coverpack.ideals import (DEFAULT_GEN_CAP, Monomial, MonomialIdeal, SizeLimi
                               VerificationError, _by_size, mask_to_monomial, mask_vars,
                               minimalize)
 from coverpack.lpdual import GapSearchResult, _columns, max_packing, nu
-from coverpack.packing import Minor, PackingReport, PackingWitness, minor_from_code, restrict
+from coverpack.packing import Minor, PackingReport
 from coverpack.tconn import cover_ideal, t_connected_ideal
 
 
@@ -600,7 +604,7 @@ def flat_is_packed(a: MonomialIdeal) -> PackingReport:
     # a variable-generated ideal only ever restricts to variable-generated,
     # unit or zero ideals, all vacuously Konig
     if all(bin(m).count("1") == 1 for m in masks):
-        return PackingReport(True, 0, None)
+        return PackingReport(True, 0)
     scanned = 0
     for code, zmask, omask in _ternary_minor_masks(n):
         scanned += 1
@@ -618,12 +622,8 @@ def flat_is_packed(a: MonomialIdeal) -> PackingReport:
             continue
         ok, h, count, _sel = konig_masks(rest, n)
         if not ok:
-            minor = minor_from_code(code, n)
-            restriction = restrict(a, minor)
-            return PackingReport(False, scanned,
-                                 PackingWitness(minor, restriction.survivors,
-                                                restriction.ideal, h, count))
-    return PackingReport(True, scanned, None)
+            return PackingReport(False, scanned, a, (code, h, count))
+    return PackingReport(True, scanned)
 
 
 def path_incidence_formula(n: int, t: int) -> list[int]:
@@ -673,6 +673,13 @@ def cycle_konig_sequence(n: int, t: int) -> tuple[Monomial, ...]:
             raise VerificationError("Konig sequence members are not disjoint")
         used |= mask
     return tuple(gens)
+
+
+def flood_fill_connected_subsets(g: Graph, t: int) -> list[int]:
+    """The t-subsets inducing a connected subgraph, as masks, in
+    lexicographic order: every one of the C(n, t) subsets, flood-filled."""
+    masks = map(sum, itertools.combinations([1 << i for i in range(g.n)], t))
+    return [m for m in masks if is_connected_subset(g, m)]
 
 
 def non_cut_vertices(g: Graph) -> tuple[int, ...]:

@@ -90,6 +90,21 @@ def test_check_instance_rows():
     assert row.simis_witness == "x2*x3*x4"
 
 
+def test_check_instance_builds_no_packing_witness(monkeypatch):
+    # a row reads only the verdict, so a failing scan restricts nothing;
+    # the witness is built when it is first read, and once
+    calls = []
+    real = packing.restrict
+    monkeypatch.setattr(packing, "restrict", lambda *a: calls.append(a) or real(*a))
+    for g, t in [(star(4), 3), (cycle(7), 3), (cycle(12), 3)]:
+        assert check_instance(g, t).packed is False
+    assert calls == []
+    rep = packing.is_packed(cover_ideal(cycle(12), 3))
+    assert calls == []
+    assert rep.witness.minor.zeros == (1, 5, 9) and rep.witness is rep.witness
+    assert len(calls) == 1
+
+
 def test_check_instance_row_json():
     j = check_instance(cycle(6), 3).to_json()
     assert j["n"] == 6 and j["t"] == 3 and j["predicted"] is True

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -207,6 +208,23 @@ def test_verify_theorem_paths_cycles_bound_is_honoured(capsys):
     assert code == 0
     assert [(r["graph6"], r["t"]) for r in rows] == [
         (encode_graph6(path(3)), 3), (encode_graph6(cycle(3)), 3)]
+
+
+@pytest.mark.parametrize("spec, t, digest", [
+    # pinned before the packing report built its witness on first read
+    ("cycle:12", 3, "99d1959318eed0354abb0dfd262aba58baf971934295e9d6f2d03b3ce104be78"),
+    ("cycle:7", 3, "86c5126092290bfa76cf63d34c62ca9d6754b62676c7d4623ad933dec81d79f6"),
+    ("star:4", 3, "31396ef925b9a337ddd0c2306c1bea41554ef8241f338e345f25bcd0462fc139"),
+    ("cycle:5", 2, "58b34b1d9fa593201ee57bc621789fa98413d2f51aef5bd9b5150c032c2a4d44"),
+    ("cycle:6", 3, "e1c139beb5ad0376ef74b098d2373ce633220a353775541541a1fe9c6956917d"),
+    ("path:8", 4, "c931a99189e83252bcc80329a10123a6d5d83685b470f7735bd78568f67caaa2"),
+])
+def test_packing_reports_are_pinned(capsys, spec, t, digest):
+    code, out, _ = run_cli(capsys, "packing", "--graph", spec, "--t", str(t))
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    if spec == "cycle:12":
+        res = json.loads(out)["result"]
+        assert res["scanned"] == 6644 and res["witness"]["minor"]["zeros"] == [1, 5, 9]
 
 
 def test_reports_byte_identical(capsys):

@@ -5,7 +5,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import non_cut_vertices
+from oracles import flood_fill_connected_subsets, non_cut_vertices
+from coverpack.canon import canonical_form
+from coverpack.classify import connected_graphs
 from coverpack.graphs import (
     Graph,
     Graph6ParseError,
@@ -180,6 +182,55 @@ def test_connected_subsets_against_oracle():
                         if _oracle_connected(g, c)]
             got = [tuple(v + 1 for v in mask_vars(m)) for m in connected_induced_subsets(g, t)]
             assert got == expected
+
+
+def _connected_class_reps(n):
+    # one labelled graph per class of connected graphs on n vertices: each
+    # has a non-cut vertex, so each is a connected graph on n - 1 vertices
+    # with vertex n joined to a nonempty set of the others
+    if n == 1:
+        return [Graph(1, [])]
+    reps = {}
+    for h in _connected_class_reps(n - 1):
+        for nbrs in range(1, 1 << (n - 1)):
+            g = Graph(n, list(h.edges) + [(v + 1, n) for v in mask_vars(nbrs)])
+            reps.setdefault(canonical_form(g)[0], g)
+    return list(reps.values())
+
+
+def _assert_grown_sets_match_flood_fill(g, t_max=None):
+    for t in range(1, min(g.n, t_max or g.n) + 1):
+        assert connected_induced_subsets(g, t) == flood_fill_connected_subsets(g, t), (g, t)
+
+
+def test_grown_sets_match_flood_fill_on_every_small_connected_graph():
+    for n in range(1, 6):
+        for _code, g in connected_graphs(n):
+            _assert_grown_sets_match_flood_fill(g)
+    reps = _connected_class_reps(6)
+    assert len(reps) == 112             # OEIS A001349
+    for g in reps:
+        _assert_grown_sets_match_flood_fill(g)
+
+
+def test_grown_sets_match_flood_fill_on_families():
+    for n in range(1, 21):
+        for g in [path(n), star(n)] + ([cycle(n)] if n >= 3 else []):
+            _assert_grown_sets_match_flood_fill(g, 6)
+    _assert_grown_sets_match_flood_fill(complete(9), 6)
+
+
+def test_grown_sets_match_flood_fill_on_random_graphs():
+    # disconnected graphs included: sets never cross components
+    rng = random.Random(31)
+    disconnected = 0
+    for _ in range(60):
+        n = rng.randint(7, 14)
+        p = rng.uniform(0.1, 0.6)
+        g = Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
+        disconnected += not is_connected(g)
+        _assert_grown_sets_match_flood_fill(g)
+    assert disconnected > 0
 
 
 def test_is_connected_subset_matches_oracle():
